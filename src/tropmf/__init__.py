@@ -1,9 +1,9 @@
 """Matching fields for Gr(3,n), their tropical line arrangements, and
 exact verification of adjacent-swap mutations of their polytopes."""
 
-from .arrange import (Ambiguous, Arrangement, Covector, NotFound, OnBoundary,
-                      TiedX, TropicalLine, adjacent, apexes, cell111,
-                      covector_at, induce_geometric, type_at, x_order)
+from .arrange import (Arrangement, Covector, NotFound, OnBoundary, TiedX,
+                      TropicalLine, adjacent, apexes, cell111, covector_at,
+                      induce_geometric, type_at, x_order)
 from .mfcore import (BadSize, GenericityReport, MatchingField, SizeMismatch,
                      Tableau, TieError, Triple, WeightMatrix, block_diagonal,
                      block_diagonal_weights, diagonal, genericity, induce,

@@ -7,11 +7,17 @@ three sectors per line, numbered by the row that wins the argmin of
 sectors is the line itself.  Reading the sector numbers of the three
 lines of a triple inside the unique cell where all three differ
 reconstructs the induced tableau, which gives a purely geometric route
-to the matching field and a cross-check of the algebraic one.
+to the matching field and a cross-check of the algebraic one.  That
+cell has a closed form: for each ordering of the triple it is an open
+polygon cut out by vertical, horizontal and slope-1 lines through the
+apexes, so cell111 tests the six orderings by a few rational
+comparisons and samples an exact interior point of the one that is
+non-empty.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,10 +37,6 @@ class OnBoundary(ValueError):
 
 class NotFound(ValueError):
     """No cell with pairwise distinct sector types was found."""
-
-
-class Ambiguous(ValueError):
-    """Two cells with distinct covectors both have coarse type (1,1,1)."""
 
 
 class TiedX(ValueError):
@@ -115,78 +117,39 @@ def covector_at(A: Arrangement, q: Point, subset) -> Covector:
                     frozenset(buckets[3]))
 
 
-def _support_values(A: Arrangement, T: Triple):
-    xs = [A.apex(p)[0] for p in T]
-    ys = [A.apex(p)[1] for p in T]
-    ds = [A.apex(p)[1] - A.apex(p)[0] for p in T]
-    return xs, ys, ds
-
-
-def _candidate_vertices(xs, ys, ds):
-    """Pairwise intersections of the vertical, horizontal, and slope-1
-    support lines through the three apexes."""
-    pts = set()
-    for x in xs:
-        for y in ys:
-            pts.add((x, y))
-        for d in ds:
-            pts.add((x, x + d))
-    for y in ys:
-        for d in ds:
-            pts.add((y - d, y))
-    return pts
-
-
-def _min_positive_gap(values):
-    vals = sorted(set(values))
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    return min(gaps) if gaps else None
-
-
-_COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
 def cell111(A: Arrangement, T: Triple):
     """Sample point and covector of the cell where the triple's three
     lines take pairwise distinct sector types.
 
-    Probes the eight compass neighbours of every pairwise intersection
-    of the nine support lines.  The cell is an intersection of three
-    convex sectors, so it is a polygon bounded by support lines; some
-    corner of it has an interior angle of at least 90 degrees, and that
-    corner admits a compass direction strictly inside.  The offset is a
-    quarter (not half) of the smallest positive coordinate gap because
-    a NW or SE probe drifts the diagonal coordinate y - x by twice the
-    offset.
+    Write (a_k, b_k) for the apex of line c_k and d_k = b_k - a_k.  By
+    the sector rule of type_at, lines c1, c2, c3 take types 1, 2, 3 on
+    the open cell a2 < x < a1, b3 < y < b1, d3 < y - x < d2.  Setting
+    s = y - x, the cell is non-empty iff a2 < a1, b3 < b1 and
+    max(b3 - a1, d3) < min(b1 - a2, d2), that is, iff the placement
+    weight a2 + b3 of (c1, c2, c3) is strictly below the other five.
+    So at most one ordering of the triple qualifies, and none does on a
+    tied triple; then NotFound is raised.  The sample point takes s
+    midway in its range and x midway in the x-interval at that s.  Its
+    covector is recomputed with covector_at, which keeps this route
+    independent of the argmin in mfcore.
     """
     T = check_triple(T, A.n)
-    xs, ys, ds = _support_values(A, T)
-    pts = _candidate_vertices(xs, ys, ds)
-    pool_x = xs + [p[0] for p in pts]
-    pool_y = ys + [p[1] for p in pts]
-    pool_d = ds + [p[1] - p[0] for p in pts]
-    gaps = [g for g in (_min_positive_gap(pool_x), _min_positive_gap(pool_y),
-                        _min_positive_gap(pool_d)) if g is not None]
-    if not gaps:
-        raise NotFound("all support coordinates coincide for triple %r" % (T,))
-    delta = min(gaps) / 4
-    found = {}
-    for vx, vy in sorted(pts):
-        for dx, dy in _COMPASS:
-            q = (vx + delta * dx, vy + delta * dy)
+    for c in itertools.permutations(T):
+        (a1, b1), (a2, b2), (a3, b3) = (A.apex(p) for p in c)
+        lo, hi = max(b3 - a1, b3 - a3), min(b1 - a2, b2 - a2)
+        if a2 < a1 and b3 < b1 and lo < hi:
+            s = (lo + hi) / 2
+            x = (max(a2, b3 - s) + min(a1, b1 - s)) / 2
+            q = (x, x + s)
             try:
                 cov = covector_at(A, q, T)
             except OnBoundary:
-                continue
-            if cov.coarse() == (1, 1, 1):
-                found.setdefault(cov, q)
-    if not found:
-        raise NotFound("no cell with distinct types for triple %r" % (T,))
-    if len(found) > 1:
-        raise Ambiguous("distinct covectors %r for triple %r"
-                        % (sorted(c.singletons() for c in found), T))
-    cov, q = next(iter(found.items()))
-    return q, cov
+                cov = None
+            if cov != Covector(*(frozenset((p,)) for p in c)):
+                raise NotFound("sample point %r of triple %r is not in the "
+                               "cell of %r" % (q, T, c))
+            return q, cov
+    raise NotFound("no cell with distinct types for triple %r" % (T,))
 
 
 def induce_geometric(A: Arrangement) -> MatchingField:

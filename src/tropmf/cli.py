@@ -353,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("-i", type=int, required=True)
     p.add_argument("-j", type=int, required=True)
-    p.add_argument("--strict", action="store_true",
-                   help="accepted for symmetry with plan; a single swap "
-                        "always emits its certificate")
     p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("plan", help="chain certified swaps to a target order")

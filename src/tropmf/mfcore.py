@@ -276,6 +276,8 @@ def matching_field_from_text(text: str) -> MatchingField:
             raise ValueError("malformed line: %r" % ln)
         assignment[T] = tab
         n = max(n, T[2])
+    for T in assignment:
+        check_triple(T, n)
     field = MatchingField(n, assignment)
     for T in triples(n):
         if T not in assignment:

@@ -457,6 +457,8 @@ class _Reader:
         self.pos = 0
 
     def take(self):
+        if self.pos >= len(self.lines):
+            raise ValueError("input ends after line %d" % self.pos)
         ln = self.lines[self.pos]
         self.pos += 1
         return ln

@@ -13,12 +13,16 @@ always stops it, with the partial plan attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arrange import apexes, x_order
 from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
-                     diagonal, induce)
-from .mutate import (MutationCertificate, certificate_to_text, certify,
-                     parse_certificate)
+                     diagonal, induce, weight_matrix_to_text)
+from .mutate import (MutationCertificate, _Reader, certificate_to_text,
+                     certify, parse_certificate)
+
+_SUMMARY_KEYS = ("noop", "shear", "mutation", "verified", "refuted",
+                 "inapplicable")
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,7 @@ class Plan:
     final_field: MatchingField
 
     def summary(self) -> dict:
-        counts = {"noop": 0, "shear": 0, "mutation": 0,
-                  "verified": 0, "refuted": 0, "inapplicable": 0}
+        counts = dict.fromkeys(_SUMMARY_KEYS, 0)
         for s in self.steps:
             kind = (s.certificate.kind or "").lower()
             if kind in counts:
@@ -113,24 +116,25 @@ def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
 # ---------------------------------------------------------------------------
 # plan text format
 
-def plan_to_text(plan: Plan, source: str = "matrix") -> str:
-    from .mfcore import weight_matrix_to_text
-    out = ["PLAN",
-           "n: %d" % plan.initial.n,
-           "source: %s" % source,
-           "matrix:"]
-    out.extend("  " + ln for ln in weight_matrix_to_text(plan.initial).splitlines())
-    out.append("target: %s" % " ".join(str(x) for x in plan.target))
-    out.append("steps: %d" % len(plan.steps))
-    for idx, step in enumerate(plan.steps, start=1):
+def _write_plan(n: int, source: str, matrix: WeightMatrix, target,
+                certificates, summary: dict) -> str:
+    out = ["PLAN", "n: %d" % n, "source: %s" % source, "matrix:"]
+    out.extend("  " + ln for ln in weight_matrix_to_text(matrix).splitlines())
+    out.append("target: %s" % " ".join(str(x) for x in target))
+    out.append("steps: %d" % len(certificates))
+    for idx, cert in enumerate(certificates, start=1):
         out.append("STEP %d" % idx)
-        out.append(certificate_to_text(step.certificate).rstrip("\n"))
-    counts = plan.summary()
+        out.append(certificate_to_text(cert).rstrip("\n"))
     out.append("SUMMARY")
-    for key in ("noop", "shear", "mutation", "verified", "refuted", "inapplicable"):
-        out.append("%s: %d" % (key, counts[key]))
+    for key in _SUMMARY_KEYS:
+        out.append("%s: %d" % (key, summary[key]))
     out.append("END-PLAN")
     return "\n".join(out) + "\n"
+
+
+def plan_to_text(plan: Plan, source: str = "matrix") -> str:
+    return _write_plan(plan.initial.n, source, plan.initial, plan.target,
+                       [s.certificate for s in plan.steps], plan.summary())
 
 
 @dataclass
@@ -145,64 +149,31 @@ class ParsedPlan:
 
 def parse_plan(text: str) -> ParsedPlan:
     """Inverse of plan_to_text (on its exact output format)."""
-    from fractions import Fraction
-
-    from .mfcore import WeightMatrix as WM
-    lines = text.splitlines()
-    pos = 0
-
-    def take():
-        nonlocal pos
-        ln = lines[pos]
-        pos += 1
-        return ln
-
-    def value(key):
-        ln = take()
-        if not ln.startswith(key + ":"):
-            raise ValueError("expected %r, got %r" % (key, ln))
-        return ln[len(key) + 1:].strip()
-
-    if take() != "PLAN":
-        raise ValueError("not a plan file")
-    n = int(value("n"))
-    source = value("source")
-    value("matrix")
-    rows = [take().strip() for _ in range(4)]
-    matrix = WM.from_rows([[Fraction(t) for t in row.split()] for row in rows[1:]])
-    target = tuple(int(t) for t in value("target").split())
-    count = int(value("steps"))
+    rd = _Reader(text.splitlines())
+    rd.expect("PLAN")
+    n = int(rd.value("n"))
+    source = rd.value("source")
+    rd.value("matrix")
+    rows = [rd.take().strip() for _ in range(4)]
+    matrix = WeightMatrix.from_rows([[Fraction(t) for t in row.split()]
+                                     for row in rows[1:]])
+    target = tuple(int(t) for t in rd.value("target").split())
+    count = int(rd.value("steps"))
     certificates = []
     for k in range(1, count + 1):
-        if take() != "STEP %d" % k:
-            raise ValueError("missing STEP %d" % k)
-        start = pos
-        while lines[pos] != "END":
-            pos += 1
-        pos += 1
-        certificates.append(parse_certificate("\n".join(lines[start:pos]) + "\n"))
-    if take() != "SUMMARY":
-        raise ValueError("missing SUMMARY")
-    summary = {}
-    for key in ("noop", "shear", "mutation", "verified", "refuted", "inapplicable"):
-        summary[key] = int(value(key))
-    if take() != "END-PLAN":
-        raise ValueError("missing END-PLAN")
+        rd.expect("STEP %d" % k)
+        start = rd.pos
+        while rd.take() != "END":
+            pass
+        certificates.append(parse_certificate(
+            "\n".join(rd.lines[start:rd.pos]) + "\n"))
+    rd.expect("SUMMARY")
+    summary = {key: int(rd.value(key)) for key in _SUMMARY_KEYS}
+    rd.expect("END-PLAN")
     return ParsedPlan(n=n, source=source, matrix=matrix, target=target,
                       certificates=certificates, summary=summary)
 
 
 def parsed_plan_to_text(p: ParsedPlan) -> str:
-    from .mfcore import weight_matrix_to_text
-    out = ["PLAN", "n: %d" % p.n, "source: %s" % p.source, "matrix:"]
-    out.extend("  " + ln for ln in weight_matrix_to_text(p.matrix).splitlines())
-    out.append("target: %s" % " ".join(str(x) for x in p.target))
-    out.append("steps: %d" % len(p.certificates))
-    for idx, cert in enumerate(p.certificates, start=1):
-        out.append("STEP %d" % idx)
-        out.append(certificate_to_text(cert).rstrip("\n"))
-    out.append("SUMMARY")
-    for key in ("noop", "shear", "mutation", "verified", "refuted", "inapplicable"):
-        out.append("%s: %d" % (key, p.summary[key]))
-    out.append("END-PLAN")
-    return "\n".join(out) + "\n"
+    return _write_plan(p.n, p.source, p.matrix, p.target, p.certificates,
+                       p.summary)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import random_generic_matrix, three_line_matrix
 from tropmf import (NotFound, OnBoundary, TiedX, TropicalLine, WeightMatrix,
                     adjacent, apexes, cell111, covector_at, genericity,
-                    induce, induce_geometric, type_at, x_order)
+                    induce, induce_geometric, triples, type_at, x_order)
+from tropmf.mfcore import placement_weight
 
 
 def test_apexes_diag6(diag6):
@@ -149,11 +151,25 @@ def test_x_order_tie():
         x_order(apexes(M))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.lists(st.integers(-20, 20), min_size=4, max_size=4),
-                min_size=3, max_size=3))
+@settings(max_examples=50, deadline=None)
+@given(st.integers(4, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=3, max_size=3)))
 def test_geometric_equals_algebraic_property(rows):
+    # Small entries make tied triples common; cell111 must succeed on
+    # exactly the triples with a unique minimum placement.
     M = WeightMatrix.from_rows(rows)
-    if not genericity(M).ok:
-        return
-    assert induce_geometric(apexes(M)) == induce(M)
+    A = apexes(M)
+    for T in triples(M.n):
+        weights = {tab: placement_weight(M, tab) for tab in permutations(T)}
+        low = min(weights.values())
+        winners = [tab for tab, w in weights.items() if w == low]
+        if len(winners) == 1:
+            q, cov = cell111(A, T)
+            assert cov.singletons() == winners[0]
+            assert covector_at(A, q, T) == cov
+        else:
+            with pytest.raises(NotFound):
+                cell111(A, T)
+    if genericity(M).ok:
+        assert induce_geometric(A) == induce(M)

@@ -207,3 +207,9 @@ def test_weight_matrix_rejects_garbage():
         weight_matrix_from_text("3 2\n0 0\n0 0\n")
     with pytest.raises(ValueError):
         weight_matrix_from_text("2 3\n0 0 0\n0 0 0\n")
+
+
+@pytest.mark.parametrize("extra", ["3 2 1 : 1 2 3", "0 1 2 : 0 1 2"])
+def test_matching_field_rejects_keys_outside_triples(extra):
+    with pytest.raises(ValueError):
+        matching_field_from_text("1 2 3 : 1 2 3\n%s\n" % extra)

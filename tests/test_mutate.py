@@ -367,6 +367,13 @@ def test_certificate_roundtrip(build):
     assert certificate_to_text(parse_certificate(text)) == text
 
 
+def test_truncated_certificate_raises_value_error(five):
+    lines = certificate_to_text(certify(five, 3, 4)).splitlines(keepends=True)
+    for cut in range(len(lines)):
+        with pytest.raises(ValueError):
+            parse_certificate("".join(lines[:cut]))
+
+
 def test_certificate_text_sections(five):
     text = certificate_to_text(certify(five, 3, 4))
     for section in ("CERTIFICATE", "STAR", "SWAP", "WF", "DIFF", "IMAGES",

@@ -130,3 +130,12 @@ def test_plan_text_roundtrip_and_stability():
     parsed = parse_plan(text)
     assert parsed.summary == {"noop": 2, "shear": 2, "mutation": 4,
                               "verified": 8, "refuted": 0, "inapplicable": 0}
+
+
+def test_truncated_plan_raises_value_error():
+    text = plan_to_text(plan_block_to_diagonal(5, 2),
+                        source="block-diagonal 5 2")
+    lines = text.splitlines(keepends=True)
+    for cut in range(len(lines)):
+        with pytest.raises(ValueError):
+            parse_plan("".join(lines[:cut]))
