@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import mfcore, planner, polytope
 from .arrange import Arrangement, TiedX, apexes, induce_geometric, x_order
 from .mfcore import BadSize, SizeMismatch, TieError, WeightMatrix
-from .mutate import NotSwappable, PatternMismatch, certificate_to_text, certify, swap
+from .mutate import (NotSwappable, PatternMismatch, _landing_gap,
+                     certificate_to_text, certify, swap)
 from .regions import Boundary, NotAdjacent, Region, classify, region_halfplanes, star
 
 _INPUT_ERRORS = (TieError, BadSize, SizeMismatch, NotAdjacent, Boundary,
@@ -96,11 +97,7 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
                 m2, eps = swap(A.source, i, j)
             except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
                     Boundary):
-                order = x_order(A)
-                pos = order.index(j)
-                gap = (A.apex(order[pos + 1])[0] - A.apex(j)[0]
-                       if pos + 1 < A.n else Fraction(1))
-                eps = gap / 2
+                eps = _landing_gap(A, x_order(A), j) / 2
             target_apex = (A.apex(j)[0] + eps, A.apex(i)[1])
             pts.append(target_apex)
     else:

@@ -83,7 +83,7 @@ def feasible_combination(columns, rhs):
         _check_feasible(columns, rhs, x)
         return True, x
     y = [sign[r] * (_ONE - cost[nvars + r]) for r in range(m)]
-    _check_farkas(columns, rhs, y)
+    check_farkas(columns, rhs, y)
     return False, y
 
 
@@ -122,7 +122,9 @@ def _check_feasible(columns, rhs, x):
             raise AssertionError("simplex solution fails row %d" % r)
 
 
-def _check_farkas(columns, rhs, y):
+def check_farkas(columns, rhs, y):
+    """Raise AssertionError unless y.col <= 0 for every column and
+    y.rhs > 0, i.e. unless y proves rhs is no nonnegative combination."""
     m = len(rhs)
     for c, col in enumerate(columns):
         total = _ZERO

@@ -274,6 +274,8 @@ def matching_field_from_text(text: str) -> MatchingField:
         tab = tuple(int(t) for t in right.split())
         if len(T) != 3 or len(tab) != 3:
             raise ValueError("malformed line: %r" % ln)
+        if T in assignment:
+            raise ValueError("duplicate triple %r" % (T,))
         assignment[T] = tab
         n = max(n, T[2])
     for T in assignment:

@@ -146,6 +146,15 @@ def expected_flip(L: MatchingField, i: int, j: int, R: RegionAssignment) -> Matc
     return MatchingField(L.n, assignment)
 
 
+def _landing_gap(A: Arrangement, order: tuple, j: int) -> Fraction:
+    """Room right of line j's apex for line i to land in: the x distance
+    to the next apex in x order, or 1 when j is rightmost."""
+    pos = order.index(j)
+    if pos + 1 < A.n:
+        return A.apex(order[pos + 1])[0] - A.apex(j)[0]
+    return Fraction(1)
+
+
 def swap(M: WeightMatrix, i: int, j: int):
     """Move line i's apex horizontally to just past line j's.
 
@@ -169,10 +178,7 @@ def swap(M: WeightMatrix, i: int, j: int):
     L = induce(M)
     R = classify(A, i, j)
     expected = expected_flip(L, i, j, R)
-    if pj + 1 < A.n:
-        gap = A.apex(order[pj + 1])[0] - aj
-    else:
-        gap = Fraction(1)
+    gap = _landing_gap(A, order, j)
     target = list(order)
     target[pi], target[pj] = target[pj], target[pi]
     target = tuple(target)
@@ -488,8 +494,13 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(t) for t in text.split())
 
 
+_FLAGS = {"pass": True, "fail": False, "-": None}
+
+
 def _parse_flag(text: str) -> bool | None:
-    return {"pass": True, "fail": False, "-": None}[text]
+    if text not in _FLAGS:
+        raise ValueError("unknown check flag %r" % text)
+    return _FLAGS[text]
 
 
 def parse_certificate(text: str) -> MutationCertificate:

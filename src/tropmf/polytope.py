@@ -6,6 +6,13 @@ field is the convex hull of one such point per triple.  Membership in a
 hull, extremality of a point, and equality of two hulls are all decided
 by exact rational linear programming, never by vertex enumeration in
 the ambient dimension 3n.
+
+The LP of a membership test sees only the part of the system that can
+carry weight: a coordinate where the query point is 0 and no point of
+the set is negative forces weight 0 on every point positive there, so
+those points and that row are left out.  An infeasible answer's Farkas
+vector is lifted back to the full system (each left-out row gets one
+common negative entry) and re-checked against every point of the set.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from . import lp
 from .mfcore import MatchingField, Tableau
 
 LatticePoint = tuple  # 3 rows, each a tuple of n Fractions
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ShapeMismatch(ValueError):
@@ -115,19 +125,60 @@ def _flatten(p: LatticePoint):
 def member(q: LatticePoint, S: VertexSet) -> bool:
     """Exact test for q in conv(S).
 
-    Solves sum λ_s s = q, sum λ_s = 1, λ >= 0 by phase-1 simplex; both
-    the feasible and the infeasible answer are certificate-checked, so
-    permuting the input set cannot change the verdict.
+    Solves sum λ_s s = q, sum λ_s = 1, λ >= 0 by phase-1 simplex on the
+    part of the system that can carry weight.  A coordinate k is
+    droppable when q_k = 0 and no point of S is negative at k; a point
+    positive at a droppable k must get weight 0.  Those points and the
+    droppable rows are left out, so for a midpoint of two vertices the
+    LP has at most 8 columns and 7 rows.  A feasible x of the reduced
+    system, padded with zeros, solves the full one.  An infeasible
+    answer's Farkas vector is lifted to the full system and re-checked
+    against every point of S, so both verdicts stay certificate-checked
+    and permuting the input set cannot change them.
     """
-    pts = sorted(S.points)
-    if not pts:
+    if not S.points:
         return False
     if len(q) != 3 or any(len(row) != S.n for row in q):
         raise ShapeMismatch("point does not match the set's shape")
-    columns = [_flatten(p) + [Fraction(1)] for p in pts]
-    rhs = _flatten(q) + [Fraction(1)]
-    ok, _ = lp.feasible_combination(columns, rhs)
+    rhs = _flatten(q)
+    zero = [k for k, v in enumerate(rhs) if v == 0]
+    pts = list(S.points)
+    flat = [_flatten(p) for p in pts]
+    if any(len(col) != len(rhs) for col in flat):
+        raise ShapeMismatch("set points do not share the point's shape")
+    hits = [[k for k in zero if col[k]] for col in flat]
+    negative = {k for col, ks in zip(flat, hits) for k in ks if col[k] < 0}
+    dropped = [k for k in zero if k not in negative]
+    kept = [k for k, v in enumerate(rhs) if v != 0 or k in negative]
+    live = sorted((p, col) for p, col, ks in zip(pts, flat, hits)
+                  if all(k in negative for k in ks))
+    columns = [[col[k] for k in kept] + [_ONE] for _, col in live]
+    ok, y = lp.feasible_combination(columns, [rhs[k] for k in kept] + [_ONE])
+    if not ok:
+        _lift_farkas(flat, rhs + [_ONE], kept, dropped, y)
     return ok
+
+
+def _lift_farkas(flat, rhs, kept, dropped, y):
+    """Extend a Farkas vector y of the reduced system to the full one.
+
+    Kept rows keep their entry; every dropped row gets -C, with C the
+    least nonnegative value that gives each left-out point y.(p, 1) <= 0.
+    This is sound because q is 0 and every point is >= 0 on dropped
+    rows.  The lifted vector is checked against all points of the set.
+    """
+    full = [_ZERO] * len(rhs)
+    for k, v in zip(kept, y):
+        full[k] = v
+    full[-1] = y[-1]
+    C = _ZERO
+    for col in flat:
+        mass = sum(col[k] for k in dropped)
+        if mass > 0:
+            C = max(C, (sum(full[k] * col[k] for k in kept) + y[-1]) / mass)
+    for k in dropped:
+        full[k] = -C
+    lp.check_farkas([col + [_ONE] for col in flat], rhs, full)
 
 
 def is_hull_vertex(q: LatticePoint, S: VertexSet) -> bool:

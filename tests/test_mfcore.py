@@ -213,3 +213,8 @@ def test_weight_matrix_rejects_garbage():
 def test_matching_field_rejects_keys_outside_triples(extra):
     with pytest.raises(ValueError):
         matching_field_from_text("1 2 3 : 1 2 3\n%s\n" % extra)
+
+
+def test_matching_field_rejects_duplicate_triple():
+    with pytest.raises(ValueError, match="duplicate"):
+        matching_field_from_text("1 2 3 : 1 2 3\n1 2 3 : 3 2 1\n")

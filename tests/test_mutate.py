@@ -372,6 +372,10 @@ def test_truncated_certificate_raises_value_error(five):
     for cut in range(len(lines)):
         with pytest.raises(ValueError):
             parse_certificate("".join(lines[:cut]))
+    text = "".join(lines)
+    assert "k1-slab: pass\n" in text
+    with pytest.raises(ValueError):
+        parse_certificate(text.replace("k1-slab: pass\n", "k1-slab: maybe\n"))
 
 
 def test_certificate_text_sections(five):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import five_line_matrix
 from tropmf import (BadIndex, NotInSet, ShapeMismatch, VertexSet, apexes,
                     build_wf, classify, diagonal, hull_equal, induce,
-                    is_hull_vertex, member, midpoint, pair, tableau_of,
+                    is_hull_vertex, lp, member, midpoint, pair, tableau_of,
                     vertex_of, vertices)
-from tropmf.polytope import add, lattice_point, scale
+from tropmf.polytope import add, lattice_point, scale, zero_point
 
 
 def swapped_five_vertices():
@@ -173,6 +173,12 @@ def test_member_accepts_random_convex_combinations(raw_weights):
     assert member(combo, V)
 
 
+def test_member_rejects_set_of_another_shape():
+    S = VertexSet(5, frozenset([vertex_of((1, 2, 3), 4)]))
+    with pytest.raises(ShapeMismatch):
+        member(vertex_of((1, 2, 3), 5), S)
+
+
 def test_member_rejects_far_point(five):
     V = vertices(induce(five))
     far = lattice_point([[2] + [0] * 4, [0] * 5, [0] * 5])
@@ -184,3 +190,121 @@ def test_point_to_text_formats():
     assert point_to_text(vertex_of((4, 3, 1), 5)) == "4 3 1"
     grid = lattice_point([[Fraction(1, 2), 0], [0, 1], [Fraction(-3, 7), 0]])
     assert point_to_text(grid) == "1/2 0\n0 1\n-3/7 0"
+
+
+# --- support-restricted membership against the dense LP ----------------------
+
+def dense_member(q, S):
+    """Reference oracle: the phase-1 LP on every point and every row."""
+    def column(p):
+        return [x for row in p for x in row] + [Fraction(1)]
+
+    ok, _ = lp.feasible_combination([column(p) for p in sorted(S.points)],
+                                    column(q))
+    return ok
+
+
+_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+@st.composite
+def vertex_sets(draw, n):
+    """The vertex set of a hypothesis-drawn (not necessarily coherent)
+    matching field on n columns: one row order per triple."""
+    tabs = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            for c in range(b + 1, n + 1):
+                perm = _PERMS[draw(st.integers(0, 5))]
+                tabs.append(tuple((a, b, c)[t] for t in perm))
+    return VertexSet(n, frozenset(vertex_of(t, n) for t in tabs))
+
+
+@st.composite
+def membership_cases(draw):
+    n = draw(st.integers(4, 7))
+    S, T = draw(vertex_sets(n)), draw(vertex_sets(n))
+    pts = sorted(T.points)
+    pick = st.sampled_from(pts)
+    kind = draw(st.sampled_from(["midpoint", "combination", "negative",
+                                 "far", "negative-set"]))
+    if kind == "midpoint":
+        q = midpoint(draw(pick), draw(pick))
+    elif kind == "combination":
+        chosen = draw(st.lists(pick, min_size=1, max_size=5))
+        weights = [Fraction(draw(st.integers(1, 4))) for _ in chosen]
+        q = zero_point(n)
+        for w, p in zip(weights, chosen):
+            q = add(q, scale(w / sum(weights), p))
+    elif kind == "negative-set":
+        # q = (s + bad) / 2 for a point s of S, so bad = 2q - s is negative
+        # wherever s is positive and q is 0: those zeros of q are no
+        # longer droppable.  A drawn unit shift may move q out of the hull.
+        q = midpoint(draw(pick), draw(pick))
+        s = draw(st.sampled_from(sorted(S.points)))
+        bad = [[2 * a - b for a, b in zip(rq, rs)] for rq, rs in zip(q, s)]
+        if draw(st.booleans()):
+            bad[draw(st.integers(0, 2))][draw(st.integers(0, n - 1))] -= 1
+        S = VertexSet(n, S.points | {lattice_point(bad)})
+    else:
+        q = [list(row) for row in midpoint(draw(pick), draw(pick))]
+        r, c = draw(st.integers(0, 2)), draw(st.integers(0, n - 1))
+        if kind == "far":
+            q[r][c] += 2
+        else:
+            q[r][c] = Fraction(-1, 2)
+        q = lattice_point(q)
+    return q, S
+
+
+@settings(max_examples=60, deadline=None)
+@given(membership_cases())
+def test_member_equals_dense_lp(case):
+    q, S = case
+    assert member(q, S) == dense_member(q, S)
+
+
+def test_member_lifts_farkas_to_full_system(monkeypatch):
+    S = swapped_five_vertices()
+    m = midpoint(vertex_of((4, 3, 1), 5), vertex_of((5, 2, 4), 5))
+    seen = []
+    check = lp.check_farkas
+
+    def recording(columns, rhs, y):
+        seen.append((columns, rhs, y))
+        return check(columns, rhs, y)
+
+    monkeypatch.setattr(lp, "check_farkas", recording)
+    assert not member(m, S)
+    # One check inside the reduced LP, one on the lifted vector.
+    columns, rhs, y = seen[-1]
+    assert len(seen) == 2 and len(seen[0][0]) < len(S)
+    assert len(columns) == len(S) and len(rhs) == 3 * 5 + 1
+    for p in S.points:
+        col = [x for row in p for x in row] + [1]
+        assert sum(a * b for a, b in zip(y, col)) <= 0
+    assert sum(a * b for a, b in zip(y, rhs)) > 0
+
+
+def test_member_lift_catches_a_bad_reduced_certificate(monkeypatch):
+    # A reduced LP that wrongly answers "infeasible" is caught by the
+    # check of the lifted vector against every point of the set.
+    V = vertices(diagonal(4))
+    q = midpoint(*sorted(V.points)[:2])
+
+    def wrong(columns, rhs):
+        return False, [Fraction(0)] * (len(rhs) - 1) + [Fraction(1)]
+
+    monkeypatch.setattr(lp, "feasible_combination", wrong)
+    with pytest.raises(AssertionError):
+        member(q, V)
+
+
+def test_member_with_no_live_points():
+    # Every vertex of the diagonal field is positive somewhere the point
+    # is zero, so the reduced LP has no columns; its Farkas vector still
+    # lifts to a certificate for the whole set.
+    V = vertices(diagonal(4))
+    q = lattice_point([[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    assert not member(q, V)
+    assert not dense_member(q, V)
