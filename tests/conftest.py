@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,11 +33,25 @@ def shear_matrix() -> WeightMatrix:
     return WeightMatrix.from_rows([[0] * 4, [-2, -3, 0, 2], [-12, 2, 0, 4]])
 
 
+def closer_threshold_matrix() -> WeightMatrix:
+    """The five-line fixture with line 1's apex raised to (-2, -5): the
+    (3, 4) swap must land at offset 1/2, below the flip threshold 1 of
+    the triple {1, 3, 5}."""
+    return WeightMatrix.from_rows([[0] * 5, [-2, -3, 0, 2, 4],
+                                   [-5, 2, 0, 4, 8]])
+
+
 def pair_matrix(apexes) -> WeightMatrix:
     """Arrangement with prescribed apexes (row 1 zero)."""
     xs = [a for a, _ in apexes]
     ys = [b for _, b in apexes]
     return WeightMatrix.from_rows([[0] * len(apexes), xs, ys])
+
+
+def blue_obstruction_matrix() -> WeightMatrix:
+    """Three lines where line 3 sits in the blue region of the pair
+    (1, 2) and flips for every landing offset, so no swap exists."""
+    return pair_matrix([(0, 0), (1, 2), (3, Fraction(1, 2))])
 
 
 @pytest.fixture

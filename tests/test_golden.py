@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import five_line_matrix, shear_matrix, write_matrix
+from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
+                      five_line_matrix, shear_matrix, write_matrix)
 from tropmf.cli import cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -22,6 +23,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "mutate_five_3_4.txt": (five_line_matrix, ["mutate", "-i", "3", "-j", "4"], 1),
     "mutate_shear_3_4.txt": (shear_matrix, ["mutate", "-i", "3", "-j", "4"], 0),
+    # REFUTED with epsilon 1/2: the landing offset must stay below a
+    # flip threshold inside the landing gap.
+    "mutate_closer_3_4.txt": (closer_threshold_matrix,
+                              ["mutate", "-i", "3", "-j", "4"], 1),
+    # INAPPLICABLE: no landing offset realizes the swap.
+    "mutate_blue_1_2.txt": (blue_obstruction_matrix,
+                            ["mutate", "-i", "1", "-j", "2"], 2),
     "plan_block_6_2.txt": (None, ["plan", "--block", "6", "2"], 0),
     "plan_block_7_2.txt": (None, ["plan", "--block", "7", "2"], 0),
     "render_five_3_4_regions.svg": (five_line_matrix,
