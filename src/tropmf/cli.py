@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import mfcore, planner, polytope
 from .arrange import Arrangement, TiedX, apexes, induce_geometric, x_order
 from .mfcore import BadSize, SizeMismatch, TieError, WeightMatrix
-from .mutate import (NotSwappable, PatternMismatch, _landing_gap,
-                     certificate_to_text, certify, swap)
+from .mutate import (NotSwappable, PatternMismatch, _check_pair,
+                     _landing_gap, certificate_to_text, certify, swap)
 from .regions import Boundary, NotAdjacent, Region, classify, region_halfplanes, star
 
 _INPUT_ERRORS = (TieError, BadSize, SizeMismatch, NotAdjacent, Boundary,
@@ -84,12 +84,17 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
     One group per line with three ray segments clipped to the frame and
     an index label under the downward ray; optionally the six region
     fills for a highlighted adjacent pair and a dashed copy of line i at
-    its landing spot just right of j.
+    its landing spot just right of j.  Raises ValueError on a pair that
+    is not two distinct lines of A or on a scale that is not positive.
     """
+    if opts.xscale <= 0 or opts.yscale <= 0:
+        raise ValueError("scales must be > 0, got %s and %s"
+                         % (opts.xscale, opts.yscale))
     pts = [line.apex for line in A.lines]
     target_apex = None
     if opts.pair is not None:
         i, j = opts.pair
+        _check_pair(A.n, i, j)
         if A.apex(i)[0] > A.apex(j)[0]:
             i, j = j, i
         if opts.draw_dashed_target:
@@ -235,8 +240,7 @@ def _cmd_star(args) -> int:
     M = _load_matrix(args.matrix)
     A = apexes(M)
     i, j = args.i, args.j
-    if i == j or not (1 <= i <= M.n and 1 <= j <= M.n):
-        raise ValueError("bad pair (%d, %d) for %d columns" % (i, j, M.n))
+    _check_pair(M.n, i, j)
     if A.apex(i)[0] > A.apex(j)[0]:
         i, j = j, i
     R = classify(A, i, j)
@@ -307,8 +311,8 @@ def _cmd_render(args) -> int:
     opts = RenderOptions(pair=_parse_pair(args.pair) if args.pair else None,
                          draw_regions=args.regions,
                          draw_dashed_target=not args.no_dashed_target,
-                         xscale=Fraction(args.xscale),
-                         yscale=Fraction(args.yscale))
+                         xscale=mfcore._rational(args.xscale),
+                         yscale=mfcore._rational(args.yscale))
     _emit(render(A, opts), args.output)
     return 0
 

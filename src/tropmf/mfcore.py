@@ -238,6 +238,17 @@ def weight_matrix_to_text(M: WeightMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rational(token: str) -> Fraction:
+    """Parse one rational token ("p", "p/q" or a plain decimal).
+
+    Exponent notation is refused: Fraction("1e9999999") would build
+    10**9999999, work that grows without bound in the exponent.
+    """
+    if "e" in token or "E" in token:
+        raise ValueError("exponent notation is not accepted: %r" % token)
+    return Fraction(token)
+
+
 def weight_matrix_from_text(text: str) -> WeightMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 4:
@@ -248,7 +259,7 @@ def weight_matrix_from_text(text: str) -> WeightMatrix:
     n = int(header[1])
     rows = []
     for ln in lines[1:]:
-        row = [Fraction(tok) for tok in ln.split()]
+        row = [_rational(tok) for tok in ln.split()]
         if len(row) != n:
             raise ValueError("row has %d entries, expected %d" % (len(row), n))
         rows.append(row)

@@ -19,20 +19,25 @@ side.  A certificate records, for one swap:
 Verdicts: VERIFIED (k1-k4 pass), REFUTED (a battery fails although the
 star condition holds), INAPPLICABLE (the swap hypothesis is unmet: not
 generic, not adjacent, a boundary apex, no workable epsilon, or a
-two-sided swap whose star condition fails).  The swap itself is found
-by a halving search on how far line i moves past line j, accepted only
-when the induced field changes by exactly the red-region flips.
+two-sided swap whose star condition fails).  The swap moves line i a
+landing offset eps past line j, accepted only when the induced field
+changes by exactly the red-region flips.  That holds on an open interval
+of eps, read off in one pass over the triples through i; the offset is
+the largest gap/2^k inside it, and the accepted matrix is re-checked
+with induce and x_order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
-                     genericity, induce, mf_diff, weight_matrix_to_text)
+                     _rational, genericity, induce, mf_diff,
+                     placement_weight, weight_matrix_to_text)
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, member,
                        midpoint, pair, scale, tableau_of, vertices)
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
@@ -155,18 +160,48 @@ def _landing_gap(A: Arrangement, order: tuple, j: int) -> Fraction:
     return Fraction(1)
 
 
+def _offset_interval(M0: WeightMatrix, i: int, expected: MatchingField,
+                     gap: Fraction):
+    """Open interval (lo, hi) within (0, gap) of the offsets eps for
+    which raising entry (2, i) of M0 by eps gives every triple through i
+    its expected tableau as the unique minimum; empty (lo == hi) when a
+    triple rules out every eps."""
+    lo, hi = Fraction(0), gap
+    others = [c for c in range(1, M0.n + 1) if c != i]
+    for a, b in itertools.combinations(others, 2):
+        T = tuple(sorted((i, a, b)))
+        e = expected[T]
+        we = placement_weight(M0, e)
+        for t in itertools.permutations(T):
+            if t == e:
+                continue
+            d = placement_weight(M0, t) - we
+            if (t[1] == i) == (e[1] == i):
+                if d <= 0:
+                    return lo, lo
+            elif e[1] == i:
+                hi = min(hi, d)
+            else:
+                lo = max(lo, -d)
+    return lo, hi
+
+
 def swap(M: WeightMatrix, i: int, j: int):
     """Move line i's apex horizontally to just past line j's.
 
-    Halving search over the landing offset: the move is accepted only
-    when the result is generic, the x order is the old one with i and j
-    transposed, and the induced field equals the red-flip prediction.
-    A fixed landing spot can silently flip extra triples by crossing
-    other lines' rays; the field check makes the hypothesis executable.
+    The landing offset eps is the largest gap/2^k (k = 1..64) for which
+    the induced field equals the red-flip prediction.  Raising entry
+    (2, i) by eps adds eps to the weight of every placement with i in
+    row 2, so per triple through i the prediction holds on an open
+    interval of eps read off the weights at eps = 0; triples without i
+    keep their tableaux, and every candidate keeps i strictly between j
+    and the next apex, so the x order is the old one with i and j
+    transposed.  A fixed landing spot can silently flip extra triples by
+    crossing other lines' rays; the field check makes the hypothesis
+    executable, and the accepted matrix is checked once more with
+    induce and x_order.
     """
-    report = genericity(M)
-    if not report.ok:
-        raise TieError(report.offending[0])
+    L = induce(M)
     A = apexes(M)
     order = x_order(A)
     ai, aj = A.apex(i)[0], A.apex(j)[0]
@@ -175,27 +210,26 @@ def swap(M: WeightMatrix, i: int, j: int):
     pi, pj = order.index(i), order.index(j)
     if pj != pi + 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
-    L = induce(M)
     R = classify(A, i, j)
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, order, j)
     target = list(order)
     target[pi], target[pj] = target[pj], target[pi]
     target = tuple(target)
-    eps = gap
     m1i = M.entry(1, i)
+    lo, hi = _offset_interval(M.with_entry(2, i, m1i + aj), i, expected, gap)
+    eps = gap
     for _ in range(64):
         eps = eps / 2
-        M2 = M.with_entry(2, i, m1i + aj + eps)
-        if not genericity(M2).ok:
-            continue
-        try:
-            order2 = x_order(apexes(M2))
-        except TiedX:
-            continue
-        if order2 != target:
-            continue
-        if induce(M2) == expected:
+        if lo < eps < hi:
+            M2 = M.with_entry(2, i, m1i + aj + eps)
+            try:
+                ok = induce(M2) == expected and x_order(apexes(M2)) == target
+            except TieError:
+                ok = False
+            if not ok:
+                raise AssertionError("offset %s for lines %d and %d fails "
+                                     "the field re-check" % (eps, i, j))
             return M2, eps
     raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
                        "lines %d and %d" % (gap, i, j))
@@ -262,6 +296,12 @@ def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
     return entries
 
 
+def _check_pair(n: int, i: int, j: int):
+    """Raise ValueError unless i and j are two distinct columns of 1..n."""
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("bad pair (%d, %d) for %d columns" % (i, j, n))
+
+
 def matrix_digest(M: WeightMatrix) -> str:
     return hashlib.sha256(weight_matrix_to_text(M).encode()).hexdigest()
 
@@ -273,8 +313,7 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     (genericity, adjacency, boundary apexes, unswappable pairs) yield
     INAPPLICABLE certificates carrying whatever was computed by then.
     """
-    if i == j or not (1 <= i <= M.n and 1 <= j <= M.n):
-        raise ValueError("bad pair (%d, %d) for %d columns" % (i, j, M.n))
+    _check_pair(M.n, i, j)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j,
                                verdict="INAPPLICABLE")
     report = genericity(M)
@@ -534,7 +573,7 @@ def parse_certificate(text: str) -> MutationCertificate:
                                red_purple=_parse_ints(rd.value("red-purple")))
     rd.expect("SWAP")
     eps = rd.value("epsilon")
-    cert.epsilon = None if eps == "-" else Fraction(eps)
+    cert.epsilon = None if eps == "-" else _rational(eps)
     before = rd.value("order-before")
     cert.order_before = None if before == "-" else _parse_ints(before)
     after = rd.value("order-after")
@@ -543,16 +582,16 @@ def parse_certificate(text: str) -> MutationCertificate:
     if head != "-":
         rows = [rd.take().strip() for _ in range(4)]
         cert.matrix_after = WeightMatrix.from_rows(
-            [[Fraction(t) for t in row.split()] for row in rows[1:]])
+            [[_rational(t) for t in row.split()] for row in rows[1:]])
     rd.expect("WF")
     if rd.value("present") == "true":
         g1 = frozenset(_parse_ints(rd.value("group-1")))
         g2 = frozenset(_parse_ints(rd.value("group-2")))
         g3 = frozenset(_parse_ints(rd.value("group-3")))
         rd.value("w")
-        w = lattice_point([[Fraction(t) for t in rd.take().split()] for _ in range(3)])
+        w = lattice_point([[_rational(t) for t in rd.take().split()] for _ in range(3)])
         rd.value("f")
-        f = lattice_point([[Fraction(t) for t in rd.take().split()] for _ in range(3)])
+        f = lattice_point([[_rational(t) for t in rd.take().split()] for _ in range(3)])
         cert.data = MutationData(i=i, j=j, w=w, f=f, group_red=g1,
                                  group_two=g2, group_three=g3)
     rd.expect("DIFF")

@@ -13,11 +13,11 @@ always stops it, with the partial plan attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrange import apexes, x_order
-from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
-                     diagonal, induce, weight_matrix_to_text)
+from .mfcore import (MatchingField, WeightMatrix, _rational,
+                     block_diagonal_weights, diagonal, induce,
+                     weight_matrix_to_text)
 from .mutate import (MutationCertificate, _Reader, certificate_to_text,
                      certify, parse_certificate)
 
@@ -155,7 +155,7 @@ def parse_plan(text: str) -> ParsedPlan:
     source = rd.value("source")
     rd.value("matrix")
     rows = [rd.take().strip() for _ in range(4)]
-    matrix = WeightMatrix.from_rows([[Fraction(t) for t in row.split()]
+    matrix = WeightMatrix.from_rows([[_rational(t) for t in row.split()]
                                      for row in rows[1:]])
     target = tuple(int(t) for t in rd.value("target").split())
     count = int(rd.value("steps"))

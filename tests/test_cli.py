@@ -2,6 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from conftest import (diag6_matrix, five_line_matrix, three_line_matrix,
                       write_matrix)
 from tropmf import (WeightMatrix, apexes, induce, matching_field_from_text,
@@ -120,6 +122,16 @@ def test_plan_from_matrix_file(tmp_path, capsys):
     assert "steps: 8" in out
 
 
+def test_exponent_token_exit_2(tmp_path, capsys):
+    path = tmp_path / "exp.wm"
+    path.write_text("3 3\n0 0 0\n0 1e3 2\n0 2 4\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "mutate", "-m", str(path), "-i", "1",
+                             "-j", "2")
+    assert code == 2
+    assert out == ""
+    assert "1e3" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "weights", "-m", "/nonexistent/x.wm")
     assert code == 2
@@ -189,3 +201,16 @@ def test_render_cli_bytes_identical(tmp_path, capsys):
                              "--pair", "3,4", "--regions")
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [["--pair", "3,9"], ["--pair", "3,3"],
+                                   ["--pair", "0,1"], ["--xscale", "0"],
+                                   ["--xscale", "-1"], ["--yscale", "0"]])
+def test_render_rejects_bad_arguments(tmp_path, capsys, extra):
+    path = write_matrix(tmp_path, "five.wm", five_line_matrix())
+    out_path = tmp_path / "pic.svg"
+    code, _, err = run_cli(capsys, "render", "-m", path, "-o", str(out_path),
+                           *extra)
+    assert code == 2
+    assert err.startswith("ValueError: ")
+    assert not out_path.exists()

@@ -209,6 +209,14 @@ def test_weight_matrix_rejects_garbage():
         weight_matrix_from_text("2 3\n0 0 0\n0 0 0\n")
 
 
+@pytest.mark.parametrize("token", ["1e3", "2E-1"])
+def test_weight_matrix_rejects_exponent_tokens(token):
+    with pytest.raises(ValueError, match=token):
+        weight_matrix_from_text("3 2\n0 0\n%s 0\n0 0\n" % token)
+    M = weight_matrix_from_text("3 2\n0 0\n1/2 0.25\n-3 0\n")
+    assert M.rows[1] == (Fraction(1, 2), Fraction(1, 4))
+
+
 @pytest.mark.parametrize("extra", ["3 2 1 : 1 2 3", "0 1 2 : 0 1 2"])
 def test_matching_field_rejects_keys_outside_triples(extra):
     with pytest.raises(ValueError):

@@ -3,15 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (diag6_matrix, five_line_matrix, pair_matrix,
-                      shear_matrix)
+from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
+                      diag6_matrix, five_line_matrix, shear_matrix)
 from tropmf import (Case, NotAdjacent, NotSwappable,
-                    PatternMismatch, Region, RegionAssignment, WeightMatrix,
-                    apexes, build_wf, certificate_to_text, certify, classify,
-                    expected_flip, induce, member, mf_diff, midpoint,
+                    PatternMismatch, Region, RegionAssignment, TieError,
+                    TiedX, WeightMatrix, apexes, build_wf,
+                    certificate_to_text, certify, classify, expected_flip,
+                    genericity, induce, member, mf_diff, midpoint,
                     parse_certificate, swap, tropical_map, vertex_of,
-                    vertices, witness_table)
+                    vertices, witness_table, x_order)
+from tropmf import mutate
+from tropmf.mutate import _landing_gap
 from tropmf.polytope import lattice_point, pair as inner
 
 
@@ -123,9 +127,9 @@ def test_swap_five_line(five):
 
 def test_swap_variant_with_closer_threshold():
     # Raising line 1's apex to (-2, -5) moves the flip threshold of the
-    # triple {1,3,5} to landing offset 1; the halving search settles on
-    # 1/2 and the diff is still exactly the red flip.
-    V = WeightMatrix.from_rows([[0] * 5, [-2, -3, 0, 2, 4], [-5, 2, 0, 4, 8]])
+    # triple {1,3,5} to landing offset 1; the offset interval is (0, 1),
+    # so the swap lands at 1/2 and the diff is still exactly the red flip.
+    V = closer_threshold_matrix()
     M2, eps = swap(V, 3, 4)
     assert eps == Fraction(1, 2)
     assert mf_diff(induce(V), induce(M2)) == [
@@ -136,9 +140,8 @@ def test_swap_refuses_blue_obstruction():
     # A line in the blue region whose triple carries the (j, i, k)
     # pattern flips for every positive landing offset, so no offset
     # reproduces the predicted (empty) diff.
-    B = pair_matrix([(0, 0), (1, 2), (3, Fraction(1, 2))])
     with pytest.raises(NotSwappable):
-        swap(B, 1, 2)
+        swap(blue_obstruction_matrix(), 1, 2)
 
 
 def test_swap_requires_left_line_first(five):
@@ -151,6 +154,127 @@ def test_swap_requires_left_line_first(five):
 def test_swap_empty_red_is_field_preserving(diag6):
     M2, _ = swap(diag6, 6, 5)
     assert induce(M2) == induce(diag6)
+
+
+def _swap_by_halving(M: WeightMatrix, i: int, j: int):
+    """Reference: the halving search that swap replaced, kept verbatim.
+
+    Tries eps = gap/2, gap/4, .. (64 steps) and accepts the first offset
+    whose matrix is generic, has the transposed x order and induces the
+    red-flip prediction.
+    """
+    report = genericity(M)
+    if not report.ok:
+        raise TieError(report.offending[0])
+    A = apexes(M)
+    order = x_order(A)
+    ai, aj = A.apex(i)[0], A.apex(j)[0]
+    if not ai < aj:
+        raise NotAdjacent("line %d is not left of line %d" % (i, j))
+    pi, pj = order.index(i), order.index(j)
+    if pj != pi + 1:
+        raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
+    L = induce(M)
+    R = classify(A, i, j)
+    expected = expected_flip(L, i, j, R)
+    gap = _landing_gap(A, order, j)
+    target = list(order)
+    target[pi], target[pj] = target[pj], target[pi]
+    target = tuple(target)
+    eps = gap
+    m1i = M.entry(1, i)
+    for _ in range(64):
+        eps = eps / 2
+        M2 = M.with_entry(2, i, m1i + aj + eps)
+        if not genericity(M2).ok:
+            continue
+        try:
+            order2 = x_order(apexes(M2))
+        except TiedX:
+            continue
+        if order2 != target:
+            continue
+        if induce(M2) == expected:
+            return M2, eps
+    raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
+                       "lines %d and %d" % (gap, i, j))
+
+
+def _outcome(fn, M, i, j):
+    try:
+        return fn(M, i, j)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def swap_pairs(M: WeightMatrix, extra):
+    """Consecutive lines in x order (ties kept, so TiedX is reached),
+    plus one more ordered pair."""
+    keyed = sorted((line.apex[0], line.index) for line in apexes(M).lines)
+    pairs = [(a, b) for (_, a), (_, b) in zip(keyed, keyed[1:])]
+    return pairs + [extra]
+
+
+@st.composite
+def swap_cases(draw):
+    n = draw(st.integers(3, 7))
+    rows = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(3)]
+    i = draw(st.integers(1, n))
+    j = draw(st.integers(1, n).filter(lambda c: c != i))
+    return WeightMatrix.from_rows(rows), (i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(swap_cases())
+def test_swap_equals_halving_reference(case):
+    M, extra = case
+    for i, j in swap_pairs(M, extra):
+        assert _outcome(swap, M, i, j) == _outcome(_swap_by_halving, M, i, j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+             min_size=3, max_size=3),
+    st.integers(1, n), st.integers(1, 40))))
+def test_offset_interval_is_exact_acceptance_set(case):
+    # In a swap the lower end of the interval is always 0 (a red line
+    # lies below line j), so this drives _offset_interval directly: the
+    # field induced at some offset is the target, and probes at and
+    # around both ends must agree with induce.
+    rows, i, quarters = case
+    M0 = WeightMatrix.from_rows(rows)
+    m2i = M0.entry(2, i)
+
+    def field_at(eps):
+        try:
+            return induce(M0.with_entry(2, i, m2i + eps))
+        except TieError:
+            return None
+
+    star_eps = Fraction(quarters, 4)
+    expected = field_at(star_eps)
+    assume(expected is not None)
+    gap = Fraction(100)
+    lo, hi = mutate._offset_interval(M0, i, expected, gap)
+    assert lo < star_eps < hi
+    probes = {(lo + star_eps) / 2, (star_eps + hi) / 2, lo, hi,
+              lo - Fraction(1, 8), hi + Fraction(1, 8)}
+    for eps in probes:
+        if 0 < eps < gap:
+            assert (field_at(eps) == expected) == (lo < eps < hi)
+
+
+def test_swap_recheck_catches_wrong_interval(monkeypatch):
+    # Scaling every placement weight by 1000 keeps each sign but widens
+    # the offset interval of the closer-threshold swap from (0, 1) to
+    # (0, 1000), so gap/2 = 1 is picked; there the triple {1, 3, 5} is
+    # tied, and the re-check with the true weights refuses the matrix.
+    real = mutate.placement_weight
+    monkeypatch.setattr(mutate, "placement_weight",
+                        lambda M, tab: 1000 * real(M, tab))
+    with pytest.raises(AssertionError, match="re-check"):
+        swap(closer_threshold_matrix(), 3, 4)
 
 
 # --- witness table ----------------------------------------------------------
@@ -316,8 +440,7 @@ def test_certify_inapplicable_not_generic():
 
 
 def test_certify_inapplicable_unswappable():
-    B = pair_matrix([(0, 0), (1, 2), (3, Fraction(1, 2))])
-    cert = certify(B, 1, 2)
+    cert = certify(blue_obstruction_matrix(), 1, 2)
     assert cert.verdict == "INAPPLICABLE"
     assert "landing offset" in cert.reason
     assert cert.star is not None   # classification is still recorded
@@ -359,7 +482,7 @@ def test_shear_is_linear_injective_invertible():
     lambda: certify(diag6_matrix(), 6, 5),
     lambda: certify(shear_matrix(), 3, 4),
     lambda: certify(five_line_matrix(), 2, 4),
-    lambda: certify(pair_matrix([(0, 0), (1, 2), (3, Fraction(1, 2))]), 1, 2),
+    lambda: certify(blue_obstruction_matrix(), 1, 2),
 ])
 def test_certificate_roundtrip(build):
     cert = build()
@@ -376,6 +499,19 @@ def test_truncated_certificate_raises_value_error(five):
     assert "k1-slab: pass\n" in text
     with pytest.raises(ValueError):
         parse_certificate(text.replace("k1-slab: pass\n", "k1-slab: maybe\n"))
+
+
+@pytest.mark.parametrize("key, offset", [("epsilon", 0), ("matrix-after", 2),
+                                         ("w", 1), ("f", 1)])
+def test_certificate_rejects_exponent_tokens(five, key, offset):
+    lines = certificate_to_text(certify(five, 3, 4)).splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(key + ":"))
+    if offset:
+        lines[at + offset] = "  2E-1 " + lines[at + offset].split(None, 1)[1]
+    else:
+        lines[at] = "%s: 1e3" % key
+    with pytest.raises(ValueError, match="exponent"):
+        parse_certificate("\n".join(lines) + "\n")
 
 
 def test_certificate_text_sections(five):

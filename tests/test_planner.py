@@ -139,3 +139,13 @@ def test_truncated_plan_raises_value_error():
     for cut in range(len(lines)):
         with pytest.raises(ValueError):
             parse_plan("".join(lines[:cut]))
+
+
+def test_plan_rejects_exponent_tokens():
+    text = plan_to_text(plan_block_to_diagonal(5, 2),
+                        source="block-diagonal 5 2")
+    lines = text.splitlines()
+    at = lines.index("matrix:") + 2
+    lines[at] = "  1e3 " + lines[at].split(None, 1)[1]
+    with pytest.raises(ValueError, match="1e3"):
+        parse_plan("\n".join(lines) + "\n")
