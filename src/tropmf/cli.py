@@ -18,7 +18,8 @@ from .arrange import Arrangement, TiedX, apexes, induce_geometric, x_order
 from .mfcore import BadSize, SizeMismatch, TieError, WeightMatrix
 from .mutate import (NotSwappable, PatternMismatch, _check_pair,
                      _landing_gap, certificate_to_text, certify, swap)
-from .regions import Boundary, NotAdjacent, Region, classify, region_halfplanes, star
+from .regions import (Boundary, NotAdjacent, Region, _star_report, classify,
+                      region_halfplanes)
 
 _INPUT_ERRORS = (TieError, BadSize, SizeMismatch, NotAdjacent, Boundary,
                  TiedX, NotSwappable, PatternMismatch, ValueError, OSError)
@@ -244,7 +245,7 @@ def _cmd_star(args) -> int:
     if A.apex(i)[0] > A.apex(j)[0]:
         i, j = j, i
     R = classify(A, i, j)
-    S = star(A, i, j)
+    S = _star_report(R)
     lines = ["pair: %d %d" % (i, j), "case: %s" % R.case.value]
     for region in _REGION_ORDER:
         members = sorted(k for k, r in R.colors.items() if r is region)

@@ -84,9 +84,6 @@ class MatchingField:
     n: int
     assignment: dict
 
-    def tableau(self, triple: Triple) -> Tableau:
-        return self.assignment[triple]
-
     def __getitem__(self, triple: Triple) -> Tableau:
         return self.assignment[triple]
 

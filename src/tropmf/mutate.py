@@ -24,7 +24,9 @@ landing offset eps past line j, accepted only when the induced field
 changes by exactly the red-region flips.  That holds on an open interval
 of eps, read off in one pass over the triples through i; the offset is
 the largest gap/2^k inside it, and the accepted matrix is re-checked
-with induce and x_order.
+with induce and x_order.  certify works in one pass: one induce per
+matrix, one classification (regions and star report), the swap search
+on that state, and one f-value split per vertex set.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ from fractions import Fraction
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
-                     _rational, genericity, induce, mf_diff,
-                     placement_weight, weight_matrix_to_text)
+                     _rational, induce, mf_diff, placement_weight,
+                     weight_matrix_to_text)
+from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, member,
                        midpoint, pair, scale, tableau_of, vertices)
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      StarReport, classify, star)
+                      StarReport, _star_report, classify)
+from .regions import star  # noqa: F401  unused; perfbench traces this name
 
 
 class NotSwappable(ValueError):
@@ -199,30 +203,35 @@ def swap(M: WeightMatrix, i: int, j: int):
     transposed.  A fixed landing spot can silently flip extra triples by
     crossing other lines' rays; the field check makes the hypothesis
     executable, and the accepted matrix is checked once more with
-    induce and x_order.
+    induce and x_order.  Returns (M2, eps); certify runs the same
+    search on the field, apexes and regions it already holds.
     """
     L = induce(M)
     A = apexes(M)
     order = x_order(A)
-    ai, aj = A.apex(i)[0], A.apex(j)[0]
-    if not ai < aj:
+    if not A.apex(i)[0] < A.apex(j)[0]:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    pi, pj = order.index(i), order.index(j)
-    if pj != pi + 1:
+    if order.index(j) != order.index(i) + 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
-    R = classify(A, i, j)
+    return _swap_core(M, L, A, order, classify(A, i, j), i, j)[:2]
+
+
+def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
+               order: tuple, R: RegionAssignment, i: int, j: int):
+    """swap's search on the caller's state for the adjacent pair (i left
+    of j).  Returns (M2, eps, L2, order2); the field L2 (the red-flip
+    prediction) and the transposed order2 are both re-checked on M2."""
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, order, j)
-    target = list(order)
-    target[pi], target[pj] = target[pj], target[pi]
-    target = tuple(target)
-    m1i = M.entry(1, i)
-    lo, hi = _offset_interval(M.with_entry(2, i, m1i + aj), i, expected, gap)
+    pi = order.index(i)
+    target = order[:pi] + (j, i) + order[pi + 2:]
+    base = M.entry(1, i) + A.apex(j)[0]
+    lo, hi = _offset_interval(M.with_entry(2, i, base), i, expected, gap)
     eps = gap
     for _ in range(64):
         eps = eps / 2
         if lo < eps < hi:
-            M2 = M.with_entry(2, i, m1i + aj + eps)
+            M2 = M.with_entry(2, i, base + eps)
             try:
                 ok = induce(M2) == expected and x_order(apexes(M2)) == target
             except TieError:
@@ -230,7 +239,7 @@ def swap(M: WeightMatrix, i: int, j: int):
             if not ok:
                 raise AssertionError("offset %s for lines %d and %d fails "
                                      "the field re-check" % (eps, i, j))
-            return M2, eps
+            return M2, eps, expected, target
     raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
                        "lines %d and %d" % (gap, i, j))
 
@@ -238,14 +247,23 @@ def swap(M: WeightMatrix, i: int, j: int):
 def _complement_in_sum(u: Tableau, v: Tableau, t: Tableau) -> Tableau | None:
     """The tableau t2 with t + t2 = u + v rowwise, if one exists."""
     out = []
-    for r in range(3):
-        if t[r] == u[r]:
-            out.append(v[r])
-        elif t[r] == v[r]:
-            out.append(u[r])
-        else:
+    for a, b, c in zip(u, v, t):
+        if c not in (a, b):
             return None
+        out.append(b if c == a else a)
     return tuple(out)
+
+
+def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
+    """The points of P with f-value -1, 0 and +1, as three lists of
+    (tableau, point) sorted by tableau; SlabViolation on any other value."""
+    groups = {-1: [], 0: [], 1: []}
+    for p in P:
+        value = pair(f, p)
+        if value not in groups:
+            raise SlabViolation("vertex %r pairs to %s" % (tableau_of(p), value))
+        groups[value].append((tableau_of(p), p))
+    return tuple(sorted(groups[v], key=lambda e: e[0]) for v in (-1, 0, 1))
 
 
 def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
@@ -257,25 +275,16 @@ def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
     reported but is not by itself a refutation; the midpoint batteries
     are the decisive test.
     """
-    fvals = {}
-    for p in P:
-        value = pair(D.f, p)
-        if value not in (-1, 0, 1):
-            raise SlabViolation("vertex %r pairs to %s" % (tableau_of(p), value))
-        fvals[p] = value
-    neg = sorted(tableau_of(p) for p, v in fvals.items() if v == -1)
-    pos = sorted(tableau_of(p) for p, v in fvals.items() if v == 1)
-    zeros = sorted(tableau_of(p) for p, v in fvals.items() if v == 0)
-    zero_set = set(zeros)
+    return _witnesses(*_f_split(P, D.f), D)
+
+
+def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
+    """witness_table on the f-value split of the vertices."""
+    zero_set = {t for t, _ in zero}
     entries = []
-    for u in neg:
-        for v in pos:
-            if v[2] == D.i:
-                kind = "case2"
-            elif v[2] == D.j:
-                kind = "case3"
-            else:
-                kind = "case1"
+    for u, _ in neg:
+        for v, _ in pos:
+            kind = "case2" if v[2] == D.i else "case3" if v[2] == D.j else "case1"
             if kind == "case3":
                 t, t2 = (u[0], v[1], u[2]), (v[0], u[1], v[2])
             else:
@@ -283,17 +292,20 @@ def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
             if t in zero_set and t2 in zero_set:
                 entries.append(WitnessEntry(u, v, kind, t, t2))
                 continue
-            hit = None
-            for t in zeros:
+            for t, _ in zero:
                 t2 = _complement_in_sum(u, v, t)
-                if t2 is not None and t2 in zero_set:
-                    hit = (t, t2)
+                if t2 in zero_set:
+                    entries.append(WitnessEntry(u, v, "search", t, t2))
                     break
-            if hit:
-                entries.append(WitnessEntry(u, v, "search", hit[0], hit[1]))
             else:
                 entries.append(WitnessEntry(u, v, "none", None, None))
     return entries
+
+
+def _midpoint_failures(neg: list, pos: list, P: VertexSet) -> list:
+    """The split pairs (u, v), as tableaux, with midpoint outside conv(P)."""
+    return [(tu, tv) for tu, u in neg for tv, v in pos
+            if not member(midpoint(u, v), P)]
 
 
 def _check_pair(n: int, i: int, j: int):
@@ -312,13 +324,17 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     The pair is reoriented so i is the left line.  Early failures
     (genericity, adjacency, boundary apexes, unswappable pairs) yield
     INAPPLICABLE certificates carrying whatever was computed by then.
+    Each fact is derived once: induce per matrix (a TieError is the
+    genericity verdict), one classification for the regions and the
+    star report, and one f-value split per vertex set.
     """
     _check_pair(M.n, i, j)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j,
                                verdict="INAPPLICABLE")
-    report = genericity(M)
-    if not report.ok:
-        cert.reason = "not generic: tie at triple %d %d %d" % report.offending[0]
+    try:
+        L = induce(M)
+    except TieError as e:
+        cert.reason = "not generic: %s" % e
         return cert
     A = apexes(M)
     try:
@@ -335,48 +351,30 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     except (NotAdjacent, Boundary) as e:
         cert.reason = str(e)
         return cert
-    S = star(A, i, j)
-    cert.star = S
+    cert.star = S = _star_report(R)
     cert.case = R.case.value
-    D = build_wf(A, i, j, R)
-    cert.data = D
-    L = induce(M)
+    cert.data = D = build_wf(A, i, j, R)
     V = vertices(L)
-    fvals = {p: pair(D.f, p) for p in V}
-    if not D.group_red:
-        cert.kind = "NOOP"
-    elif all(v >= 0 for v in fvals.values()) or all(v <= 0 for v in fvals.values()):
-        cert.kind = "SHEAR"
-    else:
-        cert.kind = "MUTATION"
-    cert.k1 = all(v in (-1, 0, 1) for v in fvals.values())
-    cert.witnesses = witness_table(V, D, R)
+    neg, zero, pos = _f_split(V, D.f)
+    cert.kind = ("NOOP" if not D.group_red
+                 else "MUTATION" if neg and pos else "SHEAR")
+    cert.k1 = True
+    cert.witnesses = _witnesses(neg, zero, pos, D)
     try:
-        M2, eps = swap(M, i, j)
+        cert.matrix_after, cert.epsilon, L2, cert.order_after = _swap_core(
+            M, L, A, order, R, i, j)
     except (NotSwappable, PatternMismatch) as e:
         cert.reason = str(e)
         return cert
-    cert.epsilon = eps
-    cert.matrix_after = M2
-    cert.order_after = x_order(apexes(M2))
-    L2 = induce(M2)
     cert.diff = mf_diff(L, L2)
     V2 = vertices(L2)
-    images = {p: tropical_map(p, D) for p in V}
-    cert.images = sorted((tableau_of(p), tableau_of(images[p])) for p in V)
+    images = {t: tropical_map(p, D) for t, p in neg + zero + pos}
+    cert.images = sorted((t, tableau_of(q)) for t, q in images.items())
     cert.k2 = set(images.values()) == V2.points
-    neg = sorted((p for p, v in fvals.items() if v == -1), key=tableau_of)
-    pos = sorted((p for p, v in fvals.items() if v == 1), key=tableau_of)
-    cert.k3_failures = [(tableau_of(u), tableau_of(v))
-                        for u in neg for v in pos
-                        if not member(midpoint(u, v), V2)]
+    cert.k3_failures = _midpoint_failures(neg, pos, V2)
     cert.k3 = not cert.k3_failures
-    fvals2 = {p: pair(D.f, p) for p in V2}
-    neg2 = sorted((p for p, v in fvals2.items() if v == -1), key=tableau_of)
-    pos2 = sorted((p for p, v in fvals2.items() if v == 1), key=tableau_of)
-    cert.k4_failures = [(tableau_of(u), tableau_of(v))
-                        for u in neg2 for v in pos2
-                        if not member(midpoint(u, v), V)]
+    neg2, _, pos2 = _f_split(V2, D.f)
+    cert.k4_failures = _midpoint_failures(neg2, pos2, V)
     cert.k4 = not cert.k4_failures
     if cert.kind == "MUTATION" and not S.overall:
         cert.verdict = "INAPPLICABLE"

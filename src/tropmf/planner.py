@@ -72,10 +72,13 @@ def _leftmost_inversion(order, target):
 
 def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
     """Swap the leftmost inverted adjacent pair until the x order matches
-    the target permutation."""
+    the target permutation.  A start M with tied apex x coordinates or
+    tied placements raises TiedX or TieError before any certify call."""
     target = tuple(target)
     if sorted(target) != list(range(1, M.n + 1)):
         raise ValueError("target must be a permutation of 1..%d" % M.n)
+    order = x_order(apexes(M))
+    induce(M)   # a non-generic start raises TieError here, before any step
     steps = []
     current = M
 
@@ -84,7 +87,6 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
                     final_field=induce(current))
 
     while True:
-        order = x_order(apexes(current))
         t = _leftmost_inversion(order, target)
         if t is None:
             break
@@ -96,6 +98,7 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
         steps.append(PlanStep(i=i, j=j, certificate=cert,
                               matrix_after=cert.matrix_after))
         current = cert.matrix_after
+        order = cert.order_after
         if strict and cert.verdict == "REFUTED":
             raise PlanError("step %d (%d, %d) refuted" % (len(steps), i, j),
                             partial())

@@ -84,6 +84,17 @@ def _strict(lhs, rhs, k):
     return -1 if lhs < rhs else 1
 
 
+def _bounds(A: Arrangement, i: int, j: int) -> tuple:
+    """Case of the pair (i left of j) and its four bounds: the red/purple
+    split and green/yellow diagonal on D = b - a, the purple/olive top
+    and blue/green low on b.  Equal apex heights give case TWO."""
+    ai, bi = A.apex(i)
+    aj, bj = A.apex(j)
+    if bj > bi:
+        return Case.ONE, bi - ai, bj, aj + bi - ai, bj - aj
+    return Case.TWO, bj - ai, bi, bj, bi - ai
+
+
 def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
     """Region of every line other than i and j.
 
@@ -116,8 +127,7 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     if bi == bj:
         raise Boundary(j)
-    case = Case.ONE if bj > bi else Case.TWO
-    di, dj = bi - ai, bj - aj
+    case, split, top, low, diag = _bounds(A, i, j)
     colors = {}
     for line in A.lines:
         k = line.index
@@ -128,20 +138,18 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
         if ak == ai or ak == aj:
             raise Boundary(k)
         if ak < ai:
-            split = di if case is Case.ONE else bj - ai
             if _strict(dk, split, k) < 0:
                 colors[k] = Region.RED
-            elif _strict(bk, bj if case is Case.ONE else bi, k) < 0:
+            elif _strict(bk, top, k) < 0:
                 colors[k] = Region.PURPLE
             else:
                 colors[k] = Region.OLIVE
         else:
             if ak < aj:
                 raise NotAdjacent("line %d lies between the pair" % k)
-            low = aj + di if case is Case.ONE else bj
             if _strict(bk, low, k) < 0:
                 colors[k] = Region.BLUE
-            elif _strict(dk, dj if case is Case.ONE else di, k) < 0:
+            elif _strict(dk, diag, k) < 0:
                 colors[k] = Region.GREEN
             else:
                 colors[k] = Region.YELLOW
@@ -154,37 +162,24 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
     Each region maps to a list of triples (p, q, c) meaning
     p*x + q*y <= c; the region is the intersection.
     """
-    ai, bi = A.apex(i)
-    aj, bj = A.apex(j)
+    ai, aj = A.apex(i)[0], A.apex(j)[0]
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    di, dj = bi - ai, bj - aj
-    one = bj > bi
+    _, split, top, low, diag = _bounds(A, i, j)
     left = (1, 0, ai)
     right = (-1, 0, -aj)
-    if one:
-        anti = di
-        top_left = bj
-        low_right = aj + di
-        diag_right = dj
-    else:
-        anti = bj - ai
-        top_left = bi
-        low_right = bj
-        diag_right = di
     return {
-        Region.RED: [left, (-1, 1, anti)],
-        Region.PURPLE: [left, (1, -1, -anti), (0, 1, top_left)],
-        Region.OLIVE: [left, (0, -1, -top_left)],
-        Region.BLUE: [right, (0, 1, low_right)],
-        Region.GREEN: [right, (0, -1, -low_right), (-1, 1, diag_right)],
-        Region.YELLOW: [right, (1, -1, -diag_right)],
+        Region.RED: [left, (-1, 1, split)],
+        Region.PURPLE: [left, (1, -1, -split), (0, 1, top)],
+        Region.OLIVE: [left, (0, -1, -top)],
+        Region.BLUE: [right, (0, 1, low)],
+        Region.GREEN: [right, (0, -1, -low), (-1, 1, diag)],
+        Region.YELLOW: [right, (1, -1, -diag)],
     }
 
 
-def star(A: Arrangement, i: int, j: int) -> StarReport:
-    """The four-part emptiness report for the pair (i, j)."""
-    R = classify(A, i, j)
+def _star_report(R: RegionAssignment) -> StarReport:
+    """The four-part emptiness report of a finished classification."""
     red = tuple(sorted(R.group(Region.RED)))
     blue_olive = tuple(sorted(R.group(Region.BLUE, Region.OLIVE)))
     yellow_green = tuple(sorted(R.group(Region.YELLOW, Region.GREEN)))
@@ -192,3 +187,8 @@ def star(A: Arrangement, i: int, j: int) -> StarReport:
     return StarReport(a=bool(red), b=not blue_olive, c=bool(yellow_green),
                       d=len(red_purple) >= 2, red=red, blue_olive=blue_olive,
                       yellow_green=yellow_green, red_purple=red_purple)
+
+
+def star(A: Arrangement, i: int, j: int) -> StarReport:
+    """The four-part emptiness report for the pair (i, j)."""
+    return _star_report(classify(A, i, j))

@@ -85,6 +85,12 @@ def random_generic_matrix(rng: random.Random, n: int,
     raise AssertionError("could not sample a generic matrix")
 
 
+def tied_start_matrix() -> WeightMatrix:
+    """Four lines in x order 1 4 2 3 whose triple {1, 2, 4} is tied."""
+    return WeightMatrix.from_rows([[0, 0, 0, 0], [-3, 0, 2, -2],
+                                   [0, 2, -3, 1]])
+
+
 def write_matrix(tmp_path, name: str, M: WeightMatrix) -> str:
     from tropmf import weight_matrix_to_text
     path = tmp_path / name

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import (diag6_matrix, five_line_matrix, three_line_matrix,
-                      write_matrix)
+                      tied_start_matrix, write_matrix)
 from tropmf import (WeightMatrix, apexes, induce, matching_field_from_text,
                     parse_certificate)
 from tropmf.cli import RenderOptions, cli_main, render
@@ -120,6 +120,14 @@ def test_plan_from_matrix_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "plan", "-m", path, "--target", "diagonal")
     assert code == 0
     assert "steps: 8" in out
+
+
+def test_plan_non_generic_start_exit_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "tie.wm", tied_start_matrix())
+    code, out, err = run_cli(capsys, "plan", "-m", path)
+    assert code == 2
+    assert out == ""
+    assert err == "TieError: tie at triple 1 2 4\n"
 
 
 def test_exponent_token_exit_2(tmp_path, capsys):

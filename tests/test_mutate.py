@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, shear_matrix)
-from tropmf import (Case, NotAdjacent, NotSwappable,
+from tropmf import (Boundary, Case, NotAdjacent, NotSwappable,
                     PatternMismatch, Region, RegionAssignment, TieError,
                     TiedX, WeightMatrix, apexes, build_wf,
                     certificate_to_text, certify, classify, expected_flip,
                     genericity, induce, member, mf_diff, midpoint,
-                    parse_certificate, swap, tropical_map, vertex_of,
+                    parse_certificate, star, swap, tropical_map, vertex_of,
                     vertices, witness_table, x_order)
 from tropmf import mutate
 from tropmf.mutate import _landing_gap
@@ -473,6 +473,40 @@ def test_shear_is_linear_injective_invertible():
         assert back == p
         images.append(img)
     assert len(set(images)) == len(V)
+
+
+@st.composite
+def certify_matrices(draw):
+    """n = 4..7; a small entry range gives ties, a wide one generic draws."""
+    n = draw(st.integers(4, 7))
+    bound = draw(st.sampled_from([3, 60, 60, 60]))
+    return WeightMatrix.from_rows(
+        [[draw(st.integers(-bound, bound)) for _ in range(n)]
+         for _ in range(3)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(certify_matrices(), st.booleans())
+def test_certify_facts_equal_direct_recomputation(M, flip):
+    # certify reads the after order and field off the swap search, the
+    # star report off its own classification and the genericity verdict
+    # off induce; each must equal the value computed from scratch.
+    report = genericity(M)
+    for i, j in swap_pairs(M, None)[:-1]:
+        cert = certify(M, j, i) if flip else certify(M, i, j)
+        if not report.ok:
+            assert cert.reason == ("not generic: tie at triple %d %d %d"
+                                   % report.offending[0])
+            continue
+        if cert.matrix_after is not None:
+            M2 = cert.matrix_after
+            assert cert.order_after == x_order(apexes(M2))
+            assert cert.diff == mf_diff(induce(M), induce(M2))
+        try:
+            expected = star(apexes(M), cert.i, cert.j)
+        except (Boundary, NotAdjacent, TiedX):
+            expected = None
+        assert cert.star == expected
 
 
 # --- certificate serialization ----------------------------------------------

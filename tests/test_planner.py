@@ -2,10 +2,11 @@
 
 import pytest
 
-from conftest import pair_matrix
-from tropmf import (MatchingField, PlanError, apexes, block_diagonal,
-                    block_diagonal_weights, diagonal, induce,
+from conftest import pair_matrix, tied_start_matrix
+from tropmf import (MatchingField, PlanError, TieError, apexes,
+                    block_diagonal, block_diagonal_weights, diagonal, induce,
                     plan_block_to_diagonal, plan_to_order, x_order)
+from tropmf import planner
 from tropmf.planner import parse_plan, parsed_plan_to_text, plan_to_text
 
 
@@ -149,3 +150,12 @@ def test_plan_rejects_exponent_tokens():
     lines[at] = "  1e3 " + lines[at].split(None, 1)[1]
     with pytest.raises(ValueError, match="1e3"):
         parse_plan("\n".join(lines) + "\n")
+
+
+def test_plan_refuses_non_generic_start_before_any_step(monkeypatch):
+    def no_certify(*args):
+        raise AssertionError("certify called on a non-generic start")
+
+    monkeypatch.setattr(planner, "certify", no_certify)
+    with pytest.raises(TieError, match="tie at triple 1 2 4"):
+        plan_to_order(tied_start_matrix(), (4, 3, 2, 1))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import pair_matrix, random_generic_matrix
 from tropmf import (Boundary, Case, NotAdjacent, Region, apexes, classify,
-                    star, x_order)
+                    region_halfplanes, star, x_order)
 
 
 def classify_single(i_apex, j_apex, k_apex):
@@ -165,3 +165,39 @@ def test_classify_invariant_under_translation_and_scaling(five):
                           (line.apex for line in A.lines)])
     assert classify(apexes(shifted), 3, 4).colors == base
     assert classify(apexes(scaled), 3, 4).colors == base
+
+
+def test_region_halfplanes_hold_classified_apexes():
+    # classify and region_halfplanes share the case-dependent bounds:
+    # every classified apex lies strictly inside each half-plane of its
+    # region.
+    from tropmf import TiedX
+    rng = random.Random(29)
+    done = 0
+    while done < 20:
+        M = random_generic_matrix(rng, 6, -30, 30)
+        A = apexes(M)
+        try:
+            order = x_order(A)
+            i, j = order[2], order[3]
+            R = classify(A, i, j)
+        except (Boundary, TiedX):
+            continue
+        done += 1
+        planes = region_halfplanes(A, i, j)
+        for k, color in R.colors.items():
+            x, y = A.apex(k)
+            assert all(p * x + q * y < c for p, q, c in planes[color]), (k, color)
+
+
+def test_region_halfplanes_draw_equal_heights_as_case_two():
+    # classify refuses a pair at equal heights; the picture still draws
+    # it, with the case TWO bounds (split 1 - 0, top 1, low 1, diagonal 1).
+    A = apexes(pair_matrix([(0, 1), (2, 1), (3, 5)]))
+    with pytest.raises(Boundary):
+        classify(A, 1, 2)
+    planes = region_halfplanes(A, 1, 2)
+    assert planes[Region.RED] == [(1, 0, 0), (-1, 1, 1)]
+    assert planes[Region.OLIVE] == [(1, 0, 0), (0, -1, -1)]
+    assert planes[Region.BLUE] == [(-1, 0, -2), (0, 1, 1)]
+    assert planes[Region.YELLOW] == [(-1, 0, -2), (1, -1, -1)]
