@@ -243,7 +243,10 @@ def _rational(token: str) -> Fraction:
     """
     if "e" in token or "E" in token:
         raise ValueError("exponent notation is not accepted: %r" % token)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator: %r" % token) from None
 
 
 def weight_matrix_from_text(text: str) -> WeightMatrix:

@@ -42,7 +42,7 @@ from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
                      weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, member,
-                       midpoint, pair, scale, tableau_of, vertices)
+                       midpoint, pair, scale, tableau_of, vertex_of, vertices)
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
                       StarReport, _star_report, classify)
 from .regions import star  # noqa: F401  unused; perfbench traces this name
@@ -255,15 +255,15 @@ def _complement_in_sum(u: Tableau, v: Tableau, t: Tableau) -> Tableau | None:
 
 
 def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
-    """The points of P with f-value -1, 0 and +1, as three lists of
-    (tableau, point) sorted by tableau; SlabViolation on any other value."""
+    """The tableaux of P with f-value -1, 0 and +1, as three sorted
+    lists; SlabViolation on any other value."""
     groups = {-1: [], 0: [], 1: []}
-    for p in P:
-        value = pair(f, p)
+    for t in P:
+        value = f[0][t[0] - 1] + f[1][t[1] - 1] + f[2][t[2] - 1]
         if value not in groups:
-            raise SlabViolation("vertex %r pairs to %s" % (tableau_of(p), value))
-        groups[value].append((tableau_of(p), p))
-    return tuple(sorted(groups[v], key=lambda e: e[0]) for v in (-1, 0, 1))
+            raise SlabViolation("vertex %r pairs to %s" % (t, value))
+        groups[value].append(t)
+    return groups[-1], groups[0], groups[1]
 
 
 def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
@@ -280,10 +280,10 @@ def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
 
 def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
     """witness_table on the f-value split of the vertices."""
-    zero_set = {t for t, _ in zero}
+    zero_set = set(zero)
     entries = []
-    for u, _ in neg:
-        for v, _ in pos:
+    for u in neg:
+        for v in pos:
             kind = "case2" if v[2] == D.i else "case3" if v[2] == D.j else "case1"
             if kind == "case3":
                 t, t2 = (u[0], v[1], u[2]), (v[0], u[1], v[2])
@@ -292,7 +292,7 @@ def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
             if t in zero_set and t2 in zero_set:
                 entries.append(WitnessEntry(u, v, kind, t, t2))
                 continue
-            for t, _ in zero:
+            for t in zero:
                 t2 = _complement_in_sum(u, v, t)
                 if t2 in zero_set:
                     entries.append(WitnessEntry(u, v, "search", t, t2))
@@ -303,9 +303,9 @@ def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
 
 
 def _midpoint_failures(neg: list, pos: list, P: VertexSet) -> list:
-    """The split pairs (u, v), as tableaux, with midpoint outside conv(P)."""
-    return [(tu, tv) for tu, u in neg for tv, v in pos
-            if not member(midpoint(u, v), P)]
+    """The split pairs of tableaux (u, v) with midpoint outside conv(P)."""
+    return [(u, v) for u in neg for v in pos
+            if not member(midpoint(vertex_of(u, P.n), vertex_of(v, P.n)), P)]
 
 
 def _check_pair(n: int, i: int, j: int):
@@ -368,9 +368,9 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
         return cert
     cert.diff = mf_diff(L, L2)
     V2 = vertices(L2)
-    images = {t: tropical_map(p, D) for t, p in neg + zero + pos}
-    cert.images = sorted((t, tableau_of(q)) for t, q in images.items())
-    cert.k2 = set(images.values()) == V2.points
+    cert.images = [(t, tableau_of(tropical_map(vertex_of(t, M.n), D)))
+                   for t in V]
+    cert.k2 = {image for _, image in cert.images} == V2.points
     cert.k3_failures = _midpoint_failures(neg, pos, V2)
     cert.k3 = not cert.k3_failures
     neg2, _, pos2 = _f_split(V2, D.f)
@@ -519,10 +519,15 @@ class _Reader:
         return ln[len(prefix):].strip()
 
 
+def _parse_triple(text: str) -> tuple:
+    out = tuple(int(t) for t in text.split())
+    if len(out) != 3:
+        raise ValueError("expected three columns, got %r" % text)
+    return out
+
+
 def _parse_tab(text: str) -> Tableau | None:
-    if text == "*":
-        return None
-    return tuple(int(t) for t in text.split())
+    return None if text == "*" else _parse_triple(text)
 
 
 def _parse_ints(text: str) -> tuple:
@@ -597,7 +602,7 @@ def parse_certificate(text: str) -> MutationCertificate:
         ln = rd.take()
         left, _, rest = ln.partition(" : ")
         before_t, _, after_t = rest.partition(" -> ")
-        cert.diff.append((tuple(int(t) for t in left.split()),
+        cert.diff.append((_parse_triple(left),
                           _parse_tab(before_t), _parse_tab(after_t)))
     rd.expect("IMAGES")
     for _ in range(int(rd.value("count"))):

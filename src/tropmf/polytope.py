@@ -1,18 +1,19 @@
 """Matching-field polytope vertices and an exact convexity oracle.
 
-A tableau (c1, c2, c3) on n columns becomes the 3 x n matrix with a 1
-in row t, column c_t and zeros elsewhere.  The polytope of a matching
-field is the convex hull of one such point per triple.  Membership in a
-hull, extremality of a point, and equality of two hulls are all decided
-by exact rational linear programming, never by vertex enumeration in
-the ambient dimension 3n.
+A tableau (c1, c2, c3) on n columns stands for the 3 x n 0/1 matrix with
+a 1 in row t, column c_t.  The polytope of a matching field is the hull
+of one such point per triple, and a VertexSet holds the tableaux; 3 x n
+rational points are built only at the LP boundary and for the tropical
+map.  Membership, extremality and hull equality are decided by exact
+rational linear programming, never by vertex enumeration in dimension 3n.
 
 The LP of a membership test sees only the part of the system that can
-carry weight: a coordinate where the query point is 0 and no point of
-the set is negative forces weight 0 on every point positive there, so
-those points and that row are left out.  An infeasible answer's Farkas
-vector is lifted back to the full system (each left-out row gets one
-common negative entry) and re-checked against every point of the set.
+carry weight: a vertex with its 1 where the query point is 0 must get
+weight 0, so the live columns are the tableaux t with q[r][t[r]] != 0 in
+every row r, and the rows are the nonzero coordinates of q.  An
+infeasible answer's Farkas vector is lifted back to the full system
+(each left-out row gets one common negative entry) and re-checked
+against every vertex of the set.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ class ShapeMismatch(ValueError):
 
 
 class BadIndex(ValueError):
-    """A tableau entry falls outside 1..n."""
+    """A tableau is not three distinct columns of 1..n."""
 
 
 class NotInSet(ValueError):
-    """The queried point is not one of the set's points."""
+    """The queried tableau is not one of the set's."""
 
 
 def lattice_point(rows) -> LatticePoint:
@@ -47,10 +48,6 @@ def lattice_point(rows) -> LatticePoint:
     if len(out) != 3 or len({len(r) for r in out}) != 1:
         raise ShapeMismatch("expected 3 equal-length rows")
     return out
-
-
-def zero_point(n: int) -> LatticePoint:
-    return tuple((Fraction(0),) * n for _ in range(3))
 
 
 def vertex_of(tab: Tableau, n: int) -> LatticePoint:
@@ -78,8 +75,17 @@ def tableau_of(p: LatticePoint) -> Tableau | None:
 
 @dataclass(frozen=True)
 class VertexSet:
+    """The 0/1 points of a polytope on n columns, as tableaux."""
+
     n: int
     points: frozenset
+
+    def __post_init__(self):
+        columns = set(range(1, self.n + 1))
+        for tab in self.points:
+            if len(tab) != 3 or len(columns.intersection(tab)) != 3:
+                raise BadIndex("%r is not a tableau on %d columns"
+                               % (tab, self.n))
 
     def __iter__(self):
         return iter(sorted(self.points))
@@ -89,9 +95,8 @@ class VertexSet:
 
 
 def vertices(L: MatchingField) -> VertexSet:
-    """One lattice point per triple of the field."""
-    return VertexSet(L.n, frozenset(vertex_of(tab, L.n)
-                                    for tab in L.assignment.values()))
+    """One tableau per triple of the field."""
+    return VertexSet(L.n, frozenset(L.assignment.values()))
 
 
 def pair(u: LatticePoint, v: LatticePoint) -> Fraction:
@@ -125,36 +130,29 @@ def _flatten(p: LatticePoint):
 def member(q: LatticePoint, S: VertexSet) -> bool:
     """Exact test for q in conv(S).
 
-    Solves sum λ_s s = q, sum λ_s = 1, λ >= 0 by phase-1 simplex on the
-    part of the system that can carry weight.  A coordinate k is
-    droppable when q_k = 0 and no point of S is negative at k; a point
-    positive at a droppable k must get weight 0.  Those points and the
-    droppable rows are left out, so for a midpoint of two vertices the
-    LP has at most 8 columns and 7 rows.  A feasible x of the reduced
-    system, padded with zeros, solves the full one.  An infeasible
-    answer's Farkas vector is lifted to the full system and re-checked
-    against every point of S, so both verdicts stay certificate-checked
-    and permuting the input set cannot change them.
+    Solves sum λ_t vertex_of(t) = q, sum λ_t = 1, λ >= 0 by phase-1
+    simplex.  Vertices are 0/1, so only the tableaux t with q[r][t[r]]
+    != 0 in every row r can carry weight; they are the LP's columns and
+    the nonzero coordinates of q its rows (at most 8 and 7 for a vertex
+    midpoint).  A feasible x, padded with zeros, solves the full system;
+    an infeasible answer's Farkas vector is lifted to the full system and
+    re-checked against every vertex of S, so both verdicts stay
+    certificate-checked and permuting S cannot change them.
     """
     if not S.points:
         return False
     if len(q) != 3 or any(len(row) != S.n for row in q):
         raise ShapeMismatch("point does not match the set's shape")
     rhs = _flatten(q)
-    zero = [k for k, v in enumerate(rhs) if v == 0]
-    pts = list(S.points)
-    flat = [_flatten(p) for p in pts]
-    if any(len(col) != len(rhs) for col in flat):
-        raise ShapeMismatch("set points do not share the point's shape")
-    hits = [[k for k in zero if col[k]] for col in flat]
-    negative = {k for col, ks in zip(flat, hits) for k in ks if col[k] < 0}
-    dropped = [k for k in zero if k not in negative]
-    kept = [k for k, v in enumerate(rhs) if v != 0 or k in negative]
-    live = sorted((p, col) for p, col, ks in zip(pts, flat, hits)
-                  if all(k in negative for k in ks))
-    columns = [[col[k] for k in kept] + [_ONE] for _, col in live]
+    kept = [k for k, v in enumerate(rhs) if v != 0]
+    live = sorted((t for t in S.points
+                   if all(q[r][c - 1] for r, c in enumerate(t))), reverse=True)
+    columns = [[col[k] for k in kept] + [_ONE]
+               for col in (_flatten(vertex_of(t, S.n)) for t in live)]
     ok, y = lp.feasible_combination(columns, [rhs[k] for k in kept] + [_ONE])
     if not ok:
+        dropped = [k for k, v in enumerate(rhs) if v == 0]
+        flat = [_flatten(vertex_of(t, S.n)) for t in S.points]
         _lift_farkas(flat, rhs + [_ONE], kept, dropped, y)
     return ok
 
@@ -164,7 +162,7 @@ def _lift_farkas(flat, rhs, kept, dropped, y):
 
     Kept rows keep their entry; every dropped row gets -C, with C the
     least nonnegative value that gives each left-out point y.(p, 1) <= 0.
-    This is sound because q is 0 and every point is >= 0 on dropped
+    This is sound because q is 0 and every vertex is >= 0 on dropped
     rows.  The lifted vector is checked against all points of the set.
     """
     full = [_ZERO] * len(rhs)
@@ -181,24 +179,16 @@ def _lift_farkas(flat, rhs, kept, dropped, y):
     lp.check_farkas([col + [_ONE] for col in flat], rhs, full)
 
 
-def is_hull_vertex(q: LatticePoint, S: VertexSet) -> bool:
-    """True iff q is not in the hull of the other points of S."""
-    if q not in S.points:
-        raise NotInSet("point is not in the set")
-    rest = VertexSet(S.n, S.points - {q})
-    return not member(q, rest)
+def is_hull_vertex(t: Tableau, S: VertexSet) -> bool:
+    """True iff vertex t is not in the hull of the other tableaux of S."""
+    if t not in S.points:
+        raise NotInSet("tableau is not in the set")
+    return not member(vertex_of(t, S.n), VertexSet(S.n, S.points - {t}))
 
 
 def hull_equal(S: VertexSet, T: VertexSet) -> bool:
-    """Mutual membership of all points: conv(S) == conv(T)."""
+    """Mutual membership of all vertices: conv(S) == conv(T)."""
     if S.n != T.n:
         raise ShapeMismatch("sets on %d and %d columns" % (S.n, T.n))
-    return (all(member(p, T) for p in S) and all(member(p, S) for p in T))
-
-
-def point_to_text(p: LatticePoint) -> str:
-    """Tableau triple "c1 c2 c3" when possible, else a 3-row grid."""
-    tab = tableau_of(p)
-    if tab is not None:
-        return "%d %d %d" % tab
-    return "\n".join(" ".join(str(x) for x in row) for row in p)
+    return (all(member(vertex_of(t, S.n), T) for t in S)
+            and all(member(vertex_of(t, T.n), S) for t in T))

@@ -143,8 +143,8 @@ def test_criterion_06_slab_invariant():
             except Boundary:
                 continue
             D = build_wf(A, i, j, R)
-            for p in V:
-                assert inner(D.f, p) in (-1, 0, 1)
+            for t in V:
+                assert inner(D.f, vertex_of(t, M.n)) in (-1, 0, 1)
             pairs_checked += 1
     assert pairs_checked >= 100
     report(6, "slab invariant over %d pairs" % pairs_checked, t0, 120)
@@ -181,15 +181,16 @@ def test_criterion_08_hull_oracle():
     t0 = time.perf_counter()
     V = vertices(diagonal(6))
     assert len(V) == 20
-    assert all(is_hull_vertex(p, V) for p in V)
-    pts = sorted(V.points)
+    assert all(is_hull_vertex(t, V) for t in V)
+    tabs = sorted(V.points, reverse=True)
+    pts = [vertex_of(t, 6) for t in tabs]
     assert member(midpoint(pts[0], pts[-1]), V)
     assert member(midpoint(pts[3], pts[11]), V)
     rng = random.Random(5)
     m = midpoint(pts[2], pts[9])
     baseline = member(m, V)
     for _ in range(3):
-        shuffled = list(pts)
+        shuffled = list(tabs)
         rng.shuffle(shuffled)
         assert member(m, VertexSet(6, frozenset(shuffled))) == baseline
     report(8, "hull oracle on the 20-vertex polytope", t0, 10)
@@ -205,7 +206,8 @@ def test_criterion_09_shear_fixture():
     D = build_wf(A, 3, 4, classify(A, 3, 4))
     V = vertices(induce(M))
     images = set()
-    for p in V:
+    for t in V:
+        p = vertex_of(t, 4)
         img = tropical_map(p, D)
         linear = tuple(tuple(p[r][c] - inner(D.f, p) * D.w[r][c]
                              for c in range(4)) for r in range(3))

@@ -140,6 +140,15 @@ def test_exponent_token_exit_2(tmp_path, capsys):
     assert "1e3" in err
 
 
+def test_zero_denominator_exit_2(tmp_path, capsys):
+    path = tmp_path / "zero.wm"
+    path.write_text("3 3\n0 0 0\n0 1/0 2\n0 2 4\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce", "-m", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ValueError: ") and "1/0" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "weights", "-m", "/nonexistent/x.wm")
     assert code == 2
@@ -213,7 +222,8 @@ def test_render_cli_bytes_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [["--pair", "3,9"], ["--pair", "3,3"],
                                    ["--pair", "0,1"], ["--xscale", "0"],
-                                   ["--xscale", "-1"], ["--yscale", "0"]])
+                                   ["--xscale", "-1"], ["--yscale", "0"],
+                                   ["--xscale", "1/0"]])
 def test_render_rejects_bad_arguments(tmp_path, capsys, extra):
     path = write_matrix(tmp_path, "five.wm", five_line_matrix())
     out_path = tmp_path / "pic.svg"

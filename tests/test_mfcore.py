@@ -217,6 +217,11 @@ def test_weight_matrix_rejects_exponent_tokens(token):
     assert M.rows[1] == (Fraction(1, 2), Fraction(1, 4))
 
 
+def test_weight_matrix_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="1/0"):
+        weight_matrix_from_text("3 2\n0 0\n1/0 0\n0 0\n")
+
+
 @pytest.mark.parametrize("extra", ["3 2 1 : 1 2 3", "0 1 2 : 0 1 2"])
 def test_matching_field_rejects_keys_outside_triples(extra):
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Mutation data, the tropical map, verified swaps, and certificates."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, shear_matrix)
 from tropmf import (Boundary, Case, NotAdjacent, NotSwappable,
-                    PatternMismatch, Region, RegionAssignment, TieError,
-                    TiedX, WeightMatrix, apexes, build_wf,
-                    certificate_to_text, certify, classify, expected_flip,
-                    genericity, induce, member, mf_diff, midpoint,
-                    parse_certificate, star, swap, tropical_map, vertex_of,
-                    vertices, witness_table, x_order)
+                    PatternMismatch, Region, RegionAssignment, SlabViolation,
+                    TieError, TiedX, VertexSet, WeightMatrix, apexes,
+                    build_wf, certificate_to_text, certify, classify,
+                    expected_flip, genericity, induce, member, mf_diff,
+                    midpoint, parse_certificate, star, swap, tropical_map,
+                    vertex_of, vertices, witness_table, x_order)
 from tropmf import mutate
 from tropmf.mutate import _landing_gap
 from tropmf.polytope import lattice_point, pair as inner
@@ -294,14 +296,12 @@ def test_witness_table_five():
 
 
 def test_witness_table_rejects_out_of_slab_points():
-    from tropmf import SlabViolation, VertexSet
-    _, _, R, D = five_setup()
-    doubled = lattice_point([[0] * 5,
-                             [0, 0, 1, 1, 0],   # row-2 mass on both i and j
-                             [0] * 5])
-    bad = VertexSet(5, frozenset([doubled]))
+    M, _, R, D = five_setup()
+    # A tableau pairs with a build_wf f to -1, 0 or 1, so put an entry 2
+    # in f: every vertex with 5 in row 1 pairs to 2.
+    bad = replace(D, f=lattice_point([[0, 0, 0, 0, 2], [0] * 5, [0] * 5]))
     with pytest.raises(SlabViolation):
-        witness_table(bad, D, R)
+        witness_table(vertices(induce(M)), bad, R)
 
 
 def test_witness_sums_and_pairings():
@@ -316,7 +316,7 @@ def test_witness_sums_and_pairings():
         for r in range(3):
             for c in range(5):
                 assert t[r][c] + t2[r][c] == u[r][c] + v[r][c]
-        assert t in V.points and t2 in V.points
+        assert e.t in V.points and e.t2 in V.points
 
 
 # --- certify ----------------------------------------------------------------
@@ -451,8 +451,8 @@ def test_slab_invariant_on_fixtures():
                     (shear_matrix(), 3, 4)]:
         A = apexes(M)
         D = build_wf(A, i, j, classify(A, i, j))
-        for p in vertices(induce(M)):
-            assert inner(D.f, p) in (-1, 0, 1)
+        for t in vertices(induce(M)):
+            assert inner(D.f, vertex_of(t, M.n)) in (-1, 0, 1)
 
 
 def test_shear_is_linear_injective_invertible():
@@ -460,10 +460,11 @@ def test_shear_is_linear_injective_invertible():
     A = apexes(M)
     D = build_wf(A, 3, 4, classify(A, 3, 4))
     V = vertices(induce(M))
-    values = [inner(D.f, p) for p in V]
+    pts = [vertex_of(t, 4) for t in V]
+    values = [inner(D.f, p) for p in pts]
     assert all(v <= 0 for v in values)
     images = []
-    for p in V:
+    for p in pts:
         img = tropical_map(p, D)
         linear = tuple(tuple(p[r][c] + (-inner(D.f, p)) * D.w[r][c]
                              for c in range(4)) for r in range(3))
@@ -507,6 +508,36 @@ def test_certify_facts_equal_direct_recomputation(M, flip):
         except (Boundary, NotAdjacent, TiedX):
             expected = None
         assert cert.star == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(certify_matrices(), st.data())
+def test_f_split_groups_as_pair(M, data):
+    # _f_split reads a tableau's f-value off three entries of f.  On a
+    # drawn (not necessarily coherent) field it must group exactly as the
+    # pairing with the 3 x n vertex does, for the f of every classified
+    # adjacent pair and for one drawn f, and raise SlabViolation exactly
+    # when some value leaves {-1, 0, 1}.
+    n, A = M.n, apexes(M)
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    fs = [lattice_point([data.draw(row) for _ in range(3)])]
+    for i, j in swap_pairs(M, None)[:-1]:
+        try:
+            fs.append(build_wf(A, i, j, classify(A, i, j)).f)
+        except (Boundary, NotAdjacent, TiedX):
+            pass
+    S = VertexSet(n, frozenset(tuple(data.draw(st.permutations(T)))
+                               for T in itertools.combinations(
+                                   range(1, n + 1), 3)))
+    for f in fs:
+        values = {t: inner(f, vertex_of(t, n)) for t in S.points}
+        if set(values.values()) <= {-1, 0, 1}:
+            assert mutate._f_split(S, f) == tuple(
+                sorted(t for t in S.points if values[t] == v)
+                for v in (-1, 0, 1))
+        else:
+            with pytest.raises(SlabViolation):
+                mutate._f_split(S, f)
 
 
 # --- certificate serialization ----------------------------------------------
