@@ -15,9 +15,8 @@ from .mutate import (MutationCertificate, MutationData, NotSwappable,
                      certificate_to_text, certify, expected_flip,
                      matrix_digest, parse_certificate, swap, tropical_map,
                      witness_table)
-from .planner import (EndpointMismatch, Plan, PlanError, PlanStep,
-                      parse_plan, plan_block_to_diagonal, plan_to_order,
-                      plan_to_text)
+from .planner import (EndpointMismatch, Plan, PlanError, parse_plan,
+                      plan_block_to_diagonal, plan_to_order, plan_to_text)
 from .polytope import (BadIndex, LatticePoint, NotInSet, ShapeMismatch,
                        VertexSet, hull_equal, is_hull_vertex, member,
                        midpoint, pair, tableau_of, vertex_of, vertices)

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mfcore, planner, polytope
-from .arrange import Arrangement, TiedX, apexes, induce_geometric, x_order
-from .mfcore import BadSize, SizeMismatch, TieError, WeightMatrix
+from .arrange import Arrangement, apexes, induce_geometric, x_order
+from .mfcore import TieError, WeightMatrix
 from .mutate import (NotSwappable, PatternMismatch, _check_pair,
                      _landing_gap, certificate_to_text, certify, swap)
 from .regions import (Boundary, NotAdjacent, Region, _star_report, classify,
                       region_halfplanes)
 
-_INPUT_ERRORS = (TieError, BadSize, SizeMismatch, NotAdjacent, Boundary,
-                 TiedX, NotSwappable, PatternMismatch, ValueError, OSError)
+# Every typed input error of the package (TieError, BadSize, NotAdjacent,
+# TiedX, NotSwappable, ...) is a ValueError.
+_INPUT_ERRORS = (ValueError, OSError)
 
 _REGION_ORDER = (Region.RED, Region.PURPLE, Region.OLIVE, Region.BLUE,
                  Region.GREEN, Region.YELLOW)
@@ -285,9 +286,6 @@ def _cmd_plan(args) -> int:
             return 2
         M = _load_matrix(args.matrix)
         source = "file %s" % args.matrix
-        if args.target != "diagonal":
-            print("unknown target %r" % args.target, file=sys.stderr)
-            return 2
         target = tuple(range(M.n, 0, -1))
         try:
             plan = planner.plan_to_order(M, target, strict=args.strict)
@@ -295,8 +293,7 @@ def _cmd_plan(args) -> int:
             print(str(e), file=sys.stderr)
             return 2
     _emit(planner.plan_to_text(plan, source=source), args.output)
-    refuted = sum(1 for s in plan.steps if s.certificate.verdict == "REFUTED")
-    return 1 if refuted else 0
+    return 1 if plan.summary()["refuted"] else 0
 
 
 def _parse_pair(text: str):
@@ -357,10 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", type=int, required=True)
     p.set_defaults(func=_cmd_mutate)
 
-    p = sub.add_parser("plan", help="chain certified swaps to a target order")
+    p = sub.add_parser("plan", help="chain certified swaps to the diagonal order")
     p.add_argument("-m", "--matrix")
     p.add_argument("-o", "--output")
-    p.add_argument("--target", default="diagonal")
     p.add_argument("--block", nargs=2, type=int, metavar=("N", "L"))
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_plan)

@@ -27,6 +27,10 @@ the largest gap/2^k inside it, and the accepted matrix is re-checked
 with induce and x_order.  certify works in one pass: one induce per
 matrix, one classification (regions and star report), the swap search
 on that state, and one f-value split per vertex set.
+
+A certificate's text has one writer, certificate_to_text, and one
+reader, parse_certificate, which accepts only the exact bytes the writer
+gives back for what it read (plan files read their steps the same way).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from fractions import Fraction
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
                      _rational, induce, mf_diff, placement_weight,
-                     weight_matrix_to_text)
+                     weight_matrix_from_text, weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, member,
                        midpoint, pair, scale, tableau_of, vertex_of, vertices)
@@ -402,6 +406,12 @@ def _tab(t: Tableau | None) -> str:
     return "*" if t is None else "%d %d %d" % t
 
 
+_FLAGS = {"pass": True, "fail": False}
+_VERDICTS = ("VERIFIED", "REFUTED", "INAPPLICABLE")
+_KINDS = ("NOOP", "SHEAR", "MUTATION")
+_CASES = ("ONE", "TWO", "-")
+
+
 def _flag(value: bool | None) -> str:
     if value is None:
         return "-"
@@ -495,8 +505,10 @@ def certificate_to_text(c: MutationCertificate) -> str:
 
 
 class _Reader:
-    def __init__(self, lines):
-        self.lines = lines
+    """The lines of a certificate or plan text, read front to back."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
         self.pos = 0
 
     def take(self):
@@ -518,6 +530,22 @@ class _Reader:
             raise ValueError("expected key %r, got %r" % (key, ln))
         return ln[len(prefix):].strip()
 
+    def word(self, key, words):
+        """A value that must be one of the writer's words; "-" reads as None."""
+        value = self.value(key)
+        if value not in words:
+            raise ValueError("unknown %s %r" % (key, value))
+        return None if value == "-" else value
+
+    def matrix(self) -> WeightMatrix:
+        """The indented "3 n" block that _matrix_lines writes under its key."""
+        return weight_matrix_from_text("\n".join(self.take() for _ in range(4)))
+
+    def point(self, key) -> LatticePoint:
+        self.value(key)
+        return lattice_point([[_rational(t) for t in self.take().split()]
+                              for _ in range(3)])
+
 
 def _parse_triple(text: str) -> tuple:
     out = tuple(int(t) for t in text.split())
@@ -536,40 +564,26 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(t) for t in text.split())
 
 
-_FLAGS = {"pass": True, "fail": False, "-": None}
-
-
-def _parse_flag(text: str) -> bool | None:
-    if text not in _FLAGS:
-        raise ValueError("unknown check flag %r" % text)
-    return _FLAGS[text]
-
-
-def parse_certificate(text: str) -> MutationCertificate:
-    """Inverse of certificate_to_text (on its exact output format)."""
-    rd = _Reader(text.splitlines())
+def _read_certificate(rd: _Reader) -> MutationCertificate:
+    """One certificate block, CERTIFICATE through END, from rd's position.
+    Lines that the writer derives (version, overall) are skipped here and
+    checked by the caller's re-write."""
     rd.expect("CERTIFICATE")
-    if rd.value("version") != "1":
-        raise ValueError("unknown certificate version")
+    rd.value("version")
     digest = rd.value("digest")
     n = int(rd.value("n"))
     i, j = (int(t) for t in rd.value("pair").split())
-    case = rd.value("case")
-    kind = rd.value("kind")
-    verdict = rd.value("verdict")
+    cert = MutationCertificate(digest=digest, n=n, i=i, j=j,
+                               case=rd.word("case", _CASES),
+                               kind=rd.word("kind", _KINDS + ("-",)),
+                               verdict=rd.word("verdict", _VERDICTS))
     reason = rd.value("reason")
-    cert = MutationCertificate(digest=digest, n=n, i=i, j=j, verdict=verdict,
-                               reason=None if reason == "-" else reason,
-                               case=None if case == "-" else case,
-                               kind=None if kind == "-" else kind)
+    cert.reason = None if reason == "-" else reason
     rd.expect("STAR")
     if rd.value("present") == "true":
-        a = rd.value("a") == "true"
-        b = rd.value("b") == "true"
-        cc = rd.value("c") == "true"
-        d = rd.value("d") == "true"
+        a, b, c, d = (rd.value(k) == "true" for k in "abcd")
         rd.value("overall")
-        cert.star = StarReport(a=a, b=b, c=cc, d=d,
+        cert.star = StarReport(a=a, b=b, c=c, d=d,
                                red=_parse_ints(rd.value("red")),
                                blue_olive=_parse_ints(rd.value("blue-olive")),
                                yellow_green=_parse_ints(rd.value("yellow-green")),
@@ -577,26 +591,16 @@ def parse_certificate(text: str) -> MutationCertificate:
     rd.expect("SWAP")
     eps = rd.value("epsilon")
     cert.epsilon = None if eps == "-" else _rational(eps)
-    before = rd.value("order-before")
-    cert.order_before = None if before == "-" else _parse_ints(before)
-    after = rd.value("order-after")
-    cert.order_after = None if after == "-" else _parse_ints(after)
-    head = rd.value("matrix-after")
-    if head != "-":
-        rows = [rd.take().strip() for _ in range(4)]
-        cert.matrix_after = WeightMatrix.from_rows(
-            [[_rational(t) for t in row.split()] for row in rows[1:]])
+    cert.order_before = _parse_ints(rd.value("order-before")) or None
+    cert.order_after = _parse_ints(rd.value("order-after")) or None
+    if rd.value("matrix-after") != "-":
+        cert.matrix_after = rd.matrix()
     rd.expect("WF")
     if rd.value("present") == "true":
-        g1 = frozenset(_parse_ints(rd.value("group-1")))
-        g2 = frozenset(_parse_ints(rd.value("group-2")))
-        g3 = frozenset(_parse_ints(rd.value("group-3")))
-        rd.value("w")
-        w = lattice_point([[_rational(t) for t in rd.take().split()] for _ in range(3)])
-        rd.value("f")
-        f = lattice_point([[_rational(t) for t in rd.take().split()] for _ in range(3)])
-        cert.data = MutationData(i=i, j=j, w=w, f=f, group_red=g1,
-                                 group_two=g2, group_three=g3)
+        g1, g2, g3 = (frozenset(_parse_ints(rd.value("group-%d" % k)))
+                      for k in (1, 2, 3))
+        cert.data = MutationData(i=i, j=j, w=rd.point("w"), f=rd.point("f"),
+                                 group_red=g1, group_two=g2, group_three=g3)
     rd.expect("DIFF")
     for _ in range(int(rd.value("count"))):
         ln = rd.take()
@@ -609,13 +613,13 @@ def parse_certificate(text: str) -> MutationCertificate:
         src, _, dst = rd.take().partition(" -> ")
         cert.images.append((_parse_tab(src), _parse_tab(dst)))
     rd.expect("CHECKS")
-    cert.k1 = _parse_flag(rd.value("k1-slab"))
-    cert.k2 = _parse_flag(rd.value("k2-vertex-image"))
-    cert.k3 = _parse_flag(rd.value("k3-forward-midpoints"))
+    cert.k1 = _FLAGS.get(rd.value("k1-slab"))
+    cert.k2 = _FLAGS.get(rd.value("k2-vertex-image"))
+    cert.k3 = _FLAGS.get(rd.value("k3-forward-midpoints"))
     for _ in range(int(rd.value("k3-fail-count"))):
         u, _, v = rd.value("k3-fail").partition(" | ")
         cert.k3_failures.append((_parse_tab(u), _parse_tab(v)))
-    cert.k4 = _parse_flag(rd.value("k4-backward-midpoints"))
+    cert.k4 = _FLAGS.get(rd.value("k4-backward-midpoints"))
     for _ in range(int(rd.value("k4-fail-count"))):
         u, _, v = rd.value("k4-fail").partition(" | ")
         cert.k4_failures.append((_parse_tab(u), _parse_tab(v)))
@@ -635,4 +639,24 @@ def parse_certificate(text: str) -> MutationCertificate:
                 cert.witnesses.append(WitnessEntry(_parse_tab(u), _parse_tab(v),
                                                    kind, _parse_tab(t), _parse_tab(t2)))
     rd.expect("END")
+    return cert
+
+
+def _check_written(text: str, written: str) -> None:
+    """ValueError naming the first line where text differs from what the
+    writer gives back for the object read from it."""
+    if text == written:
+        return
+    got, want = text.splitlines(True), written.splitlines(True)
+    k = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w),
+             min(len(got), len(want)))
+    raise ValueError("line %d reads %r but is written back as %r"
+                     % (k + 1, "".join(got[k:k + 1]), "".join(want[k:k + 1])))
+
+
+def parse_certificate(text: str) -> MutationCertificate:
+    """Inverse of certificate_to_text: ValueError unless text is exactly
+    what certificate_to_text writes for the certificate read from it."""
+    cert = _read_certificate(_Reader(text))
+    _check_written(text, certificate_to_text(cert))
     return cert

@@ -8,6 +8,13 @@ makes plans reproducible byte for byte.  A REFUTED step does not stop a
 plan (the arrangement-level swap and the field diff stay well defined)
 unless strict mode is on; a step that cannot produce a swapped matrix
 always stops it, with the partial plan attached.
+
+A plan holds its steps as the certificates themselves: each carries
+the swapped pair, the matrix after the swap and the x order after it.
+The final field and the SUMMARY counts are derived from them.  A plan
+file has one writer, plan_to_text, and one reader, parse_plan, which
+reads each step with the certificate reader and accepts only the exact
+bytes plan_to_text writes.
 """
 
 from __future__ import annotations
@@ -15,38 +22,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrange import apexes, x_order
-from .mfcore import (MatchingField, WeightMatrix, _rational,
-                     block_diagonal_weights, diagonal, induce,
-                     weight_matrix_to_text)
-from .mutate import (MutationCertificate, _Reader, certificate_to_text,
-                     certify, parse_certificate)
+from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
+                     diagonal, induce)
+from .mutate import (_KINDS, _VERDICTS, _check_written, _matrix_lines,
+                     _read_certificate, _Reader, certificate_to_text, certify)
 
-_SUMMARY_KEYS = ("noop", "shear", "mutation", "verified", "refuted",
-                 "inapplicable")
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    i: int
-    j: int
-    certificate: MutationCertificate
-    matrix_after: WeightMatrix
+_SUMMARY_KEYS = tuple(word.lower() for word in _KINDS + _VERDICTS)
 
 
 @dataclass
 class Plan:
     initial: WeightMatrix
     target: tuple
-    steps: list
-    final_field: MatchingField
+    steps: list          # MutationCertificate per step, in order
+
+    @property
+    def final_field(self) -> MatchingField:
+        return induce(self.steps[-1].matrix_after if self.steps
+                      else self.initial)
 
     def summary(self) -> dict:
         counts = dict.fromkeys(_SUMMARY_KEYS, 0)
-        for s in self.steps:
-            kind = (s.certificate.kind or "").lower()
-            if kind in counts:
-                counts[kind] += 1
-            counts[s.certificate.verdict.lower()] += 1
+        for cert in self.steps:
+            if cert.kind is not None:
+                counts[cert.kind.lower()] += 1
+            counts[cert.verdict.lower()] += 1
         return counts
 
 
@@ -79,13 +79,8 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
         raise ValueError("target must be a permutation of 1..%d" % M.n)
     order = x_order(apexes(M))
     induce(M)   # a non-generic start raises TieError here, before any step
-    steps = []
+    plan = Plan(initial=M, target=target, steps=[])
     current = M
-
-    def partial():
-        return Plan(initial=M, target=target, steps=steps,
-                    final_field=induce(current))
-
     while True:
         t = _leftmost_inversion(order, target)
         if t is None:
@@ -94,15 +89,14 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
         cert = certify(current, i, j)
         if cert.matrix_after is None:
             raise PlanError("step %d (%d, %d): %s"
-                            % (len(steps) + 1, i, j, cert.reason), partial())
-        steps.append(PlanStep(i=i, j=j, certificate=cert,
-                              matrix_after=cert.matrix_after))
+                            % (len(plan.steps) + 1, i, j, cert.reason), plan)
+        plan.steps.append(cert)
         current = cert.matrix_after
         order = cert.order_after
         if strict and cert.verdict == "REFUTED":
-            raise PlanError("step %d (%d, %d) refuted" % (len(steps), i, j),
-                            partial())
-    return partial()
+            raise PlanError("step %d (%d, %d) refuted"
+                            % (len(plan.steps), i, j), plan)
+    return plan
 
 
 def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
@@ -119,64 +113,37 @@ def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
 # ---------------------------------------------------------------------------
 # plan text format
 
-def _write_plan(n: int, source: str, matrix: WeightMatrix, target,
-                certificates, summary: dict) -> str:
-    out = ["PLAN", "n: %d" % n, "source: %s" % source, "matrix:"]
-    out.extend("  " + ln for ln in weight_matrix_to_text(matrix).splitlines())
-    out.append("target: %s" % " ".join(str(x) for x in target))
-    out.append("steps: %d" % len(certificates))
-    for idx, cert in enumerate(certificates, start=1):
+def plan_to_text(plan: Plan, source: str = "matrix") -> str:
+    out = ["PLAN", "n: %d" % plan.initial.n, "source: %s" % source]
+    out.extend(_matrix_lines(plan.initial, "matrix"))
+    out.append("target: %s" % " ".join(str(x) for x in plan.target))
+    out.append("steps: %d" % len(plan.steps))
+    for idx, cert in enumerate(plan.steps, start=1):
         out.append("STEP %d" % idx)
         out.append(certificate_to_text(cert).rstrip("\n"))
     out.append("SUMMARY")
-    for key in _SUMMARY_KEYS:
-        out.append("%s: %d" % (key, summary[key]))
+    out.extend("%s: %d" % item for item in plan.summary().items())
     out.append("END-PLAN")
     return "\n".join(out) + "\n"
 
 
-def plan_to_text(plan: Plan, source: str = "matrix") -> str:
-    return _write_plan(plan.initial.n, source, plan.initial, plan.target,
-                       [s.certificate for s in plan.steps], plan.summary())
-
-
-@dataclass
-class ParsedPlan:
-    n: int
-    source: str
-    matrix: WeightMatrix
-    target: tuple
-    certificates: list
-    summary: dict
-
-
-def parse_plan(text: str) -> ParsedPlan:
-    """Inverse of plan_to_text (on its exact output format)."""
-    rd = _Reader(text.splitlines())
+def parse_plan(text: str) -> tuple:
+    """Inverse of plan_to_text: (plan, source).  ValueError unless text is
+    exactly what plan_to_text writes for them; the n line and the SUMMARY
+    block are derived, so the re-write checks them."""
+    rd = _Reader(text)
     rd.expect("PLAN")
-    n = int(rd.value("n"))
+    rd.value("n")
     source = rd.value("source")
     rd.value("matrix")
-    rows = [rd.take().strip() for _ in range(4)]
-    matrix = WeightMatrix.from_rows([[_rational(t) for t in row.split()]
-                                     for row in rows[1:]])
-    target = tuple(int(t) for t in rd.value("target").split())
-    count = int(rd.value("steps"))
-    certificates = []
-    for k in range(1, count + 1):
+    plan = Plan(initial=rd.matrix(),
+                target=tuple(int(t) for t in rd.value("target").split()),
+                steps=[])
+    for k in range(1, int(rd.value("steps")) + 1):
         rd.expect("STEP %d" % k)
-        start = rd.pos
-        while rd.take() != "END":
-            pass
-        certificates.append(parse_certificate(
-            "\n".join(rd.lines[start:rd.pos]) + "\n"))
-    rd.expect("SUMMARY")
-    summary = {key: int(rd.value(key)) for key in _SUMMARY_KEYS}
-    rd.expect("END-PLAN")
-    return ParsedPlan(n=n, source=source, matrix=matrix, target=target,
-                      certificates=certificates, summary=summary)
-
-
-def parsed_plan_to_text(p: ParsedPlan) -> str:
-    return _write_plan(p.n, p.source, p.matrix, p.target, p.certificates,
-                       p.summary)
+        cert = _read_certificate(rd)
+        if cert.matrix_after is None:   # plan_to_order stops before such a step
+            raise ValueError("plan step %d has no matrix-after" % k)
+        plan.steps.append(cert)
+    _check_written(text, plan_to_text(plan, source))
+    return plan, source

@@ -116,6 +116,10 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
         blue   b_k < b_j
         green  b_k > b_j and D_k < D_i
         yellow D_k > D_i
+
+    No other apex can share an x coordinate with i or j, or lie between
+    them: the adjacency check sorts the apexes with x_order, which raises
+    TiedX on any equal x, and confirms that i and j are consecutive.
     """
     if i == j or not (1 <= i <= A.n and 1 <= j <= A.n):
         raise NotAdjacent("bad pair (%d, %d)" % (i, j))
@@ -135,8 +139,6 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
             continue
         ak, bk = line.apex
         dk = bk - ak
-        if ak == ai or ak == aj:
-            raise Boundary(k)
         if ak < ai:
             if _strict(dk, split, k) < 0:
                 colors[k] = Region.RED
@@ -145,8 +147,6 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
             else:
                 colors[k] = Region.OLIVE
         else:
-            if ak < aj:
-                raise NotAdjacent("line %d lies between the pair" % k)
             if _strict(bk, low, k) < 0:
                 colors[k] = Region.BLUE
             elif _strict(dk, diag, k) < 0:

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tropmf import WeightMatrix, genericity
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_texts(pattern: str) -> list:
+    """pytest params, one per golden output file matching the pattern."""
+    return [pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+            for path in sorted(GOLDEN.glob(pattern))]
 
 
 def diag6_matrix() -> WeightMatrix:

@@ -160,13 +160,13 @@ def test_criterion_07_block2_plan():
     assert migrations == {1: 4, 2: 4}
     field = dict(induce(block_diagonal_weights(6, 2)).assignment)
     for s in plan.steps:
-        for T, before, after in s.certificate.diff:
+        for T, before, after in s.diff:
             assert field[T] == before
             field[T] = after
     assert field == diagonal(6).assignment
     for s in plan.steps:
-        if s.certificate.kind == "MUTATION":
-            assert s.certificate.k2 is True
+        if s.kind == "MUTATION":
+            assert s.k2 is True
     text1 = plan_to_text(plan, source="block-diagonal 6 2")
     text2 = plan_to_text(plan_block_to_diagonal(6, 2),
                          source="block-diagonal 6 2")

@@ -117,9 +117,16 @@ def test_plan_block_command(tmp_path, capsys):
 def test_plan_from_matrix_file(tmp_path, capsys):
     from tropmf import block_diagonal_weights
     path = write_matrix(tmp_path, "b62.wm", block_diagonal_weights(6, 2))
-    code, out, _ = run_cli(capsys, "plan", "-m", path, "--target", "diagonal")
+    code, out, _ = run_cli(capsys, "plan", "-m", path)
     assert code == 0
     assert "steps: 8" in out
+
+
+def test_plan_has_no_target_option(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_main(["plan", "--block", "5", "2", "--target", "diagonal"])
+    assert err.value.code == 2
+    assert "--target" in capsys.readouterr().err
 
 
 def test_plan_non_generic_start_exit_2(tmp_path, capsys):

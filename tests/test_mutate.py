@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
-                      diag6_matrix, five_line_matrix, shear_matrix)
+                      diag6_matrix, five_line_matrix, golden_texts,
+                      shear_matrix)
 from tropmf import (Boundary, Case, NotAdjacent, NotSwappable,
                     PatternMismatch, Region, RegionAssignment, SlabViolation,
                     TieError, TiedX, VertexSet, WeightMatrix, apexes,
@@ -548,10 +549,10 @@ def test_f_split_groups_as_pair(M, data):
     lambda: certify(shear_matrix(), 3, 4),
     lambda: certify(five_line_matrix(), 2, 4),
     lambda: certify(blue_obstruction_matrix(), 1, 2),
+    *golden_texts("mutate_*.txt"),
 ])
 def test_certificate_roundtrip(build):
-    cert = build()
-    text = certificate_to_text(cert)
+    text = build if isinstance(build, str) else certificate_to_text(build())
     assert certificate_to_text(parse_certificate(text)) == text
 
 

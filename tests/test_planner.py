@@ -2,18 +2,19 @@
 
 import pytest
 
-from conftest import pair_matrix, tied_start_matrix
-from tropmf import (MatchingField, PlanError, TieError, apexes,
-                    block_diagonal, block_diagonal_weights, diagonal, induce,
-                    plan_block_to_diagonal, plan_to_order, x_order)
+from conftest import (blue_obstruction_matrix, golden_texts, pair_matrix,
+                      tied_start_matrix)
+from tropmf import (MatchingField, Plan, PlanError, TieError, apexes,
+                    block_diagonal, block_diagonal_weights, certify, diagonal,
+                    induce, plan_block_to_diagonal, plan_to_order, x_order)
 from tropmf import planner
-from tropmf.planner import parse_plan, parsed_plan_to_text, plan_to_text
+from tropmf.planner import parse_plan, plan_to_text
 
 
 def replay(initial_field, steps):
     assignment = dict(initial_field.assignment)
     for step in steps:
-        for T, before, after in step.certificate.diff:
+        for T, before, after in step.diff:
             assert assignment[T] == before
             assignment[T] = after
     return MatchingField(initial_field.n, assignment)
@@ -43,10 +44,10 @@ def test_block2_to_diagonal_full_run():
     assert len(plan.steps) == 8
     assert [(s.i, s.j) for s in plan.steps] == [
         (1, 6), (2, 6), (1, 5), (2, 5), (1, 4), (2, 4), (1, 3), (2, 3)]
-    kinds = [s.certificate.kind for s in plan.steps]
+    kinds = [s.kind for s in plan.steps]
     assert kinds == ["NOOP", "NOOP", "MUTATION", "SHEAR", "MUTATION",
                      "MUTATION", "SHEAR", "MUTATION"]
-    assert all(s.certificate.verdict == "VERIFIED" for s in plan.steps)
+    assert all(s.verdict == "VERIFIED" for s in plan.steps)
     assert plan.final_field == diagonal(6)
     assert plan.summary() == {"noop": 2, "shear": 2, "mutation": 4,
                               "verified": 8, "refuted": 0, "inapplicable": 0}
@@ -90,7 +91,7 @@ def test_plan_chains_matrices():
     plan = plan_block_to_diagonal(6, 2)
     current = plan.initial
     for step in plan.steps:
-        assert step.certificate.digest  # recorded per step
+        assert step.digest  # recorded per step
         assert step.matrix_after is not None
         current = step.matrix_after
     assert induce(current) == plan.final_field
@@ -114,7 +115,7 @@ def test_strict_mode_aborts_on_refuted_step():
     target = (5, 3, 2, 1, 4)
     plan = plan_to_order(H, target)
     assert len(plan.steps) == 1
-    assert plan.steps[0].certificate.verdict == "REFUTED"
+    assert plan.steps[0].verdict == "REFUTED"
     assert plan.summary()["refuted"] == 1
     with pytest.raises(PlanError) as err:
         plan_to_order(H, target, strict=True)
@@ -124,13 +125,30 @@ def test_strict_mode_aborts_on_refuted_step():
 def test_plan_text_roundtrip_and_stability():
     plan = plan_block_to_diagonal(6, 2)
     text = plan_to_text(plan, source="block-diagonal 6 2")
-    assert parsed_plan_to_text(parse_plan(text)) == text
+    parsed, source = parse_plan(text)
+    assert source == "block-diagonal 6 2"
+    assert plan_to_text(parsed, source) == text
     again = plan_to_text(plan_block_to_diagonal(6, 2),
                          source="block-diagonal 6 2")
     assert again == text
-    parsed = parse_plan(text)
-    assert parsed.summary == {"noop": 2, "shear": 2, "mutation": 4,
-                              "verified": 8, "refuted": 0, "inapplicable": 0}
+    assert parsed.summary() == {"noop": 2, "shear": 2, "mutation": 4,
+                                "verified": 8, "refuted": 0, "inapplicable": 0}
+
+
+@pytest.mark.parametrize("text", golden_texts("plan_block_*.txt"))
+def test_golden_plan_roundtrip(text):
+    plan, source = parse_plan(text)
+    assert plan_to_text(plan, source) == text
+    assert plan.final_field == diagonal(plan.initial.n)
+
+
+def test_plan_step_without_swapped_matrix_raises_value_error():
+    M = blue_obstruction_matrix()
+    unswapped = certify(M, 1, 2)
+    assert unswapped.matrix_after is None
+    text = plan_to_text(Plan(initial=M, target=(2, 1, 3), steps=[unswapped]))
+    with pytest.raises(ValueError, match="step 1 has no matrix-after"):
+        parse_plan(text)
 
 
 def test_truncated_plan_raises_value_error():

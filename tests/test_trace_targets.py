@@ -33,3 +33,24 @@ def test_tracer_installs_and_removes_every_wrapper():
     assert wrapped == {"%s.%s" % (module, attr)
                        for module, attr, _ in tracing.TARGETS}
     assert tracing.leftover_wrappers() == []
+
+
+def test_traced_plan_sees_every_step(tmp_path):
+    """A refactor that calls around a traced name would zero its rows of
+    the benchmark's per-layer metrics; a traced plan must see them all."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = importlib.import_module("tropmf.cli").cli_main(
+            ["plan", "--block", "5", "2", "-o", str(tmp_path / "plan.txt")])
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    metrics = tracing.layer_metrics(spans)
+    names = [span[0] for span in spans]
+    assert code == 0
+    assert metrics["planner.steps"] == (6, "count")
+    assert metrics["mutate.certify.calls"] == (6, "count")
+    assert names.count("mutate.certificate_to_text") >= 6
+    assert names.count("planner.plan_to_text") == 1
