@@ -25,8 +25,19 @@ changes by exactly the red-region flips.  That holds on an open interval
 of eps, read off in one pass over the triples through i; the offset is
 the largest gap/2^k inside it, and the accepted matrix is re-checked
 with induce and x_order.  certify works in one pass: one induce per
-matrix, one classification (regions and star report), the swap search
-on that state, and one f-value split per vertex set.
+matrix, one classification (regions and star report) on certify's x
+order, the swap search on that state, and one f-value split per vertex
+set.
+
+The k2 images and k3/k4 batteries are decided on tableaux.  A vertex
+with f-value -1 is the only sheared one, and its image is (i, j, t3)
+when it places j over i, else no tableau.  The midpoint of tableaux u
+and v is the centre of the cube of tuples t with t[r] in {u[r], v[r]},
+and lies in a vertex hull iff the hull's cube vertices hold an antipodal
+pair or (three differing rows) a whole parity class; that explicit
+combination is substituted back and checked.  The LP oracle member
+stays the general test and decides only the rare "no", which its
+checked Farkas vector must confirm.
 
 A certificate's text has one writer, certificate_to_text, and one
 reader, parse_certificate, which accepts only the exact bytes the writer
@@ -46,10 +57,14 @@ from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
                      weight_matrix_from_text, weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, member,
-                       midpoint, pair, scale, tableau_of, vertex_of, vertices)
+                       midpoint, pair, scale, vertex_of, vertices)
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      StarReport, _star_report, classify)
+                      StarReport, _classify, _star_report)
+from .regions import classify  # noqa: F401  unused; perfbench traces this name
 from .regions import star  # noqa: F401  unused; perfbench traces this name
+
+
+_HALF = Fraction(1, 2)
 
 
 class NotSwappable(ValueError):
@@ -217,7 +232,7 @@ def swap(M: WeightMatrix, i: int, j: int):
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     if order.index(j) != order.index(i) + 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
-    return _swap_core(M, L, A, order, classify(A, i, j), i, j)[:2]
+    return _swap_core(M, L, A, order, _classify(A, order, i, j), i, j)[:2]
 
 
 def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
@@ -248,14 +263,13 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
                        "lines %d and %d" % (gap, i, j))
 
 
-def _complement_in_sum(u: Tableau, v: Tableau, t: Tableau) -> Tableau | None:
-    """The tableau t2 with t + t2 = u + v rowwise, if one exists."""
-    out = []
-    for a, b, c in zip(u, v, t):
-        if c not in (a, b):
-            return None
-        out.append(b if c == a else a)
-    return tuple(out)
+def _cube(u: Tableau, v: Tableau):
+    """The tuples t with t[r] in {u[r], v[r]} in every row, in sorted
+    order, each with its antipode t2 (t + t2 = u + v rowwise).  They are
+    the vertices of a d-cube, d the number of rows where u and v differ,
+    and the midpoint of u and v is its centre."""
+    for t in itertools.product(*(sorted({a, b}) for a, b in zip(u, v))):
+        yield t, tuple(b if c == a else a for a, b, c in zip(u, v, t))
 
 
 def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
@@ -296,9 +310,8 @@ def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
             if t in zero_set and t2 in zero_set:
                 entries.append(WitnessEntry(u, v, kind, t, t2))
                 continue
-            for t in zero:
-                t2 = _complement_in_sum(u, v, t)
-                if t2 in zero_set:
+            for t, t2 in _cube(u, v):
+                if t in zero_set and t2 in zero_set:
                     entries.append(WitnessEntry(u, v, "search", t, t2))
                     break
             else:
@@ -306,10 +319,69 @@ def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
     return entries
 
 
+def _images(P: VertexSet, neg: list, i: int, j: int) -> list:
+    """(t, image) for every tableau t of P under the tropical map of the
+    pair (i, j), read off the f-value split.  The slab check leaves
+    f-value -1 the only sheared case, where t + w is the tableau
+    (i, j, t[2]) when t places j over i and no tableau (None) otherwise;
+    every other vertex is fixed.  tropical_map is the general map."""
+    sheared = set(neg)
+    return [(t, t if t not in sheared
+             else (i, j, t[2]) if t[:2] == (j, i) else None) for t in P]
+
+
+def _midpoint_combination(u: Tableau, v: Tableau, P: VertexSet) -> list | None:
+    """Weights on tableaux of P that combine to the midpoint of u and v,
+    or None when its hull holds no such combination.
+
+    A vertex with its 1 where the midpoint is 0 gets weight 0, so only
+    the cube tableaux of (u, v) can carry weight, and the midpoint is the
+    cube's centre.  The centre lies in the hull of the present cube
+    vertices iff they hold an antipodal pair (weights 1/2, 1/2) or, for
+    d = 3, one whole parity class, a tetrahedron centred on the centre
+    (weights 1/4 each); a parity class of the d-cube has 2^(d-1) vertices.
+    """
+    classes = ([], [])
+    for t, t2 in _cube(u, v):
+        if t in P.points:
+            if t2 in P.points:
+                return [(t, _HALF), (t2, _HALF)]
+            classes[sum(a != c for a, c in zip(u, t)) % 2].append(t)
+    for group in classes:
+        if len(group) == 4:
+            return [(t, Fraction(1, 4)) for t in group]
+    return None
+
+
+def _midpoint_in_hull(u: Tableau, v: Tableau, P: VertexSet) -> bool:
+    """Whether the midpoint of u and v lies in conv(P).  A "yes" of the
+    cube rule is substituted back: positive weights summing to 1 on
+    tableaux of P, and in every row r the midpoint's column masses, 1/2
+    on u[r] and 1/2 on v[r].  A "no" is decided again by member, whose
+    Farkas vector is checked, and must agree."""
+    combo = _midpoint_combination(u, v, P)
+    if combo is None:
+        if member(midpoint(vertex_of(u, P.n), vertex_of(v, P.n)), P):
+            raise AssertionError("midpoint of %r and %r: the cube rule "
+                                 "finds no combination, the LP does" % (u, v))
+        return False
+    ok = (sum(w for _, w in combo) == 1
+          and all(w > 0 and t in P.points for t, w in combo))
+    for r in range(3):
+        mass, want = {}, {u[r]: _HALF}
+        want[v[r]] = want.get(v[r], 0) + _HALF
+        for t, w in combo:
+            mass[t[r]] = mass.get(t[r], 0) + w
+        ok = ok and mass == want
+    if not ok:
+        raise AssertionError("midpoint of %r and %r: combination %r does "
+                             "not substitute back" % (u, v, combo))
+    return True
+
+
 def _midpoint_failures(neg: list, pos: list, P: VertexSet) -> list:
     """The split pairs of tableaux (u, v) with midpoint outside conv(P)."""
-    return [(u, v) for u in neg for v in pos
-            if not member(midpoint(vertex_of(u, P.n), vertex_of(v, P.n)), P)]
+    return [(u, v) for u in neg for v in pos if not _midpoint_in_hull(u, v, P)]
 
 
 def _check_pair(n: int, i: int, j: int):
@@ -329,8 +401,10 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     (genericity, adjacency, boundary apexes, unswappable pairs) yield
     INAPPLICABLE certificates carrying whatever was computed by then.
     Each fact is derived once: induce per matrix (a TieError is the
-    genericity verdict), one classification for the regions and the
-    star report, and one f-value split per vertex set.
+    genericity verdict), one classification on the x order already
+    sorted, for the regions and the star report, and one f-value split
+    per vertex set, from which the images and the cube-rule batteries
+    are read.
     """
     _check_pair(M.n, i, j)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j,
@@ -351,7 +425,7 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
         cert.i, cert.j = i, j
     cert.order_before = order
     try:
-        R = classify(A, i, j)
+        R = _classify(A, order, i, j)
     except (NotAdjacent, Boundary) as e:
         cert.reason = str(e)
         return cert
@@ -372,8 +446,7 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
         return cert
     cert.diff = mf_diff(L, L2)
     V2 = vertices(L2)
-    cert.images = [(t, tableau_of(tropical_map(vertex_of(t, M.n), D)))
-                   for t in V]
+    cert.images = _images(V, neg, i, j)
     cert.k2 = {image for _, image in cert.images} == V2.points
     cert.k3_failures = _midpoint_failures(neg, pos, V2)
     cert.k3 = not cert.k3_failures

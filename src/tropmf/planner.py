@@ -25,7 +25,8 @@ from .arrange import apexes, x_order
 from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
                      diagonal, induce)
 from .mutate import (_KINDS, _VERDICTS, _check_written, _matrix_lines,
-                     _read_certificate, _Reader, certificate_to_text, certify)
+                     _read_certificate, _Reader, certificate_to_text, certify,
+                     matrix_digest)
 
 _SUMMARY_KEYS = tuple(word.lower() for word in _KINDS + _VERDICTS)
 
@@ -130,7 +131,10 @@ def plan_to_text(plan: Plan, source: str = "matrix") -> str:
 def parse_plan(text: str) -> tuple:
     """Inverse of plan_to_text: (plan, source).  ValueError unless text is
     exactly what plan_to_text writes for them; the n line and the SUMMARY
-    block are derived, so the re-write checks them."""
+    block are derived, so the re-write checks them.  The steps must chain:
+    each step's digest is that of the matrix before it (the previous
+    step's matrix-after, or the initial matrix), and each order-before
+    is the previous step's order-after."""
     rd = _Reader(text)
     rd.expect("PLAN")
     rd.value("n")
@@ -144,6 +148,14 @@ def parse_plan(text: str) -> tuple:
         cert = _read_certificate(rd)
         if cert.matrix_after is None:   # plan_to_order stops before such a step
             raise ValueError("plan step %d has no matrix-after" % k)
+        before = plan.steps[-1] if plan.steps else None
+        if cert.digest != matrix_digest(before.matrix_after if before
+                                         else plan.initial):
+            raise ValueError("plan step %d: digest is not that of the "
+                             "matrix before it" % k)
+        if before and cert.order_before != before.order_after:
+            raise ValueError("plan step %d: order-before is not step %d's "
+                             "order-after" % (k, k - 1))
         plan.steps.append(cert)
     _check_written(text, plan_to_text(plan, source))
     return plan, source

@@ -6,6 +6,9 @@ of one such point per triple, and a VertexSet holds the tableaux; 3 x n
 rational points are built only at the LP boundary and for the tropical
 map.  Membership, extremality and hull equality are decided by exact
 rational linear programming, never by vertex enumeration in dimension 3n.
+member is the general oracle; certify's midpoint batteries call it only
+for a midpoint that mutate's cube rule finds outside the hull, to
+confirm that "no" with a checked Farkas vector.
 
 The LP of a membership test sees only the part of the system that can
 carry weight: a vertex with its 1 where the query point is 0 must get

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arrange import Arrangement, adjacent
+from .arrange import Arrangement, x_order
 
 
 class Region(enum.Enum):
@@ -123,7 +123,13 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
     """
     if i == j or not (1 <= i <= A.n and 1 <= j <= A.n):
         raise NotAdjacent("bad pair (%d, %d)" % (i, j))
-    if not adjacent(A, i, j):
+    return _classify(A, x_order(A), i, j)
+
+
+def _classify(A: Arrangement, order: tuple, i: int, j: int) -> RegionAssignment:
+    """classify for two distinct columns i, j, on the caller's x order
+    of A's apexes (x_order(A))."""
+    if abs(order.index(i) - order.index(j)) != 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
     ai, bi = A.apex(i)
     aj, bj = A.apex(j)

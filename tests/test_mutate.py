@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, golden_texts,
@@ -15,9 +15,9 @@ from tropmf import (Boundary, Case, NotAdjacent, NotSwappable,
                     TieError, TiedX, VertexSet, WeightMatrix, apexes,
                     build_wf, certificate_to_text, certify, classify,
                     expected_flip, genericity, induce, member, mf_diff,
-                    midpoint, parse_certificate, star, swap, tropical_map,
-                    vertex_of, vertices, witness_table, x_order)
-from tropmf import mutate
+                    midpoint, parse_certificate, star, swap, tableau_of,
+                    tropical_map, vertex_of, vertices, witness_table, x_order)
+from tropmf import arrange, mutate, regions
 from tropmf.mutate import _landing_gap
 from tropmf.polytope import lattice_point, pair as inner
 
@@ -587,3 +587,109 @@ def test_certificate_text_sections(five):
         assert "\n" + section + "\n" in "\n" + text
     assert "verdict: REFUTED" in text
     assert "k3-fail: 4 3 1 | 5 2 4" in text
+
+
+# --- midpoint cube rule and tableau images ----------------------------------
+
+# d = 1, 2, 3 differing rows; every tuple of each cube is a tableau on 6
+# columns, and (2, 1, 3) is no cube tableau of any of them.
+CUBES = [((1, 2, 3), (4, 2, 3)), ((1, 2, 3), (4, 5, 3)), ((1, 2, 3), (4, 5, 6))]
+
+
+@pytest.mark.parametrize("u, v", CUBES, ids=["d1", "d2", "d3"])
+def test_midpoint_rule_equals_lp_on_every_cube_subset(u, v):
+    cube = [t for t, _ in mutate._cube(u, v)]
+    assert cube == sorted(cube)
+    assert len(cube) == 2 ** sum(a != b for a, b in zip(u, v))
+    q = midpoint(vertex_of(u, 6), vertex_of(v, 6))
+    for size in range(len(cube) + 1):
+        for subset in itertools.combinations(cube, size):
+            for extra in ((), ((2, 1, 3),)):
+                P = VertexSet(6, frozenset(subset + extra))
+                expected = member(q, P)
+                combo = mutate._midpoint_combination(u, v, P)
+                assert (combo is not None) == expected, subset + extra
+                assert mutate._midpoint_in_hull(u, v, P) == expected
+
+
+def test_midpoint_rule_checks_its_answers(monkeypatch):
+    u, v = (1, 2, 3), (4, 5, 6)
+    P = VertexSet(6, frozenset([u, v]))
+    monkeypatch.setattr(mutate, "_midpoint_combination",
+                        lambda u, v, P: [(u, Fraction(1, 2)), (u, Fraction(1, 2))])
+    with pytest.raises(AssertionError, match="substitute back"):
+        mutate._midpoint_in_hull(u, v, P)
+    monkeypatch.setattr(mutate, "_midpoint_combination", lambda u, v, P: None)
+    with pytest.raises(AssertionError, match="the LP does"):
+        mutate._midpoint_in_hull(u, v, P)
+
+
+def generic_certificates(M, flip):
+    """(vertex sets before and after, certificate) of every consecutive
+    pair of M that reaches the midpoint batteries."""
+    assume(genericity(M).ok)
+    V = vertices(induce(M))
+    for i, j in swap_pairs(M, None)[:-1]:
+        cert = certify(M, j, i) if flip else certify(M, i, j)
+        if cert.k3 is not None:
+            yield V, vertices(induce(cert.matrix_after)), cert
+
+
+@settings(max_examples=30, deadline=None)
+@given(certify_matrices(), st.booleans())
+@example(five_line_matrix(), False)
+@example(closer_threshold_matrix(), True)
+def test_midpoint_batteries_equal_lp(M, flip):
+    for V, V2, cert in generic_certificates(M, flip):
+        for failures, P, Q in ((cert.k3_failures, V, V2),
+                               (cert.k4_failures, V2, V)):
+            neg, _, pos = mutate._f_split(P, cert.data.f)
+            assert failures == [
+                (u, v) for u in neg for v in pos
+                if not member(midpoint(vertex_of(u, M.n), vertex_of(v, M.n)), Q)]
+
+
+def mapped_tableaux(P, D):
+    return [(t, tableau_of(tropical_map(vertex_of(t, P.n), D))) for t in P]
+
+
+@settings(max_examples=50, deadline=None)
+@given(certify_matrices(), st.booleans())
+@example(five_line_matrix(), False)
+def test_images_equal_tropical_map(M, flip):
+    for V, _, cert in generic_certificates(M, flip):
+        assert cert.images == mapped_tableaux(V, cert.data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(certify_matrices(), st.data())
+def test_images_equal_tropical_map_on_drawn_fields(M, data):
+    # A drawn (not necessarily coherent) field also has f-value -1
+    # vertices that do not place j over i; their image is no tableau.
+    n, A = M.n, apexes(M)
+    S = VertexSet(n, frozenset(tuple(data.draw(st.permutations(T)))
+                               for T in itertools.combinations(
+                                   range(1, n + 1), 3)))
+    for i, j in swap_pairs(M, None)[:-1]:
+        try:
+            D = build_wf(A, i, j, classify(A, i, j))
+            neg, _, _ = mutate._f_split(S, D.f)
+        except (Boundary, NotAdjacent, TiedX, SlabViolation):
+            continue
+        assert mutate._images(S, neg, D.i, D.j) == mapped_tableaux(S, D)
+
+
+def test_certify_sorts_apexes_once_per_matrix(monkeypatch, five):
+    # One x_order for M in certify and one in the swap's re-check of M2;
+    # the classification reads certify's order instead of sorting again.
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return x_order(A)
+
+    for module in (arrange, mutate, regions):
+        if hasattr(module, "x_order"):
+            monkeypatch.setattr(module, "x_order", counted)
+    certify(five, 3, 4)
+    assert len(calls) == 2

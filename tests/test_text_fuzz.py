@@ -106,6 +106,24 @@ def test_plan_edit_raises_value_error(line, value):
         parse_plan(PLAN.replace(line + "\n", value + "\n", 1))
 
 
+def test_plan_steps_must_chain():
+    # Step 3 as written by itself is a well-formed certificate; it must
+    # also start from step 2's matrix and x order.
+    lines = PLAN.splitlines()
+    step = lines.index("STEP 3")
+    digest = next(k for k in range(step, len(lines))
+                  if lines[k].startswith("digest: "))
+    before = next(k for k in range(step, len(lines))
+                  if lines[k].startswith("order-before: "))
+    first = next(ln for ln in lines if ln.startswith("order-before: "))
+    assert lines[before] != first
+    for at, value in ((digest, "digest: x"), (before, first)):
+        edited = list(lines)
+        edited[at] = value
+        with pytest.raises(ValueError, match="plan step 3"):
+            parse_plan("\n".join(edited) + "\n")
+
+
 @pytest.mark.parametrize("read, text", [(parse_certificate, CERTIFICATE),
                                         (parse_plan, PLAN)],
                          ids=["certificate", "plan"])
