@@ -9,6 +9,7 @@ adjacency, or unswappable-pair errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,6 @@ _REGION_ORDER = (Region.RED, Region.PURPLE, Region.OLIVE, Region.BLUE,
 class RenderOptions:
     pair: tuple | None = None
     draw_regions: bool = False
-    draw_dashed_target: bool = True
     xscale: Fraction = Fraction(1)
     yscale: Fraction = Fraction(1)
 
@@ -84,9 +84,9 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
     """Deterministic SVG 1.1 picture of the arrangement.
 
     One group per line with three ray segments clipped to the frame and
-    an index label under the downward ray; optionally the six region
-    fills for a highlighted adjacent pair and a dashed copy of line i at
-    its landing spot just right of j.  Raises ValueError on a pair that
+    an index label under the downward ray; for a highlighted adjacent
+    pair, a dashed copy of line i at its landing spot just right of j and
+    optionally the six region fills.  Raises ValueError on a pair that
     is not two distinct lines of A or on a scale that is not positive.
     """
     if opts.xscale <= 0 or opts.yscale <= 0:
@@ -99,14 +99,13 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
         _check_pair(A.n, i, j)
         if A.apex(i)[0] > A.apex(j)[0]:
             i, j = j, i
-        if opts.draw_dashed_target:
-            try:
-                m2, eps = swap(A.source, i, j)
-            except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
-                    Boundary):
-                eps = _landing_gap(A, x_order(A), j) / 2
-            target_apex = (A.apex(j)[0] + eps, A.apex(i)[1])
-            pts.append(target_apex)
+        try:
+            _, eps = swap(A.source, i, j)
+        except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
+                Boundary):
+            eps = _landing_gap(A, x_order(A), j) / 2
+        target_apex = (A.apex(j)[0] + eps, A.apex(i)[1])
+        pts.append(target_apex)
     else:
         i = j = None
     xs = [p[0] for p in pts]
@@ -194,12 +193,7 @@ def _emit(text: str, path: str | None):
 
 
 def _cmd_induce(args) -> int:
-    M = _load_matrix(args.matrix)
-    try:
-        L = mfcore.induce(M)
-    except TieError as e:
-        print("TieError at triple %d %d %d" % e.triple, file=sys.stderr)
-        return 2
+    L = mfcore.induce(_load_matrix(args.matrix))
     _emit(mfcore.matching_field_to_text(L), args.output)
     return 0
 
@@ -263,9 +257,7 @@ def _cmd_mutate(args) -> int:
     M = _load_matrix(args.matrix)
     cert = certify(M, args.i, args.j)
     _emit(certificate_to_text(cert), args.output)
-    if cert.verdict == "VERIFIED":
-        return 0
-    return 1 if cert.verdict == "REFUTED" else 2
+    return {"VERIFIED": 0, "REFUTED": 1}.get(cert.verdict, 2)
 
 
 def _cmd_plan(args) -> int:
@@ -308,13 +300,13 @@ def _cmd_render(args) -> int:
     A = apexes(M)
     opts = RenderOptions(pair=_parse_pair(args.pair) if args.pair else None,
                          draw_regions=args.regions,
-                         draw_dashed_target=not args.no_dashed_target,
                          xscale=mfcore._rational(args.xscale),
                          yscale=mfcore._rational(args.yscale))
     _emit(render(A, opts), args.output)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tropmf", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -366,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", help="highlighted adjacent pair, e.g. 3,4")
     p.add_argument("--regions", action="store_true",
                    help="fill the six regions of the pair")
-    p.add_argument("--no-dashed-target", action="store_true",
-                   help="omit the dashed landing position of the left line")
     p.add_argument("--xscale", default="1")
     p.add_argument("--yscale", default="1")
     p.set_defaults(func=_cmd_render)

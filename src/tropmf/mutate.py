@@ -39,9 +39,13 @@ combination is substituted back and checked.  The LP oracle member
 stays the general test and decides only the rare "no", which its
 checked Farkas vector must confirm.
 
-A certificate's text has one writer, certificate_to_text, and one
-reader, parse_certificate, which accepts only the exact bytes the writer
-gives back for what it read (plan files read their steps the same way).
+A certificate stores each fact once.  Its verdict, the reason once a
+swap has landed, k1-k4, the star flags a-d and (w, f) are derived from
+the regions, groups, diff, images and failure lists it records.  Its
+text has one writer, certificate_to_text, and one reader,
+parse_certificate, which skips the derived lines and accepts only the
+exact bytes the writer gives back for what it read (plan files read
+their steps the same way), so no derived line can disagree.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from .regions import star  # noqa: F401  unused; perfbench traces this name
 
 
 _HALF = Fraction(1, 2)
+_STAR_FAILS = "star condition fails for a two-sided swap"
 
 
 class NotSwappable(ValueError):
@@ -85,15 +90,28 @@ class SlabViolation(ValueError):
 
 @dataclass(frozen=True)
 class MutationData:
-    """The pair (w, f) plus the region groups behind f."""
+    """The region groups of an adjacent pair (i, j) on n columns, and the
+    pair (w, f) derived from them as 3 x n int rows."""
 
+    n: int
     i: int
     j: int
-    w: LatticePoint
-    f: LatticePoint
     group_red: frozenset
     group_two: frozenset
     group_three: frozenset
+
+    @property
+    def w(self) -> tuple:
+        row = tuple((c == self.i) - (c == self.j) for c in range(1, self.n + 1))
+        return row, tuple(-x for x in row), (0,) * self.n
+
+    @property
+    def f(self) -> tuple:
+        cols = range(1, self.n + 1)
+        return (tuple(int(c in self.group_two) for c in cols),
+                tuple(-(c in self.group_two or c in (self.i, self.j))
+                      for c in cols),
+                (0,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -107,12 +125,14 @@ class WitnessEntry:
 
 @dataclass
 class MutationCertificate:
+    """The facts certify found for one swap; k1-k4 (None where certify
+    stopped before the check), the verdict and the reason are derived."""
+
     digest: str
     n: int
     i: int
     j: int
-    verdict: str                      # VERIFIED / REFUTED / INAPPLICABLE
-    reason: str | None = None
+    stop: str | None = None           # why certify stopped before the swap landed
     case: str | None = None
     kind: str | None = None
     star: StarReport | None = None
@@ -123,33 +143,56 @@ class MutationCertificate:
     data: MutationData | None = None
     diff: list = field(default_factory=list)
     images: list = field(default_factory=list)
-    k1: bool | None = None
-    k2: bool | None = None
-    k3: bool | None = None
     k3_failures: list = field(default_factory=list)
-    k4: bool | None = None
     k4_failures: list = field(default_factory=list)
     witnesses: list | None = None
+
+    @property
+    def k1(self) -> bool | None:
+        """Every tableau pairs with a build_wf f to -1, 0 or 1."""
+        return None if self.data is None else True
+
+    @property
+    def k2(self) -> bool | None:
+        """The images are the vertex set with the diff applied: exact,
+        as a tableau is a permutation of its own triple."""
+        if self.matrix_after is None:
+            return None
+        swapped = ({t for t, _ in self.images}
+                   - {before for _, before, _ in self.diff}
+                   | {after for _, _, after in self.diff})
+        return {image for _, image in self.images} == swapped
+
+    @property
+    def k3(self) -> bool | None:
+        return None if self.matrix_after is None else not self.k3_failures
+
+    @property
+    def k4(self) -> bool | None:
+        return None if self.matrix_after is None else not self.k4_failures
+
+    @property
+    def verdict(self) -> str:
+        """INAPPLICABLE without a swapped matrix or for a MUTATION whose
+        star condition fails, else VERIFIED when k1-k4 pass, or REFUTED."""
+        if self.matrix_after is None or (
+                self.kind == "MUTATION" and not (self.star and self.star.overall)):
+            return "INAPPLICABLE"
+        return ("VERIFIED" if self.k1 and self.k2 and self.k3 and self.k4
+                else "REFUTED")
+
+    @property
+    def reason(self) -> str | None:
+        if self.matrix_after is None:
+            return self.stop
+        return _STAR_FAILS if self.verdict == "INAPPLICABLE" else None
 
 
 def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationData:
     """Mutation data from a finished region classification."""
-    n = A.n
-    group_red = R.group(Region.RED)
-    group_two = R.group(Region.GREEN, Region.YELLOW)
-    group_three = R.group(Region.PURPLE)
-    wrows = [[0] * n for _ in range(3)]
-    wrows[0][i - 1], wrows[1][i - 1] = 1, -1
-    wrows[0][j - 1], wrows[1][j - 1] = -1, 1
-    frows = [[0] * n for _ in range(3)]
-    for k in group_two:
-        frows[0][k - 1] = 1
-        frows[1][k - 1] = -1
-    frows[1][i - 1] = -1
-    frows[1][j - 1] = -1
-    return MutationData(i=i, j=j, w=lattice_point(wrows), f=lattice_point(frows),
-                        group_red=group_red, group_two=group_two,
-                        group_three=group_three)
+    return MutationData(n=A.n, i=i, j=j, group_red=R.group(Region.RED),
+                        group_two=R.group(Region.GREEN, Region.YELLOW),
+                        group_three=R.group(Region.PURPLE))
 
 
 def tropical_map(q: LatticePoint, D: MutationData) -> LatticePoint:
@@ -407,18 +450,17 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     are read.
     """
     _check_pair(M.n, i, j)
-    cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j,
-                               verdict="INAPPLICABLE")
+    cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j)
     try:
         L = induce(M)
     except TieError as e:
-        cert.reason = "not generic: %s" % e
+        cert.stop = "not generic: %s" % e
         return cert
     A = apexes(M)
     try:
         order = x_order(A)
     except TiedX as e:
-        cert.reason = str(e)
+        cert.stop = str(e)
         return cert
     if A.apex(i)[0] > A.apex(j)[0]:
         i, j = j, i
@@ -427,39 +469,28 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     try:
         R = _classify(A, order, i, j)
     except (NotAdjacent, Boundary) as e:
-        cert.reason = str(e)
+        cert.stop = str(e)
         return cert
-    cert.star = S = _star_report(R)
+    cert.star = _star_report(R)
     cert.case = R.case.value
     cert.data = D = build_wf(A, i, j, R)
     V = vertices(L)
     neg, zero, pos = _f_split(V, D.f)
     cert.kind = ("NOOP" if not D.group_red
                  else "MUTATION" if neg and pos else "SHEAR")
-    cert.k1 = True
     cert.witnesses = _witnesses(neg, zero, pos, D)
     try:
         cert.matrix_after, cert.epsilon, L2, cert.order_after = _swap_core(
             M, L, A, order, R, i, j)
     except (NotSwappable, PatternMismatch) as e:
-        cert.reason = str(e)
+        cert.stop = str(e)
         return cert
     cert.diff = mf_diff(L, L2)
     V2 = vertices(L2)
     cert.images = _images(V, neg, i, j)
-    cert.k2 = {image for _, image in cert.images} == V2.points
     cert.k3_failures = _midpoint_failures(neg, pos, V2)
-    cert.k3 = not cert.k3_failures
     neg2, _, pos2 = _f_split(V2, D.f)
     cert.k4_failures = _midpoint_failures(neg2, pos2, V)
-    cert.k4 = not cert.k4_failures
-    if cert.kind == "MUTATION" and not S.overall:
-        cert.verdict = "INAPPLICABLE"
-        cert.reason = "star condition fails for a two-sided swap"
-    elif cert.k1 and cert.k2 and cert.k3 and cert.k4:
-        cert.verdict = "VERIFIED"
-    else:
-        cert.verdict = "REFUTED"
     return cert
 
 
@@ -479,16 +510,10 @@ def _tab(t: Tableau | None) -> str:
     return "*" if t is None else "%d %d %d" % t
 
 
-_FLAGS = {"pass": True, "fail": False}
 _VERDICTS = ("VERIFIED", "REFUTED", "INAPPLICABLE")
 _KINDS = ("NOOP", "SHEAR", "MUTATION")
 _CASES = ("ONE", "TWO", "-")
-
-
-def _flag(value: bool | None) -> str:
-    if value is None:
-        return "-"
-    return "pass" if value else "fail"
+_FLAG_WORDS = {True: "pass", False: "fail", None: "-"}
 
 
 def _bool(value: bool) -> str:
@@ -500,13 +525,6 @@ def _matrix_lines(M: WeightMatrix | None, key: str) -> list:
         return ["%s: -" % key]
     lines = ["%s:" % key]
     lines.extend("  " + ln for ln in weight_matrix_to_text(M).splitlines())
-    return lines
-
-
-def _point_lines(p: LatticePoint, key: str) -> list:
-    lines = ["%s:" % key]
-    for row in p:
-        lines.append("  " + " ".join(str(x) for x in row))
     return lines
 
 
@@ -524,10 +542,9 @@ def certificate_to_text(c: MutationCertificate) -> str:
            "present: %s" % _bool(c.star is not None)]
     if c.star is not None:
         s = c.star
-        out += ["a: %s" % _bool(s.a), "b: %s" % _bool(s.b),
-                "c: %s" % _bool(s.c), "d: %s" % _bool(s.d),
-                "overall: %s" % _bool(s.overall),
-                "red: %s" % _ints(s.red),
+        out += ["%s: %s" % (k, _bool(getattr(s, k)))
+                for k in ("a", "b", "c", "d", "overall")]
+        out += ["red: %s" % _ints(s.red),
                 "blue-olive: %s" % _ints(s.blue_olive),
                 "yellow-green: %s" % _ints(s.yellow_green),
                 "red-purple: %s" % _ints(s.red_purple)]
@@ -542,27 +559,25 @@ def certificate_to_text(c: MutationCertificate) -> str:
         out.append("group-1: %s" % _ints(sorted(c.data.group_red)))
         out.append("group-2: %s" % _ints(sorted(c.data.group_two)))
         out.append("group-3: %s" % _ints(sorted(c.data.group_three)))
-        out.extend(_point_lines(c.data.w, "w"))
-        out.extend(_point_lines(c.data.f, "f"))
+        for key, rows in (("w", c.data.w), ("f", c.data.f)):
+            out.append("%s:" % key)
+            out.extend("  " + " ".join(str(x) for x in row) for row in rows)
     out.append("DIFF")
     out.append("count: %d" % len(c.diff))
     for T, before, after in c.diff:
-        out.append("%d %d %d : %s -> %s" % (T + (_tab(before), _tab(after))))
+        out.append("%d %d %d : %d %d %d -> %d %d %d" % (T + before + after))
     out.append("IMAGES")
     out.append("count: %d" % len(c.images))
     for src, dst in c.images:
         out.append("%s -> %s" % (_tab(src), _tab(dst)))
     out.append("CHECKS")
-    out.append("k1-slab: %s" % _flag(c.k1))
-    out.append("k2-vertex-image: %s" % _flag(c.k2))
-    out.append("k3-forward-midpoints: %s" % _flag(c.k3))
-    out.append("k3-fail-count: %d" % len(c.k3_failures))
-    for u, v in c.k3_failures:
-        out.append("k3-fail: %s | %s" % (_tab(u), _tab(v)))
-    out.append("k4-backward-midpoints: %s" % _flag(c.k4))
-    out.append("k4-fail-count: %d" % len(c.k4_failures))
-    for u, v in c.k4_failures:
-        out.append("k4-fail: %s | %s" % (_tab(u), _tab(v)))
+    out.append("k1-slab: %s" % _FLAG_WORDS[c.k1])
+    out.append("k2-vertex-image: %s" % _FLAG_WORDS[c.k2])
+    for k, way, flag, failures in (("k3", "forward", c.k3, c.k3_failures),
+                                   ("k4", "backward", c.k4, c.k4_failures)):
+        out.append("%s-%s-midpoints: %s" % (k, way, _FLAG_WORDS[flag]))
+        out.append("%s-fail-count: %d" % (k, len(failures)))
+        out.extend("%s-fail: %s | %s" % (k, _tab(u), _tab(v)) for u, v in failures)
     out.append("WITNESSES")
     out.append("present: %s" % _bool(c.witnesses is not None))
     if c.witnesses is not None:
@@ -614,11 +629,6 @@ class _Reader:
         """The indented "3 n" block that _matrix_lines writes under its key."""
         return weight_matrix_from_text("\n".join(self.take() for _ in range(4)))
 
-    def point(self, key) -> LatticePoint:
-        self.value(key)
-        return lattice_point([[_rational(t) for t in self.take().split()]
-                              for _ in range(3)])
-
 
 def _parse_triple(text: str) -> tuple:
     out = tuple(int(t) for t in text.split())
@@ -639,7 +649,8 @@ def _parse_ints(text: str) -> tuple:
 
 def _read_certificate(rd: _Reader) -> MutationCertificate:
     """One certificate block, CERTIFICATE through END, from rd's position.
-    Lines that the writer derives (version, overall) are skipped here and
+    Lines that the writer derives (version, verdict, the reason after a
+    landed swap, the star flags, w, f and k1-k4) are skipped here and
     checked by the caller's re-write."""
     rd.expect("CERTIFICATE")
     rd.value("version")
@@ -648,16 +659,14 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     i, j = (int(t) for t in rd.value("pair").split())
     cert = MutationCertificate(digest=digest, n=n, i=i, j=j,
                                case=rd.word("case", _CASES),
-                               kind=rd.word("kind", _KINDS + ("-",)),
-                               verdict=rd.word("verdict", _VERDICTS))
+                               kind=rd.word("kind", _KINDS + ("-",)))
+    rd.value("verdict")
     reason = rd.value("reason")
-    cert.reason = None if reason == "-" else reason
     rd.expect("STAR")
     if rd.value("present") == "true":
-        a, b, c, d = (rd.value(k) == "true" for k in "abcd")
-        rd.value("overall")
-        cert.star = StarReport(a=a, b=b, c=c, d=d,
-                               red=_parse_ints(rd.value("red")),
+        for _ in range(5):
+            rd.take()
+        cert.star = StarReport(red=_parse_ints(rd.value("red")),
                                blue_olive=_parse_ints(rd.value("blue-olive")),
                                yellow_green=_parse_ints(rd.value("yellow-green")),
                                red_purple=_parse_ints(rd.value("red-purple")))
@@ -668,34 +677,39 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     cert.order_after = _parse_ints(rd.value("order-after")) or None
     if rd.value("matrix-after") != "-":
         cert.matrix_after = rd.matrix()
+    elif reason != "-":
+        cert.stop = reason
+    else:
+        raise ValueError("certificate has neither a matrix-after nor a reason")
     rd.expect("WF")
     if rd.value("present") == "true":
         g1, g2, g3 = (frozenset(_parse_ints(rd.value("group-%d" % k)))
                       for k in (1, 2, 3))
-        cert.data = MutationData(i=i, j=j, w=rd.point("w"), f=rd.point("f"),
-                                 group_red=g1, group_two=g2, group_three=g3)
+        cert.data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
+                                 group_three=g3)
+        for _ in range(8):   # w and f: a key line, then three rows of n
+            if len(rd.take().split()) not in (1, n):
+                raise ValueError("w and f rows must have %d entries" % n)
     rd.expect("DIFF")
     for _ in range(int(rd.value("count"))):
         ln = rd.take()
         left, _, rest = ln.partition(" : ")
         before_t, _, after_t = rest.partition(" -> ")
         cert.diff.append((_parse_triple(left),
-                          _parse_tab(before_t), _parse_tab(after_t)))
+                          _parse_triple(before_t), _parse_triple(after_t)))
     rd.expect("IMAGES")
     for _ in range(int(rd.value("count"))):
         src, _, dst = rd.take().partition(" -> ")
-        cert.images.append((_parse_tab(src), _parse_tab(dst)))
+        cert.images.append((_parse_triple(src), _parse_tab(dst)))
     rd.expect("CHECKS")
-    cert.k1 = _FLAGS.get(rd.value("k1-slab"))
-    cert.k2 = _FLAGS.get(rd.value("k2-vertex-image"))
-    cert.k3 = _FLAGS.get(rd.value("k3-forward-midpoints"))
-    for _ in range(int(rd.value("k3-fail-count"))):
-        u, _, v = rd.value("k3-fail").partition(" | ")
-        cert.k3_failures.append((_parse_tab(u), _parse_tab(v)))
-    cert.k4 = _FLAGS.get(rd.value("k4-backward-midpoints"))
-    for _ in range(int(rd.value("k4-fail-count"))):
-        u, _, v = rd.value("k4-fail").partition(" | ")
-        cert.k4_failures.append((_parse_tab(u), _parse_tab(v)))
+    rd.value("k1-slab")
+    rd.value("k2-vertex-image")
+    for k, way, failures in (("k3", "forward", cert.k3_failures),
+                             ("k4", "backward", cert.k4_failures)):
+        rd.value("%s-%s-midpoints" % (k, way))
+        for _ in range(int(rd.value(k + "-fail-count"))):
+            u, _, v = rd.value(k + "-fail").partition(" | ")
+            failures.append((_parse_tab(u), _parse_tab(v)))
     rd.expect("WITNESSES")
     if rd.value("present") == "true":
         cert.witnesses = []

@@ -126,60 +126,59 @@ def midpoint(u: LatticePoint, v: LatticePoint) -> LatticePoint:
     return scale(Fraction(1, 2), add(u, v))
 
 
-def _flatten(p: LatticePoint):
-    return [x for row in p for x in row]
-
-
 def member(q: LatticePoint, S: VertexSet) -> bool:
     """Exact test for q in conv(S).
 
     Solves sum λ_t vertex_of(t) = q, sum λ_t = 1, λ >= 0 by phase-1
     simplex.  Vertices are 0/1, so only the tableaux t with q[r][t[r]]
     != 0 in every row r can carry weight; they are the LP's columns and
-    the nonzero coordinates of q its rows (at most 8 and 7 for a vertex
-    midpoint).  A feasible x, padded with zeros, solves the full system;
-    an infeasible answer's Farkas vector is lifted to the full system and
-    re-checked against every vertex of S, so both verdicts stay
-    certificate-checked and permuting S cannot change them.
+    the nonzero coordinates (r, c) of q its rows (at most 8 and 7 for a
+    vertex midpoint).  A feasible x, padded with zeros, solves the full
+    system; an infeasible answer's Farkas vector is lifted to the full
+    system and re-checked against every vertex of S, so both verdicts
+    stay certificate-checked and permuting S cannot change them.
     """
     if not S.points:
         return False
     if len(q) != 3 or any(len(row) != S.n for row in q):
         raise ShapeMismatch("point does not match the set's shape")
-    rhs = _flatten(q)
-    kept = [k for k, v in enumerate(rhs) if v != 0]
+    kept = [(r, c) for r in range(3) for c in range(S.n) if q[r][c]]
     live = sorted((t for t in S.points
                    if all(q[r][c - 1] for r, c in enumerate(t))), reverse=True)
-    columns = [[col[k] for k in kept] + [_ONE]
-               for col in (_flatten(vertex_of(t, S.n)) for t in live)]
-    ok, y = lp.feasible_combination(columns, [rhs[k] for k in kept] + [_ONE])
+    columns = [[_ONE if t[r] == c + 1 else _ZERO for r, c in kept] + [_ONE]
+               for t in live]
+    ok, y = lp.feasible_combination(columns,
+                                    [q[r][c] for r, c in kept] + [_ONE])
     if not ok:
-        dropped = [k for k, v in enumerate(rhs) if v == 0]
-        flat = [_flatten(vertex_of(t, S.n)) for t in S.points]
-        _lift_farkas(flat, rhs + [_ONE], kept, dropped, y)
+        _lift_farkas(q, S, kept, y)
     return ok
 
 
-def _lift_farkas(flat, rhs, kept, dropped, y):
-    """Extend a Farkas vector y of the reduced system to the full one.
+def _lift_farkas(q: LatticePoint, S: VertexSet, kept: list, y: list) -> list:
+    """Extend a Farkas vector y of the reduced system to the full one,
+    check it and return it: rows (r, c) row-major, then the sum row.
 
     Kept rows keep their entry; every dropped row gets -C, with C the
-    least nonnegative value that gives each left-out point y.(p, 1) <= 0.
-    This is sound because q is 0 and every vertex is >= 0 on dropped
-    rows.  The lifted vector is checked against all points of the set.
+    least nonnegative value that gives each vertex y.(p, 1) <= 0.  This
+    is sound because q is 0 and every vertex is >= 0 on dropped rows.  A
+    vertex's value is its three entries plus the last one.
     """
-    full = [_ZERO] * len(rhs)
-    for k, v in zip(kept, y):
-        full[k] = v
-    full[-1] = y[-1]
+    n = S.n
+    full = [None] * (3 * n) + [y[-1]]
+    for (r, c), v in zip(kept, y):
+        full[r * n + c] = v
+    spots = [[r * n + c - 1 for r, c in enumerate(t)] for t in S.points]
     C = _ZERO
-    for col in flat:
-        mass = sum(col[k] for k in dropped)
-        if mass > 0:
-            C = max(C, (sum(full[k] * col[k] for k in kept) + y[-1]) / mass)
-    for k in dropped:
-        full[k] = -C
-    lp.check_farkas([col + [_ONE] for col in flat], rhs, full)
+    for spot in spots:
+        known = [full[k] for k in spot if full[k] is not None]
+        if len(known) < 3:
+            C = max(C, (sum(known) + y[-1]) / (3 - len(known)))
+    full = [-C if v is None else v for v in full]
+    if any(sum(full[k] for k in spot) + y[-1] > 0 for spot in spots):
+        raise AssertionError("lifted Farkas vector fails on a vertex")
+    if sum(v * q[r][c] for (r, c), v in zip(kept, y)) + y[-1] <= 0:
+        raise AssertionError("lifted Farkas vector does not separate")
+    return full
 
 
 def is_hull_vertex(t: Tableau, S: VertexSet) -> bool:

@@ -63,18 +63,19 @@ class RegionAssignment:
 
 @dataclass(frozen=True)
 class StarReport:
-    a: bool
-    b: bool
-    c: bool
-    d: bool
+    """The four region lists behind the star condition; the flags a-d
+    and overall are derived from them."""
+
     red: tuple
     blue_olive: tuple
     yellow_green: tuple
     red_purple: tuple
 
-    @property
-    def overall(self) -> bool:
-        return self.a and self.b and self.c and self.d
+    a = property(lambda self: bool(self.red))
+    b = property(lambda self: not self.blue_olive)
+    c = property(lambda self: bool(self.yellow_green))
+    d = property(lambda self: len(self.red_purple) >= 2)
+    overall = property(lambda self: self.a and self.b and self.c and self.d)
 
 
 def _strict(lhs, rhs, k):
@@ -186,13 +187,9 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
 
 def _star_report(R: RegionAssignment) -> StarReport:
     """The four-part emptiness report of a finished classification."""
-    red = tuple(sorted(R.group(Region.RED)))
-    blue_olive = tuple(sorted(R.group(Region.BLUE, Region.OLIVE)))
-    yellow_green = tuple(sorted(R.group(Region.YELLOW, Region.GREEN)))
-    red_purple = tuple(sorted(R.group(Region.RED, Region.PURPLE)))
-    return StarReport(a=bool(red), b=not blue_olive, c=bool(yellow_green),
-                      d=len(red_purple) >= 2, red=red, blue_olive=blue_olive,
-                      yellow_green=yellow_green, red_purple=red_purple)
+    groups = ((Region.RED,), (Region.BLUE, Region.OLIVE),
+              (Region.YELLOW, Region.GREEN), (Region.RED, Region.PURPLE))
+    return StarReport(*(tuple(sorted(R.group(*g))) for g in groups))
 
 
 def star(A: Arrangement, i: int, j: int) -> StarReport:

@@ -44,7 +44,7 @@ def test_induce_nongeneric_exit_2(tmp_path, capsys):
     path = write_matrix(tmp_path, "zeros.wm", M)
     code, out, err = run_cli(capsys, "induce", "-m", path)
     assert code == 2
-    assert err.strip() == "TieError at triple 1 2 3"
+    assert err == "TieError: tie at triple 1 2 3\n"
     assert out == ""
 
 
@@ -127,6 +127,14 @@ def test_plan_has_no_target_option(capsys):
         cli_main(["plan", "--block", "5", "2", "--target", "diagonal"])
     assert err.value.code == 2
     assert "--target" in capsys.readouterr().err
+
+
+def test_render_has_no_dashed_target_option(tmp_path, capsys):
+    path = write_matrix(tmp_path, "five.wm", five_line_matrix())
+    with pytest.raises(SystemExit) as err:
+        cli_main(["render", "-m", path, "--pair", "3,4", "--no-dashed-target"])
+    assert err.value.code == 2
+    assert "--no-dashed-target" in capsys.readouterr().err
 
 
 def test_plan_non_generic_start_exit_2(tmp_path, capsys):

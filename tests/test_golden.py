@@ -58,6 +58,17 @@ def test_golden_output(name, tmp_path):
     assert data == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("names", [
+    ("mutate_five_3_4.txt", "render_five_3_4_regions.svg", "render_five_2_3.svg"),
+    ("render_five_2_3.svg", "render_five_3_4_regions.svg", "mutate_five_3_4.txt"),
+], ids=["mutate-first", "render-first"])
+def test_runs_in_one_process_keep_their_outputs(names, tmp_path):
+    # cli_main builds its parser once; no run may see another's options.
+    for name in names:
+        assert run_case(name, tmp_path) == (CASES[name][2],
+                                            (GOLDEN / name).read_bytes())
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import five_line_matrix
 from tropmf import (BadIndex, NotInSet, ShapeMismatch, VertexSet, apexes,
                     build_wf, classify, diagonal, hull_equal, induce,
-                    is_hull_vertex, lp, member, midpoint, pair, tableau_of,
-                    vertex_of, vertices)
+                    is_hull_vertex, lp, member, midpoint, pair, polytope,
+                    tableau_of, vertex_of, vertices)
 from tropmf.polytope import add, lattice_point, scale
 
 
@@ -247,25 +247,27 @@ def test_member_equals_dense_lp(case):
 
 
 def test_member_lifts_farkas_to_full_system(monkeypatch):
+    # The lifted vector must be a Farkas certificate of the dense system:
+    # lp.check_farkas over the vertex_of column of every point is the
+    # reference for the lift's own three-lookup check.
     S = swapped_five_vertices()
     m = midpoint(vertex_of((4, 3, 1), 5), vertex_of((5, 2, 4), 5))
-    seen = []
-    check = lp.check_farkas
+    lifted = []
+    lift = polytope._lift_farkas
 
-    def recording(columns, rhs, y):
-        seen.append((columns, rhs, y))
-        return check(columns, rhs, y)
+    def recording(*args):
+        lifted.append(lift(*args))
+        return lifted[-1]
 
-    monkeypatch.setattr(lp, "check_farkas", recording)
+    monkeypatch.setattr(polytope, "_lift_farkas", recording)
     assert not member(m, S)
-    # One check inside the reduced LP, one on the lifted vector.
-    columns, rhs, y = seen[-1]
-    assert len(seen) == 2 and len(seen[0][0]) < len(S)
-    assert len(columns) == len(S) and len(rhs) == 3 * 5 + 1
-    for t in S.points:
-        col = [x for row in vertex_of(t, 5) for x in row] + [1]
-        assert sum(a * b for a, b in zip(y, col)) <= 0
-    assert sum(a * b for a, b in zip(y, rhs)) > 0
+    (y,) = lifted
+    assert len(y) == 3 * 5 + 1
+
+    def column(p):
+        return [x for row in p for x in row] + [Fraction(1)]
+
+    lp.check_farkas([column(vertex_of(t, 5)) for t in S.points], column(m), y)
 
 
 def test_member_lift_catches_a_bad_reduced_certificate(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import five_line_matrix
+from conftest import blue_obstruction_matrix, five_line_matrix, golden_texts
 from tropmf import (MatchingField, WeightMatrix, certificate_to_text, certify,
                     matching_field_from_text, matching_field_to_text,
                     parse_certificate, parse_plan, plan_block_to_diagonal,
@@ -71,9 +71,13 @@ def test_edited_plan_parses_or_raises_value_error(text):
     ("epsilon: 1", "epsilon: 1/0"),
     ("  0 0 0 0 0", "  1/0 0 0 0 0"),
     ("5 2 1 -> 5 2 1", "5 2 1 -> 5 1 2 1"),
+    ("5 2 1 -> 5 2 1", "* -> *"),
     ("1 3 4 : 4 3 1 -> 3 4 1", "1 3 4 5 : 4 3 1 -> 3 4 1"),
     ("k3-fail: 4 3 1 | 5 2 4", "k3-fail: 4 3 | 5 2 4"),
     ("verdict: REFUTED", "verdict: FOO"),
+    ("verdict: REFUTED", "verdict: VERIFIED"),
+    ("pair: 3 4", "pair: 4 3"),
+    ("n: 5", "n: 9"),
     ("kind: MUTATION", "kind: mutation"),
     ("case: ONE", "case: THREE"),
     ("version: 1", "version: 2"),
@@ -88,11 +92,74 @@ def test_certificate_edit_raises_value_error(line, value):
         parse_certificate(CERTIFICATE.replace(line + "\n", value + "\n", 1))
 
 
+def test_certificate_n_must_fit_the_wf_rows():
+    # w and f are derived from n, so a large n is refused before the
+    # re-write would build rows of that length.
+    edited = CERTIFICATE.replace("n: 5\n", "n: 1000000\n", 1)
+    with pytest.raises(ValueError, match="1000000 entries"):
+        parse_certificate(edited)
+
+
+def test_stopped_certificate_needs_a_reason():
+    text = certificate_to_text(certify(blue_obstruction_matrix(), 1, 2))
+    reason = next(ln for ln in text.splitlines() if ln.startswith("reason: "))
+    assert "matrix-after: -\n" in text
+    with pytest.raises(ValueError, match="neither"):
+        parse_certificate(text.replace(reason, "reason: -"))
+
+
 def test_rewrite_mismatch_names_the_line():
     edited = CERTIFICATE.replace("a: true\n", "a: x\n", 1)
     at = edited.splitlines().index("a: x") + 1
     with pytest.raises(ValueError, match="line %d reads 'a: x" % at):
         parse_certificate(edited)
+
+
+# --- derived lines -----------------------------------------------------------
+
+DERIVED_WORDS = {
+    "verdict": ("VERIFIED", "REFUTED", "INAPPLICABLE"),
+    **dict.fromkeys(("k1-slab", "k2-vertex-image", "k3-forward-midpoints",
+                     "k4-backward-midpoints"), ("pass", "fail", "-")),
+    **dict.fromkeys(("a", "b", "c", "d", "overall"), ("true", "false")),
+}
+REASONS = ("-", "star condition fails for a two-sided swap", "x")
+
+
+def derived_line_edits(lines):
+    """(line index, new line) for every single-line edit of a line that
+    the writer derives: the verdict, k1-k4, the star flags a-d and
+    overall, each w and f entry, and the reason after a landed swap."""
+    for at, ln in enumerate(lines):
+        key, _, value = ln.partition(": ")
+        if key in DERIVED_WORDS:
+            words = DERIVED_WORDS[key]
+        elif key == "reason" and next(
+                other for other in lines[at:]
+                if other.startswith("matrix-after:")) != "matrix-after: -":
+            words = REASONS
+        else:
+            words = ()
+        yield from ((at, "%s: %s" % (key, w)) for w in words if w != value)
+        if ln in ("w:", "f:"):
+            for row in range(at + 1, at + 4):
+                entries = lines[row].split()
+                for c, x in enumerate(entries):
+                    for y in ("-1", "0", "1"):
+                        if y != x:
+                            yield row, "  " + " ".join(
+                                entries[:c] + [y] + entries[c + 1:])
+
+
+@pytest.mark.parametrize("text", golden_texts("*.txt"))
+def test_every_derived_line_edit_raises_value_error(text):
+    read = parse_plan if text.startswith("PLAN\n") else parse_certificate
+    lines = text.splitlines()
+    edits = list(derived_line_edits(lines))
+    assert edits
+    for at, value in edits:
+        with pytest.raises(ValueError):
+            read("\n".join(lines[:at] + [value] + lines[at + 1:]) + "\n")
 
 
 @pytest.mark.parametrize("line, value", [
