@@ -34,14 +34,15 @@ with f-value -1 is the only sheared one, and its image is (i, j, t3)
 when it places j over i, else no tableau.  The midpoint of tableaux u
 and v is the centre of the cube of tuples t with t[r] in {u[r], v[r]},
 and lies in a vertex hull iff the hull's cube vertices hold an antipodal
-pair or (three differing rows) a whole parity class; that explicit
-combination is substituted back and checked.  The LP oracle member
-stays the general test and decides only the rare "no", which its
-checked Farkas vector must confirm.
+pair or (three differing rows) a whole parity class.  A "yes" comes with
+that explicit combination, substituted back and checked; a "no" comes
+with an integer separating functional built from the present cube
+vertices, checked on the midpoint and on every vertex.  No LP is solved.
 
-A certificate stores each fact once.  Its verdict, the reason once a
-swap has landed, k1-k4, the star flags a-d and (w, f) are derived from
-the regions, groups, diff, images and failure lists it records.  Its
+A certificate stores each fact once.  Its kind, verdict, landing offset,
+x order after the swap, the reason once a swap has landed, k1-k4, the
+star flags a-d and (w, f) are derived from the regions, groups, swapped
+matrix, diff, images, failure lists and witnesses it records.  Its
 text has one writer, certificate_to_text, and one reader,
 parse_certificate, which skips the derived lines and accepts only the
 exact bytes the writer gives back for what it read (plan files read
@@ -57,11 +58,12 @@ from fractions import Fraction
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
-                     _rational, induce, mf_diff, placement_weight,
+                     induce, mf_diff, placement_weight,
                      weight_matrix_from_text, weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
-from .polytope import (LatticePoint, VertexSet, add, lattice_point, member,
-                       midpoint, pair, scale, vertex_of, vertices)
+from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
+                       scale, vertices)
+from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
                       StarReport, _classify, _star_report)
 from .regions import classify  # noqa: F401  unused; perfbench traces this name
@@ -125,8 +127,9 @@ class WitnessEntry:
 
 @dataclass
 class MutationCertificate:
-    """The facts certify found for one swap; k1-k4 (None where certify
-    stopped before the check), the verdict and the reason are derived."""
+    """The facts certify found for one swap; the kind, the landing offset,
+    the x order after the swap, k1-k4 (None where certify stopped before
+    the check), the verdict and the reason are derived."""
 
     digest: str
     n: int
@@ -134,12 +137,9 @@ class MutationCertificate:
     j: int
     stop: str | None = None           # why certify stopped before the swap landed
     case: str | None = None
-    kind: str | None = None
     star: StarReport | None = None
-    epsilon: Fraction | None = None
     matrix_after: WeightMatrix | None = None
     order_before: tuple | None = None
-    order_after: tuple | None = None
     data: MutationData | None = None
     diff: list = field(default_factory=list)
     images: list = field(default_factory=list)
@@ -148,20 +148,50 @@ class MutationCertificate:
     witnesses: list | None = None
 
     @property
+    def kind(self) -> str | None:
+        """NOOP without red lines, else MUTATION when some vertex pairs
+        with f to -1 and some to +1 (exactly when there are witness
+        entries), else SHEAR; None without swap data."""
+        if self.data is None:
+            return None
+        if not self.data.group_red:
+            return "NOOP"
+        return "MUTATION" if self.witnesses else "SHEAR"
+
+    @property
+    def epsilon(self) -> Fraction | None:
+        """The landing offset: swap raises entry (2, i) and keeps column
+        j, so it is line i's apex x minus line j's after the swap (the
+        apex x of column p is m2p - m1p)."""
+        if self.matrix_after is None:
+            return None
+        (r1, r2, _), i, j = self.matrix_after.rows, self.i - 1, self.j - 1
+        return r2[i] - r1[i] - r2[j] + r1[j]
+
+    @property
+    def order_after(self) -> tuple | None:
+        return None if self.matrix_after is None else x_order(
+            apexes(self.matrix_after))
+
+    @property
     def k1(self) -> bool | None:
         """Every tableau pairs with a build_wf f to -1, 0 or 1."""
         return None if self.data is None else True
 
     @property
     def k2(self) -> bool | None:
-        """The images are the vertex set with the diff applied: exact,
-        as a tableau is a permutation of its own triple."""
+        """The images are the vertex set with the diff applied, as
+        multisets: each source and each image once, each DIFF before a
+        source, and the images the sources with every before replaced by
+        its after.  Exact, as a tableau is a permutation of its triple."""
         if self.matrix_after is None:
             return None
-        swapped = ({t for t, _ in self.images}
-                   - {before for _, before, _ in self.diff}
-                   | {after for _, _, after in self.diff})
-        return {image for _, image in self.images} == swapped
+        sources = {t for t, _ in self.images}
+        images = {image for _, image in self.images}
+        kept = sources.difference(before for _, before, _ in self.diff)
+        return (len(self.images) == len(sources) == len(images)
+                == len(kept) + len(self.diff)
+                and images == kept.union(after for _, _, after in self.diff))
 
     @property
     def k3(self) -> bool | None:
@@ -281,18 +311,20 @@ def swap(M: WeightMatrix, i: int, j: int):
 def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
                order: tuple, R: RegionAssignment, i: int, j: int):
     """swap's search on the caller's state for the adjacent pair (i left
-    of j).  Returns (M2, eps, L2, order2); the field L2 (the red-flip
-    prediction) and the transposed order2 are both re-checked on M2."""
+    of j).  Returns (M2, eps, L2); the field L2 (the red-flip prediction)
+    and the transposed x order are both re-checked on M2.  The largest
+    gap/2^k below hi has k = bit length of gap // hi (k >= 1, as hi <=
+    gap), and it lands when it also lies above lo."""
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, order, j)
     pi = order.index(i)
     target = order[:pi] + (j, i) + order[pi + 2:]
     base = M.entry(1, i) + A.apex(j)[0]
     lo, hi = _offset_interval(M.with_entry(2, i, base), i, expected, gap)
-    eps = gap
-    for _ in range(64):
-        eps = eps / 2
-        if lo < eps < hi:
+    if lo < hi:
+        k = (gap // hi).bit_length()
+        eps = gap / 2 ** k
+        if k <= 64 and lo < eps:
             M2 = M.with_entry(2, i, base + eps)
             try:
                 ok = induce(M2) == expected and x_order(apexes(M2)) == target
@@ -301,7 +333,7 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
             if not ok:
                 raise AssertionError("offset %s for lines %d and %d fails "
                                      "the field re-check" % (eps, i, j))
-            return M2, eps, expected, target
+            return M2, eps, expected
     raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
                        "lines %d and %d" % (gap, i, j))
 
@@ -396,17 +428,38 @@ def _midpoint_combination(u: Tableau, v: Tableau, P: VertexSet) -> list | None:
     return None
 
 
+def _separator(u: Tableau, v: Tableau, P: VertexSet) -> tuple:
+    """For a cube-rule "no", int 3 x n rows y and a constant y0: y.p + y0
+    is y0 at the midpoint of u and v, and is meant to be <= 0 on conv(P).
+    Cube tableau t of P gives s_r = [t[r] == u[r]] - [t[r] == v[r]]; a is
+    the sum of these s and y0 the least a.s (1 without any).  y is -a_r
+    on (r, u[r]), a_r on (r, v[r]) and -(y0 + sum |a_r|) elsewhere, so a
+    cube tableau gets y0 - a.s <= 0 and any other tableau at most 0."""
+    signs = [[(t[r] == u[r]) - (t[r] == v[r]) for r in range(3)]
+             for t, _ in _cube(u, v) if t in P.points]
+    a = [sum(s[r] for s in signs) for r in range(3)]
+    y0 = min((sum(x * y for x, y in zip(a, s)) for s in signs), default=1)
+    y = [[-y0 - sum(map(abs, a))] * P.n for _ in range(3)]
+    for r in range(3):
+        y[r][u[r] - 1], y[r][v[r] - 1] = -a[r], a[r]
+    return y, y0
+
+
 def _midpoint_in_hull(u: Tableau, v: Tableau, P: VertexSet) -> bool:
     """Whether the midpoint of u and v lies in conv(P).  A "yes" of the
     cube rule is substituted back: positive weights summing to 1 on
     tableaux of P, and in every row r the midpoint's column masses, 1/2
-    on u[r] and 1/2 on v[r].  A "no" is decided again by member, whose
-    Farkas vector is checked, and must agree."""
+    on u[r] and 1/2 on v[r].  A "no" is proved by _separator: twice its
+    value at the midpoint is positive, at every tableau of P at most 0."""
     combo = _midpoint_combination(u, v, P)
     if combo is None:
-        if member(midpoint(vertex_of(u, P.n), vertex_of(v, P.n)), P):
-            raise AssertionError("midpoint of %r and %r: the cube rule "
-                                 "finds no combination, the LP does" % (u, v))
+        y, y0 = _separator(u, v, P)
+        if (sum(y[r][u[r] - 1] + y[r][v[r] - 1] for r in range(3)) + 2 * y0 <= 0
+                or any(sum(y[r][c - 1] for r, c in enumerate(t)) + y0 > 0
+                       for t in P.points)):
+            raise AssertionError("midpoint of %r and %r: the cube rule finds "
+                                 "no combination, and its separator fails"
+                                 % (u, v))
         return False
     ok = (sum(w for _, w in combo) == 1
           and all(w > 0 and t in P.points for t, w in combo))
@@ -476,12 +529,9 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     cert.data = D = build_wf(A, i, j, R)
     V = vertices(L)
     neg, zero, pos = _f_split(V, D.f)
-    cert.kind = ("NOOP" if not D.group_red
-                 else "MUTATION" if neg and pos else "SHEAR")
     cert.witnesses = _witnesses(neg, zero, pos, D)
     try:
-        cert.matrix_after, cert.epsilon, L2, cert.order_after = _swap_core(
-            M, L, A, order, R, i, j)
+        cert.matrix_after, _, L2 = _swap_core(M, L, A, order, R, i, j)
     except (NotSwappable, PatternMismatch) as e:
         cert.stop = str(e)
         return cert
@@ -550,8 +600,8 @@ def certificate_to_text(c: MutationCertificate) -> str:
                 "red-purple: %s" % _ints(s.red_purple)]
     out.append("SWAP")
     out.append("epsilon: %s" % _opt(c.epsilon))
-    out.append("order-before: %s" % (_ints(c.order_before) if c.order_before else "-"))
-    out.append("order-after: %s" % (_ints(c.order_after) if c.order_after else "-"))
+    out.append("order-before: %s" % _ints(c.order_before or ()))
+    out.append("order-after: %s" % _ints(c.order_after or ()))
     out.extend(_matrix_lines(c.matrix_after, "matrix-after"))
     out.append("WF")
     out.append("present: %s" % _bool(c.data is not None))
@@ -649,17 +699,17 @@ def _parse_ints(text: str) -> tuple:
 
 def _read_certificate(rd: _Reader) -> MutationCertificate:
     """One certificate block, CERTIFICATE through END, from rd's position.
-    Lines that the writer derives (version, verdict, the reason after a
-    landed swap, the star flags, w, f and k1-k4) are skipped here and
-    checked by the caller's re-write."""
+    Lines that the writer derives (version, kind, verdict, the reason
+    after a landed swap, the star flags, epsilon, order-after, w, f and
+    k1-k4) are skipped here and checked by the caller's re-write."""
     rd.expect("CERTIFICATE")
     rd.value("version")
     digest = rd.value("digest")
     n = int(rd.value("n"))
     i, j = (int(t) for t in rd.value("pair").split())
     cert = MutationCertificate(digest=digest, n=n, i=i, j=j,
-                               case=rd.word("case", _CASES),
-                               kind=rd.word("kind", _KINDS + ("-",)))
+                               case=rd.word("case", _CASES))
+    rd.value("kind")
     rd.value("verdict")
     reason = rd.value("reason")
     rd.expect("STAR")
@@ -671,10 +721,9 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
                                yellow_green=_parse_ints(rd.value("yellow-green")),
                                red_purple=_parse_ints(rd.value("red-purple")))
     rd.expect("SWAP")
-    eps = rd.value("epsilon")
-    cert.epsilon = None if eps == "-" else _rational(eps)
+    rd.value("epsilon")
     cert.order_before = _parse_ints(rd.value("order-before")) or None
-    cert.order_after = _parse_ints(rd.value("order-after")) or None
+    rd.value("order-after")
     if rd.value("matrix-after") != "-":
         cert.matrix_after = rd.matrix()
     elif reason != "-":

@@ -2,21 +2,12 @@
 
 A tableau (c1, c2, c3) on n columns stands for the 3 x n 0/1 matrix with
 a 1 in row t, column c_t.  The polytope of a matching field is the hull
-of one such point per triple, and a VertexSet holds the tableaux; 3 x n
-rational points are built only at the LP boundary and for the tropical
-map.  Membership, extremality and hull equality are decided by exact
-rational linear programming, never by vertex enumeration in dimension 3n.
-member is the general oracle; certify's midpoint batteries call it only
-for a midpoint that mutate's cube rule finds outside the hull, to
-confirm that "no" with a checked Farkas vector.
-
-The LP of a membership test sees only the part of the system that can
-carry weight: a vertex with its 1 where the query point is 0 must get
-weight 0, so the live columns are the tableaux t with q[r][t[r]] != 0 in
-every row r, and the rows are the nonzero coordinates of q.  An
-infeasible answer's Farkas vector is lifted back to the full system
-(each left-out row gets one common negative entry) and re-checked
-against every vertex of the set.
+of one such point per triple, and a VertexSet holds the tableaux.
+Membership, extremality and hull equality are decided by exact rational
+linear programming (member: phase-1 simplex over every vertex and
+coordinate, both answers certificate-checked), never by vertex
+enumeration in dimension 3n.  certify does not call it; the tests check
+mutate's cube rule against it.
 """
 
 from __future__ import annotations
@@ -29,7 +20,6 @@ from .mfcore import MatchingField, Tableau
 
 LatticePoint = tuple  # 3 rows, each a tuple of n Fractions
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -127,58 +117,17 @@ def midpoint(u: LatticePoint, v: LatticePoint) -> LatticePoint:
 
 
 def member(q: LatticePoint, S: VertexSet) -> bool:
-    """Exact test for q in conv(S).
-
-    Solves sum λ_t vertex_of(t) = q, sum λ_t = 1, λ >= 0 by phase-1
-    simplex.  Vertices are 0/1, so only the tableaux t with q[r][t[r]]
-    != 0 in every row r can carry weight; they are the LP's columns and
-    the nonzero coordinates (r, c) of q its rows (at most 8 and 7 for a
-    vertex midpoint).  A feasible x, padded with zeros, solves the full
-    system; an infeasible answer's Farkas vector is lifted to the full
-    system and re-checked against every vertex of S, so both verdicts
-    stay certificate-checked and permuting S cannot change them.
-    """
-    if not S.points:
-        return False
+    """Exact test for q in conv(S): λ >= 0 with sum λ_t vertex_of(t) = q
+    and sum λ_t = 1, one column per tableau in sorted order, so permuting
+    S cannot change the answer."""
     if len(q) != 3 or any(len(row) != S.n for row in q):
         raise ShapeMismatch("point does not match the set's shape")
-    kept = [(r, c) for r in range(3) for c in range(S.n) if q[r][c]]
-    live = sorted((t for t in S.points
-                   if all(q[r][c - 1] for r, c in enumerate(t))), reverse=True)
-    columns = [[_ONE if t[r] == c + 1 else _ZERO for r, c in kept] + [_ONE]
-               for t in live]
-    ok, y = lp.feasible_combination(columns,
-                                    [q[r][c] for r, c in kept] + [_ONE])
-    if not ok:
-        _lift_farkas(q, S, kept, y)
-    return ok
 
+    def column(p):
+        return [x for row in p for x in row] + [_ONE]
 
-def _lift_farkas(q: LatticePoint, S: VertexSet, kept: list, y: list) -> list:
-    """Extend a Farkas vector y of the reduced system to the full one,
-    check it and return it: rows (r, c) row-major, then the sum row.
-
-    Kept rows keep their entry; every dropped row gets -C, with C the
-    least nonnegative value that gives each vertex y.(p, 1) <= 0.  This
-    is sound because q is 0 and every vertex is >= 0 on dropped rows.  A
-    vertex's value is its three entries plus the last one.
-    """
-    n = S.n
-    full = [None] * (3 * n) + [y[-1]]
-    for (r, c), v in zip(kept, y):
-        full[r * n + c] = v
-    spots = [[r * n + c - 1 for r, c in enumerate(t)] for t in S.points]
-    C = _ZERO
-    for spot in spots:
-        known = [full[k] for k in spot if full[k] is not None]
-        if len(known) < 3:
-            C = max(C, (sum(known) + y[-1]) / (3 - len(known)))
-    full = [-C if v is None else v for v in full]
-    if any(sum(full[k] for k in spot) + y[-1] > 0 for spot in spots):
-        raise AssertionError("lifted Farkas vector fails on a vertex")
-    if sum(v * q[r][c] for (r, c), v in zip(kept, y)) + y[-1] <= 0:
-        raise AssertionError("lifted Farkas vector does not separate")
-    return full
+    return lp.feasible_combination([column(vertex_of(t, S.n)) for t in S],
+                                   column(q))[0]
 
 
 def is_hull_vertex(t: Tableau, S: VertexSet) -> bool:

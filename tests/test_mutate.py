@@ -16,7 +16,7 @@ from tropmf import (Boundary, Case, NotAdjacent, NotSwappable,
                     expected_flip, genericity, induce, member, mf_diff,
                     midpoint, parse_certificate, star, swap, tableau_of,
                     tropical_map, vertex_of, vertices, witness_table, x_order)
-from tropmf import arrange, mutate, regions
+from tropmf import arrange, lp, mutate, regions
 from tropmf.mutate import _landing_gap
 from tropmf.polytope import lattice_point, pair as inner
 
@@ -566,8 +566,9 @@ def test_certificate_rejects_exponent_tokens(five, key, offset):
         lines[at + offset] = "  2E-1 " + lines[at + offset].split(None, 1)[1]
     else:
         lines[at] = "%s: 1e3" % key
-    # w and f are derived, not parsed: the re-write refuses their edit.
-    message = "written back" if key in ("w", "f") else "exponent"
+    # epsilon, w and f are derived, not parsed: the re-write refuses
+    # their edit.
+    message = "written back" if key in ("epsilon", "w", "f") else "exponent"
     with pytest.raises(ValueError, match=message):
         parse_certificate("\n".join(lines) + "\n")
 
@@ -612,8 +613,62 @@ def test_midpoint_rule_checks_its_answers(monkeypatch):
     with pytest.raises(AssertionError, match="substitute back"):
         mutate._midpoint_in_hull(u, v, P)
     monkeypatch.setattr(mutate, "_midpoint_combination", lambda u, v, P: None)
-    with pytest.raises(AssertionError, match="the LP does"):
+    with pytest.raises(AssertionError, match="separator fails"):
         mutate._midpoint_in_hull(u, v, P)
+
+
+def check_separator(u, v, P):
+    """lp.check_farkas on _separator's (y, y0) over member's dense system:
+    one column per tableau of P, each 3 x n coordinate plus the sum row.
+    Returns y."""
+    y, y0 = mutate._separator(u, v, P)
+
+    def column(p):
+        return [x for row in p for x in row] + [1]
+
+    lp.check_farkas([column(vertex_of(t, P.n)) for t in P],
+                    column(midpoint(vertex_of(u, P.n), vertex_of(v, P.n))),
+                    [x for row in y for x in row] + [y0])
+    return y
+
+
+@pytest.mark.parametrize("u, v", CUBES, ids=["d1", "d2", "d3"])
+def test_separator_is_a_farkas_vector_of_every_cube_no(u, v):
+    # A "no" holds at most one tableau of each antipodal pair, so the
+    # separator's entries stay in -4..4 besides the -C fill.
+    cube = [t for t, _ in mutate._cube(u, v)]
+    for size in range(len(cube) + 1):
+        for subset in itertools.combinations(cube, size):
+            for extra in ((), ((2, 1, 3),)):
+                P = VertexSet(6, frozenset(subset + extra))
+                if mutate._midpoint_combination(u, v, P) is None:
+                    y = check_separator(u, v, P)
+                    assert all(abs(y[r][c - 1]) <= 4
+                               for r in range(3) for c in (u[r], v[r]))
+
+
+@st.composite
+def drawn_midpoints(draw):
+    """(u, v, P): P part of a drawn (not necessarily coherent) field on n
+    columns, u and v tableaux of that field or any tableaux."""
+    n = draw(st.integers(3, 6))
+    tabs = [tuple(draw(st.permutations(T)))
+            for T in itertools.combinations(range(1, n + 1), 3)]
+    P = VertexSet(n, frozenset(draw(st.lists(st.sampled_from(tabs),
+                                             unique=True))))
+    tableau = st.one_of(st.sampled_from(tabs), st.permutations(
+        range(1, n + 1)).map(lambda p: tuple(p[:3])))
+    return draw(tableau), draw(tableau), P
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_midpoints())
+def test_midpoint_rule_equals_member_on_drawn_sets(case):
+    u, v, P = case
+    inside = member(midpoint(vertex_of(u, P.n), vertex_of(v, P.n)), P)
+    assert mutate._midpoint_in_hull(u, v, P) == inside
+    if not inside:
+        check_separator(u, v, P)
 
 
 def generic_certificates(M, flip):

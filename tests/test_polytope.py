@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import five_line_matrix
 from tropmf import (BadIndex, NotInSet, ShapeMismatch, VertexSet, apexes,
                     build_wf, classify, diagonal, hull_equal, induce,
-                    is_hull_vertex, lp, member, midpoint, pair, polytope,
-                    tableau_of, vertex_of, vertices)
-from tropmf.polytope import add, lattice_point, scale
+                    is_hull_vertex, member, midpoint, pair, tableau_of,
+                    vertex_of, vertices)
+from tropmf.polytope import lattice_point, scale
 
 
 def swapped_five_vertices():
@@ -183,113 +183,9 @@ def test_member_rejects_far_point(five):
     assert not member(far, V)
 
 
-# --- support-restricted membership against the dense LP ----------------------
-
-def dense_member(q, S):
-    """Reference oracle: the phase-1 LP on every point and every row."""
-    def column(p):
-        return [x for row in p for x in row] + [Fraction(1)]
-
-    ok, _ = lp.feasible_combination(
-        [column(vertex_of(t, S.n)) for t in sorted(S.points, reverse=True)],
-        column(q))
-    return ok
-
-
-_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
-@st.composite
-def vertex_sets(draw, n):
-    """The vertex set of a hypothesis-drawn (not necessarily coherent)
-    matching field on n columns: one row order per triple."""
-    tabs = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                perm = _PERMS[draw(st.integers(0, 5))]
-                tabs.append(tuple((a, b, c)[t] for t in perm))
-    return VertexSet(n, frozenset(tabs))
-
-
-@st.composite
-def membership_cases(draw):
-    n = draw(st.integers(4, 7))
-    S, T = draw(vertex_sets(n)), draw(vertex_sets(n))
-    pts = [vertex_of(t, n) for t in sorted(T.points, reverse=True)]
-    pick = st.sampled_from(pts)
-    kind = draw(st.sampled_from(["midpoint", "combination", "negative",
-                                 "far"]))
-    if kind == "midpoint":
-        q = midpoint(draw(pick), draw(pick))
-    elif kind == "combination":
-        chosen = draw(st.lists(pick, min_size=1, max_size=5))
-        weights = [Fraction(draw(st.integers(1, 4))) for _ in chosen]
-        q = lattice_point([[0] * n] * 3)
-        for w, p in zip(weights, chosen):
-            q = add(q, scale(w / sum(weights), p))
-    else:
-        q = [list(row) for row in midpoint(draw(pick), draw(pick))]
-        r, c = draw(st.integers(0, 2)), draw(st.integers(0, n - 1))
-        if kind == "far":
-            q[r][c] += 2
-        else:
-            q[r][c] = Fraction(-1, 2)
-        q = lattice_point(q)
-    return q, S
-
-
-@settings(max_examples=60, deadline=None)
-@given(membership_cases())
-def test_member_equals_dense_lp(case):
-    q, S = case
-    assert member(q, S) == dense_member(q, S)
-
-
-def test_member_lifts_farkas_to_full_system(monkeypatch):
-    # The lifted vector must be a Farkas certificate of the dense system:
-    # lp.check_farkas over the vertex_of column of every point is the
-    # reference for the lift's own three-lookup check.
-    S = swapped_five_vertices()
-    m = midpoint(vertex_of((4, 3, 1), 5), vertex_of((5, 2, 4), 5))
-    lifted = []
-    lift = polytope._lift_farkas
-
-    def recording(*args):
-        lifted.append(lift(*args))
-        return lifted[-1]
-
-    monkeypatch.setattr(polytope, "_lift_farkas", recording)
-    assert not member(m, S)
-    (y,) = lifted
-    assert len(y) == 3 * 5 + 1
-
-    def column(p):
-        return [x for row in p for x in row] + [Fraction(1)]
-
-    lp.check_farkas([column(vertex_of(t, 5)) for t in S.points], column(m), y)
-
-
-def test_member_lift_catches_a_bad_reduced_certificate(monkeypatch):
-    # A reduced LP that wrongly answers "infeasible" is caught by the
-    # check of the lifted vector against every point of the set.
-    V = vertices(diagonal(4))
-    u, v = sorted(V.points, reverse=True)[:2]
-    q = midpoint(vertex_of(u, 4), vertex_of(v, 4))
-
-    def wrong(columns, rhs):
-        return False, [Fraction(0)] * (len(rhs) - 1) + [Fraction(1)]
-
-    monkeypatch.setattr(lp, "feasible_combination", wrong)
-    with pytest.raises(AssertionError):
-        member(q, V)
-
-
 def test_member_with_no_live_points():
-    # Every vertex of the diagonal field is positive somewhere the point
-    # is zero, so the reduced LP has no columns; its Farkas vector still
-    # lifts to a certificate for the whole set.
+    # Every vertex of the diagonal field is 1 somewhere the point is 0,
+    # so no combination of them reaches it.
     V = vertices(diagonal(4))
     q = lattice_point([[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
     assert not member(q, V)
-    assert not dense_member(q, V)

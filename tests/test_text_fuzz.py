@@ -122,18 +122,24 @@ DERIVED_WORDS = {
     **dict.fromkeys(("k1-slab", "k2-vertex-image", "k3-forward-midpoints",
                      "k4-backward-midpoints"), ("pass", "fail", "-")),
     **dict.fromkeys(("a", "b", "c", "d", "overall"), ("true", "false")),
+    "kind": ("NOOP", "SHEAR", "MUTATION", "-"),
+    "epsilon": ("-", "1", "1/2", "1/1024"),
 }
 REASONS = ("-", "star condition fails for a two-sided swap", "x")
 
 
 def derived_line_edits(lines):
     """(line index, new line) for every single-line edit of a line that
-    the writer derives: the verdict, k1-k4, the star flags a-d and
-    overall, each w and f entry, and the reason after a landed swap."""
+    the writer derives: the kind, the verdict, k1-k4, the star flags a-d
+    and overall, epsilon, order-after, each w and f entry, and the reason
+    after a landed swap.  One more edit repeats the first image line and
+    raises the image count to match."""
     for at, ln in enumerate(lines):
         key, _, value = ln.partition(": ")
         if key in DERIVED_WORDS:
             words = DERIVED_WORDS[key]
+        elif key == "order-after":
+            words = ("-", "1 2", " ".join(reversed(value.split())))
         elif key == "reason" and next(
                 other for other in lines[at:]
                 if other.startswith("matrix-after:")) != "matrix-after: -":
@@ -141,6 +147,9 @@ def derived_line_edits(lines):
         else:
             words = ()
         yield from ((at, "%s: %s" % (key, w)) for w in words if w != value)
+        if ln == "IMAGES" and lines[at + 1] != "count: 0":
+            count = int(lines[at + 1].split()[1])
+            yield at + 1, "count: %d\n%s" % (count + 1, lines[at + 2])
         if ln in ("w:", "f:"):
             for row in range(at + 1, at + 4):
                 entries = lines[row].split()

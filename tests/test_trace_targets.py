@@ -68,9 +68,10 @@ def test_traced_plan_sees_every_step(tmp_path):
     assert names.count("planner.plan_to_text") == 1
 
 
-def test_traced_mutate_runs_one_infeasible_lp_per_failure(tmp_path):
-    """Only a "no" of the cube rule reaches the LP, which must confirm it:
-    the five-line (3, 4) certificate lists one k3 and one k4 failure."""
+def test_traced_mutate_proves_each_failure_without_lp(tmp_path):
+    """A "no" of the cube rule is proved by its checked separator, so
+    certify never reaches the LP: the five-line (3, 4) certificate lists
+    one k3 and one k4 failure and makes no LP or member call."""
     path = tmp_path / "five.txt"
     path.write_text(weight_matrix_to_text(five_line_matrix()))
     out = tmp_path / "cert.txt"
@@ -80,4 +81,5 @@ def test_traced_mutate_runs_one_infeasible_lp_per_failure(tmp_path):
     text = out.read_text()
     assert code == 1
     assert "k3-fail-count: 1\n" in text and "k4-fail-count: 1\n" in text
-    assert metrics["lp.calls"] == metrics["lp.infeasible"] == (2, "count")
+    assert metrics["lp.calls"] == (0, "count")
+    assert metrics["polytope.member.calls"] == (0, "count")
