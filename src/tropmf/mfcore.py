@@ -8,8 +8,10 @@ column c3.  When the minimum weight placement is unique it is the
 induced tableau of the subset, and the map from all subsets to their
 tableaux is the induced matching field.
 
-All values are `fractions.Fraction` and every comparison is a rational
-comparison; nothing in this module (or anywhere else in the package)
+Entries are `fractions.Fraction`.  Every decision is an exact int
+comparison on the common-denominator scale: the rows are multiplied by
+the lcm D of their denominators, and a positive scale keeps every
+argmin.  Nothing in this module (or anywhere else in the package)
 decides anything in floating point.  Column indices are 1-based
 throughout the public API.
 """
@@ -17,6 +19,7 @@ throughout the public API.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -111,22 +114,34 @@ def check_triple(triple: Triple, n: int) -> Triple:
     return (i1, i2, i3)
 
 
-def placement_weight(M: WeightMatrix, tab: Tableau) -> Fraction:
-    """Weight of placing column tab[t] into row t+1, for t = 0, 1, 2."""
-    r = M.rows
-    return r[0][tab[0] - 1] + r[1][tab[1] - 1] + r[2][tab[2] - 1]
+# The six placements of a sorted triple, as positions into it, in
+# itertools.permutations order.
+_PLACEMENTS = tuple(itertools.permutations(range(3)))
 
 
-def _minimum_placements(M: WeightMatrix, triple: Triple):
-    best = None
-    winners = []
-    for tab in itertools.permutations(triple):
-        w = placement_weight(M, tab)
-        if best is None or w < best:
-            best, winners = w, [tab]
-        elif w == best:
-            winners.append(tab)
-    return best, winners
+def _int_rows(M: WeightMatrix) -> tuple:
+    """(rows, D): the lcm D of the entries' denominators and M's rows
+    times D, as lists of ints."""
+    D = math.lcm(*[x.denominator for row in M.rows for x in row])
+    return tuple([x.numerator * (D // x.denominator) for x in row]
+                 for row in M.rows), D
+
+
+def _minima(rows, Ts) -> Iterator:
+    """(T, least weight, its placement) for each triple T of Ts on the
+    int rows; the placement is None when the least weight is tied."""
+    r1, r2, r3 = rows
+    for T in Ts:
+        a, b, c = T[0] - 1, T[1] - 1, T[2] - 1
+        ws = (r1[a] + r2[b] + r3[c], r1[a] + r2[c] + r3[b],
+              r1[b] + r2[a] + r3[c], r1[b] + r2[c] + r3[a],
+              r1[c] + r2[a] + r3[b], r1[c] + r2[b] + r3[a])
+        low = min(ws)
+        if ws.count(low) > 1:
+            yield T, low, None
+        else:
+            p, q, r = _PLACEMENTS[ws.index(low)]
+            yield T, low, (T[p], T[q], T[r])
 
 
 def normalize(M: WeightMatrix) -> WeightMatrix:
@@ -144,28 +159,28 @@ def normalize(M: WeightMatrix) -> WeightMatrix:
 
 def genericity(M: WeightMatrix) -> GenericityReport:
     """Report whether every triple has a unique minimum-weight placement."""
-    offending = []
-    for T in triples(M.n):
-        _, winners = _minimum_placements(M, T)
-        if len(winners) != 1:
-            offending.append(T)
-    return GenericityReport(ok=not offending, offending=tuple(offending))
+    rows, _ = _int_rows(M)
+    offending = tuple(T for T, _, tab in _minima(rows, triples(M.n))
+                      if tab is None)
+    return GenericityReport(ok=not offending, offending=offending)
 
 
 def induce(M: WeightMatrix) -> MatchingField:
-    """The matching field induced by M (raises TieError on any tie)."""
+    """The matching field induced by M (TieError on the first tied
+    triple in lex order)."""
+    rows, _ = _int_rows(M)
     assignment = {}
-    for T in triples(M.n):
-        _, winners = _minimum_placements(M, T)
-        if len(winners) != 1:
+    for T, _, tab in _minima(rows, triples(M.n)):
+        if tab is None:
             raise TieError(T)
-        assignment[T] = winners[0]
+        assignment[T] = tab
     return MatchingField(M.n, assignment)
 
 
 def plucker_weights(M: WeightMatrix) -> dict:
     """Minimum placement weight of every triple (ties allowed)."""
-    return {T: _minimum_placements(M, T)[0] for T in triples(M.n)}
+    rows, D = _int_rows(M)
+    return {T: Fraction(w, D) for T, w, _ in _minima(rows, triples(M.n))}
 
 
 def diagonal(n: int) -> MatchingField:

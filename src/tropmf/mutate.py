@@ -23,11 +23,15 @@ two-sided swap whose star condition fails).  The swap moves line i a
 landing offset eps past line j, accepted only when the induced field
 changes by exactly the red-region flips.  That holds on an open interval
 of eps, read off in one pass over the triples through i; the offset is
-the largest gap/2^k inside it, and the accepted matrix is re-checked
-with induce and x_order.  certify works in one pass: one induce per
-matrix, one classification (regions and star report) on certify's x
-order, the swap search on that state, and one f-value split per vertex
-set.
+the largest gap/2^k inside it.  The accepted matrix differs from M only
+in column i, so every triple without i keeps its tableau, and the
+re-check recomputes the triples through i from scratch, plus x_order;
+that equals a full induce of the accepted matrix.  Placement weights are
+ints on the matrix's common-denominator scale (mfcore._int_rows).
+certify works in one pass: one induce per matrix (none when the caller
+hands it the field), one classification (regions and star report) on
+certify's x order, the swap search on that state, and one f-value split
+per vertex set.
 
 The k2 images and k3/k4 batteries are decided on tableaux.  A vertex
 with f-value -1 is the only sheared one, and its image is (i, j, t3)
@@ -35,7 +39,8 @@ when it places j over i, else no tableau.  The midpoint of tableaux u
 and v is the centre of the cube of tuples t with t[r] in {u[r], v[r]},
 and lies in a vertex hull iff the hull's cube vertices hold an antipodal
 pair or (three differing rows) a whole parity class.  A "yes" comes with
-that explicit combination, substituted back and checked; a "no" comes
+that explicit combination, int weights out of 4, substituted back and
+checked in ints; a "no" comes
 with an integer separating functional built from the present cube
 vertices, checked on the midpoint and on every vertex.  No LP is solved.
 
@@ -58,7 +63,7 @@ from fractions import Fraction
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
-                     induce, mf_diff, placement_weight,
+                     _int_rows, _minima, induce, mf_diff,
                      weight_matrix_from_text, weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
@@ -70,7 +75,6 @@ from .regions import classify  # noqa: F401  unused; perfbench traces this name
 from .regions import star  # noqa: F401  unused; perfbench traces this name
 
 
-_HALF = Fraction(1, 2)
 _STAR_FAILS = "star condition fails for a two-sided swap"
 
 
@@ -146,6 +150,8 @@ class MutationCertificate:
     k3_failures: list = field(default_factory=list)
     k4_failures: list = field(default_factory=list)
     witnesses: list | None = None
+    _order_after: tuple = field(default=(None, None), init=False,
+                                repr=False, compare=False)
 
     @property
     def kind(self) -> str | None:
@@ -170,8 +176,15 @@ class MutationCertificate:
 
     @property
     def order_after(self) -> tuple | None:
-        return None if self.matrix_after is None else x_order(
-            apexes(self.matrix_after))
+        """x_order(apexes(matrix_after)), sorted once per matrix: the
+        reader's transposition check, a plan's chain check and the
+        writer all read it."""
+        M = self.matrix_after
+        if M is None:
+            return None
+        if self._order_after[0] is not M:
+            self._order_after = (M, x_order(apexes(M)))
+        return self._order_after[1]
 
     @property
     def k1(self) -> bool | None:
@@ -256,30 +269,46 @@ def _landing_gap(A: Arrangement, order: tuple, j: int) -> Fraction:
     return Fraction(1)
 
 
+def _triples_through(i: int, n: int):
+    """The C(n-1, 2) triples of columns 1..n that contain i."""
+    others = [c for c in range(1, n + 1) if c != i]
+    return (tuple(sorted((i, a, b))) for a, b in itertools.combinations(others, 2))
+
+
 def _offset_interval(M0: WeightMatrix, i: int, expected: MatchingField,
                      gap: Fraction):
     """Open interval (lo, hi) within (0, gap) of the offsets eps for
     which raising entry (2, i) of M0 by eps gives every triple through i
     its expected tableau as the unique minimum; empty (lo == hi) when a
-    triple rules out every eps."""
-    lo, hi = Fraction(0), gap
-    others = [c for c in range(1, M0.n + 1) if c != i]
-    for a, b in itertools.combinations(others, 2):
-        T = tuple(sorted((i, a, b)))
+    triple rules out every eps.  The weight differences d are ints on
+    M0's common-denominator scale D, so the bounds are d / D."""
+    (r1, r2, r3), D = _int_rows(M0)
+    lo, hi = 0, None
+    for T in _triples_through(i, M0.n):
         e = expected[T]
-        we = placement_weight(M0, e)
+        we = r1[e[0] - 1] + r2[e[1] - 1] + r3[e[2] - 1]
         for t in itertools.permutations(T):
             if t == e:
                 continue
-            d = placement_weight(M0, t) - we
+            d = r1[t[0] - 1] + r2[t[1] - 1] + r3[t[2] - 1] - we
             if (t[1] == i) == (e[1] == i):
                 if d <= 0:
-                    return lo, lo
+                    return Fraction(lo, D), Fraction(lo, D)
             elif e[1] == i:
-                hi = min(hi, d)
+                hi = d if hi is None else min(hi, d)
             else:
                 lo = max(lo, -d)
-    return lo, hi
+    return Fraction(lo, D), gap if hi is None else min(gap, Fraction(hi, D))
+
+
+def _recheck(M2: WeightMatrix, i: int, expected: MatchingField) -> bool:
+    """Whether every triple through i has its expected tableau as the
+    unique minimum on M2.  When M2 differs from M only in column i and
+    expected equals induce(M) on the triples without i, this is exactly
+    induce(M2) == expected: those triples keep all six weights."""
+    rows, _ = _int_rows(M2)
+    return all(tab == expected[T]
+               for T, _, tab in _minima(rows, _triples_through(i, M2.n)))
 
 
 def swap(M: WeightMatrix, i: int, j: int):
@@ -294,9 +323,10 @@ def swap(M: WeightMatrix, i: int, j: int):
     and the next apex, so the x order is the old one with i and j
     transposed.  A fixed landing spot can silently flip extra triples by
     crossing other lines' rays; the field check makes the hypothesis
-    executable, and the accepted matrix is checked once more with
-    induce and x_order.  Returns (M2, eps); certify runs the same
-    search on the field, apexes and regions it already holds.
+    executable, and the accepted matrix is checked once more: the
+    triples through i from scratch, and x_order.  Returns (M2, eps);
+    certify runs the same search on the field, apexes and regions it
+    already holds.
     """
     L = induce(M)
     A = apexes(M)
@@ -311,8 +341,9 @@ def swap(M: WeightMatrix, i: int, j: int):
 def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
                order: tuple, R: RegionAssignment, i: int, j: int):
     """swap's search on the caller's state for the adjacent pair (i left
-    of j).  Returns (M2, eps, L2); the field L2 (the red-flip prediction)
-    and the transposed x order are both re-checked on M2.  The largest
+    of j); L must be induce(M).  Returns (M2, eps, L2); the field L2 (the
+    red-flip prediction) and the transposed x order are both re-checked
+    on M2, the field by _recheck on the triples through i.  The largest
     gap/2^k below hi has k = bit length of gap // hi (k >= 1, as hi <=
     gap), and it lands when it also lies above lo."""
     expected = expected_flip(L, i, j, R)
@@ -326,11 +357,8 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
         eps = gap / 2 ** k
         if k <= 64 and lo < eps:
             M2 = M.with_entry(2, i, base + eps)
-            try:
-                ok = induce(M2) == expected and x_order(apexes(M2)) == target
-            except TieError:
-                ok = False
-            if not ok:
+            if not (_recheck(M2, i, expected)
+                    and x_order(apexes(M2)) == target):
                 raise AssertionError("offset %s for lines %d and %d fails "
                                      "the field re-check" % (eps, i, j))
             return M2, eps, expected
@@ -343,8 +371,10 @@ def _cube(u: Tableau, v: Tableau):
     order, each with its antipode t2 (t + t2 = u + v rowwise).  They are
     the vertices of a d-cube, d the number of rows where u and v differ,
     and the midpoint of u and v is its centre."""
-    for t in itertools.product(*(sorted({a, b}) for a, b in zip(u, v))):
-        yield t, tuple(b if c == a else a for a, b, c in zip(u, v, t))
+    rows = ((a, b) if a < b else (b, a) if b < a else (a,) for a, b in zip(u, v))
+    s0, s1, s2 = u[0] + v[0], u[1] + v[1], u[2] + v[2]
+    for t in itertools.product(*rows):
+        yield t, (s0 - t[0], s1 - t[1], s2 - t[2])
 
 
 def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
@@ -406,25 +436,26 @@ def _images(P: VertexSet, neg: list, i: int, j: int) -> list:
 
 
 def _midpoint_combination(u: Tableau, v: Tableau, P: VertexSet) -> list | None:
-    """Weights on tableaux of P that combine to the midpoint of u and v,
-    or None when its hull holds no such combination.
+    """Int weights out of 4 on tableaux of P that combine to the midpoint
+    of u and v, or None when its hull holds no such combination.
 
     A vertex with its 1 where the midpoint is 0 gets weight 0, so only
     the cube tableaux of (u, v) can carry weight, and the midpoint is the
     cube's centre.  The centre lies in the hull of the present cube
-    vertices iff they hold an antipodal pair (weights 1/2, 1/2) or, for
+    vertices iff they hold an antipodal pair (weights 2, 2) or, for
     d = 3, one whole parity class, a tetrahedron centred on the centre
-    (weights 1/4 each); a parity class of the d-cube has 2^(d-1) vertices.
+    (weights 1 each); a parity class of the d-cube has 2^(d-1) vertices.
     """
-    classes = ([], [])
+    points, classes = P.points, ([], [])
     for t, t2 in _cube(u, v):
-        if t in P.points:
-            if t2 in P.points:
-                return [(t, _HALF), (t2, _HALF)]
-            classes[sum(a != c for a, c in zip(u, t)) % 2].append(t)
+        if t in points:
+            if t2 in points:
+                return [(t, 2), (t2, 2)]
+            flips = (t[0] != u[0]) + (t[1] != u[1]) + (t[2] != u[2])
+            classes[flips % 2].append(t)
     for group in classes:
         if len(group) == 4:
-            return [(t, Fraction(1, 4)) for t in group]
+            return [(t, 1) for t in group]
     return None
 
 
@@ -447,10 +478,11 @@ def _separator(u: Tableau, v: Tableau, P: VertexSet) -> tuple:
 
 def _midpoint_in_hull(u: Tableau, v: Tableau, P: VertexSet) -> bool:
     """Whether the midpoint of u and v lies in conv(P).  A "yes" of the
-    cube rule is substituted back: positive weights summing to 1 on
-    tableaux of P, and in every row r the midpoint's column masses, 1/2
-    on u[r] and 1/2 on v[r].  A "no" is proved by _separator: twice its
-    value at the midpoint is positive, at every tableau of P at most 0."""
+    cube rule is substituted back in ints: positive weights summing to 4
+    on tableaux of P, and in every row r four times the midpoint's column
+    masses, 2 on u[r] and 2 on v[r].  A "no" is proved by _separator:
+    twice its value at the midpoint is positive, at every tableau of P at
+    most 0."""
     combo = _midpoint_combination(u, v, P)
     if combo is None:
         y, y0 = _separator(u, v, P)
@@ -461,11 +493,11 @@ def _midpoint_in_hull(u: Tableau, v: Tableau, P: VertexSet) -> bool:
                                  "no combination, and its separator fails"
                                  % (u, v))
         return False
-    ok = (sum(w for _, w in combo) == 1
+    ok = (sum(w for _, w in combo) == 4
           and all(w > 0 and t in P.points for t, w in combo))
     for r in range(3):
-        mass, want = {}, {u[r]: _HALF}
-        want[v[r]] = want.get(v[r], 0) + _HALF
+        mass, want = {}, {u[r]: 2}
+        want[v[r]] = want.get(v[r], 0) + 2
         for t, w in combo:
             mass[t[r]] = mass.get(t[r], 0) + w
         ok = ok and mass == want
@@ -490,7 +522,8 @@ def matrix_digest(M: WeightMatrix) -> str:
     return hashlib.sha256(weight_matrix_to_text(M).encode()).hexdigest()
 
 
-def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
+def certify(M: WeightMatrix, i: int, j: int, *,
+            field: MatchingField | None = None) -> MutationCertificate:
     """Run the whole pipeline for one adjacent pair and record everything.
 
     The pair is reoriented so i is the left line.  Early failures
@@ -500,15 +533,19 @@ def certify(M: WeightMatrix, i: int, j: int) -> MutationCertificate:
     genericity verdict), one classification on the x order already
     sorted, for the regions and the star report, and one f-value split
     per vertex set, from which the images and the cube-rule batteries
-    are read.
+    are read.  A caller that holds induce(M) already passes it as field
+    (plan_to_order passes the field the previous step's re-check proved),
+    and certify then makes no induce.
     """
     _check_pair(M.n, i, j)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j)
-    try:
-        L = induce(M)
-    except TieError as e:
-        cert.stop = "not generic: %s" % e
-        return cert
+    L = field
+    if L is None:
+        try:
+            L = induce(M)
+        except TieError as e:
+            cert.stop = "not generic: %s" % e
+            return cert
     A = apexes(M)
     try:
         order = x_order(A)
@@ -681,7 +718,7 @@ class _Reader:
 
 
 def _parse_triple(text: str) -> tuple:
-    out = tuple(int(t) for t in text.split())
+    out = tuple(map(int, text.split()))
     if len(out) != 3:
         raise ValueError("expected three columns, got %r" % text)
     return out
@@ -694,14 +731,15 @@ def _parse_tab(text: str) -> Tableau | None:
 def _parse_ints(text: str) -> tuple:
     if text == "-":
         return ()
-    return tuple(int(t) for t in text.split())
+    return tuple(map(int, text.split()))
 
 
 def _read_certificate(rd: _Reader) -> MutationCertificate:
     """One certificate block, CERTIFICATE through END, from rd's position.
     Lines that the writer derives (version, kind, verdict, the reason
     after a landed swap, the star flags, epsilon, order-after, w, f and
-    k1-k4) are skipped here and checked by the caller's re-write."""
+    k1-k4) are skipped here and checked by the caller's re-write; the
+    caller also runs _check_swapped."""
     rd.expect("CERTIFICATE")
     rd.value("version")
     digest = rd.value("digest")
@@ -778,6 +816,19 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     return cert
 
 
+def _check_swapped(cert: MutationCertificate) -> None:
+    """ValueError unless a matrix-after swapped the pair: its x order must
+    be order-before with i and j transposed."""
+    if cert.matrix_after is None:
+        return
+    i, j = cert.i, cert.j
+    swapped = tuple(j if c == i else i if c == j else c
+                    for c in cert.order_before or ())
+    if cert.order_after != swapped:
+        raise ValueError("order-after is not order-before with lines %d and "
+                         "%d transposed" % (i, j))
+
+
 def _check_written(text: str, written: str) -> None:
     """ValueError naming the first line where text differs from what the
     writer gives back for the object read from it."""
@@ -792,7 +843,9 @@ def _check_written(text: str, written: str) -> None:
 
 def parse_certificate(text: str) -> MutationCertificate:
     """Inverse of certificate_to_text: ValueError unless text is exactly
-    what certificate_to_text writes for the certificate read from it."""
+    what certificate_to_text writes for the certificate read from it, or
+    when its matrix-after did not swap the pair."""
     cert = _read_certificate(_Reader(text))
+    _check_swapped(cert)
     _check_written(text, certificate_to_text(cert))
     return cert

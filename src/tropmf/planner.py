@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from .arrange import apexes, x_order
 from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
                      diagonal, induce)
-from .mutate import (_KINDS, _VERDICTS, _check_written, _matrix_lines,
-                     _read_certificate, _Reader, certificate_to_text, certify,
-                     matrix_digest)
+from .mutate import (_KINDS, _VERDICTS, _check_swapped, _check_written,
+                     _matrix_lines, _read_certificate, _Reader,
+                     certificate_to_text, certify, matrix_digest)
 
 _SUMMARY_KEYS = tuple(word.lower() for word in _KINDS + _VERDICTS)
 
@@ -74,12 +74,15 @@ def _leftmost_inversion(order, target):
 def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
     """Swap the leftmost inverted adjacent pair until the x order matches
     the target permutation.  A start M with tied apex x coordinates or
-    tied placements raises TiedX or TieError before any certify call."""
+    tied placements raises TiedX or TieError before any certify call.
+    The start's field is induced once; each step's certify gets the
+    field it was proved to land on (the one before, with the step's diff
+    applied), so a plan makes no other induce."""
     target = tuple(target)
     if sorted(target) != list(range(1, M.n + 1)):
         raise ValueError("target must be a permutation of 1..%d" % M.n)
     order = x_order(apexes(M))
-    induce(M)   # a non-generic start raises TieError here, before any step
+    L = induce(M)   # a non-generic start raises TieError here, before any step
     plan = Plan(initial=M, target=target, steps=[])
     current = M
     while True:
@@ -87,13 +90,15 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
         if t is None:
             break
         i, j = order[t], order[t + 1]
-        cert = certify(current, i, j)
+        cert = certify(current, i, j, field=L)
         if cert.matrix_after is None:
             raise PlanError("step %d (%d, %d): %s"
                             % (len(plan.steps) + 1, i, j, cert.reason), plan)
         plan.steps.append(cert)
         current = cert.matrix_after
         order = cert.order_after
+        L = MatchingField(L.n, {**L.assignment,
+                                **{T: after for T, _, after in cert.diff}})
         if strict and cert.verdict == "REFUTED":
             raise PlanError("step %d (%d, %d) refuted"
                             % (len(plan.steps), i, j), plan)
@@ -133,8 +138,9 @@ def parse_plan(text: str) -> tuple:
     exactly what plan_to_text writes for them; the n line and the SUMMARY
     block are derived, so the re-write checks them.  The steps must chain:
     each step's digest is that of the matrix before it (the previous
-    step's matrix-after, or the initial matrix), and each order-before
-    is the previous step's order-after."""
+    step's matrix-after, or the initial matrix), each order-before is
+    the previous step's order-after, and each order-after is its
+    order-before with the step's pair transposed."""
     rd = _Reader(text)
     rd.expect("PLAN")
     rd.value("n")
@@ -156,6 +162,7 @@ def parse_plan(text: str) -> tuple:
         if before and cert.order_before != before.order_after:
             raise ValueError("plan step %d: order-before is not step %d's "
                              "order-after" % (k, k - 1))
+        _check_swapped(cert)
         plan.steps.append(cert)
     _check_written(text, plan_to_text(plan, source))
     return plan, source

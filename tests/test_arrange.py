@@ -12,7 +12,11 @@ from conftest import random_generic_matrix, three_line_matrix
 from tropmf import (NotFound, OnBoundary, TiedX, TropicalLine, WeightMatrix,
                     adjacent, apexes, cell111, covector_at, genericity,
                     induce, induce_geometric, triples, type_at, x_order)
-from tropmf.mfcore import placement_weight
+
+
+def placement_weight(M, tab):
+    """Weight of placing column tab[t] into row t + 1, in Fractions."""
+    return sum(M.rows[r][c - 1] for r, c in enumerate(tab))
 
 
 def test_apexes_diag6(diag6):

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropmf import (BadSize, SizeMismatch, TieError,
@@ -21,6 +21,52 @@ def brute_minimum(M, T):
         (M.rows[0][a - 1] + M.rows[1][b - 1] + M.rows[2][c - 1], (a, b, c))
         for a, b, c in itertools.permutations(T))
     return weights[0]
+
+
+def fraction_argmins(M):
+    """Reference in Fractions: per triple, the least placement weight and
+    every placement that attains it."""
+    out = {}
+    for T in itertools.combinations(range(1, M.n + 1), 3):
+        weights = {tab: sum(M.rows[r][c - 1] for r, c in enumerate(tab))
+                   for tab in itertools.permutations(T)}
+        low = min(weights.values())
+        out[T] = low, [tab for tab, w in weights.items() if w == low]
+    return out
+
+
+@st.composite
+def rational_matrices(draw):
+    """3 x n entries p/q with |p| <= 40 and q <= 6; a narrow p range in
+    some draws makes tied triples common."""
+    n = draw(st.integers(3, 7))
+    bound = draw(st.sampled_from([2, 40]))
+    entry = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 6))
+    return WeightMatrix.from_rows(
+        [[draw(entry) for _ in range(n)] for _ in range(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+@example(WeightMatrix.from_rows([[0] * 4] * 3))
+@example(WeightMatrix.from_rows([[Fraction(1, 6), Fraction(-5, 4), 2],
+                                 [Fraction(1, 3), 0, Fraction(7, 5)],
+                                 [-40, Fraction(1, 2), Fraction(-2, 3)]]))
+def test_int_core_equals_fraction_reference(M):
+    # induce, genericity and plucker_weights decide on ints scaled by the
+    # common denominator; each must equal the Fraction enumeration.
+    ref = fraction_argmins(M)
+    tied = tuple(T for T, (_, winners) in ref.items() if len(winners) > 1)
+    assert plucker_weights(M) == {T: low for T, (low, _) in ref.items()}
+    report = genericity(M)
+    assert report.ok == (not tied) and report.offending == tied
+    if tied:
+        with pytest.raises(TieError) as e:
+            induce(M)
+        assert e.value.triple == tied[0]
+    else:
+        assert induce(M).assignment == {T: winners[0]
+                                        for T, (_, winners) in ref.items()}
 
 
 # --- normalize -------------------------------------------------------------

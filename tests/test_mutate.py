@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, golden_texts,
                       shear_matrix)
-from tropmf import (Boundary, Case, NotAdjacent, NotSwappable,
+from tropmf import (Boundary, Case, MatchingField, NotAdjacent, NotSwappable,
                     PatternMismatch, Region, RegionAssignment, SlabViolation,
                     TieError, TiedX, VertexSet, WeightMatrix, apexes,
                     build_wf, certificate_to_text, certify, classify,
@@ -267,14 +267,64 @@ def test_offset_interval_is_exact_acceptance_set(case):
             assert (field_at(eps) == expected) == (lo < eps < hi)
 
 
+def first_argmins(M: WeightMatrix) -> dict:
+    """Per triple, the first least placement in permutation order, tied
+    or not, by Fraction enumeration."""
+    return {T: min(itertools.permutations(T),
+                   key=lambda tab: sum(M.rows[r][c - 1]
+                                       for r, c in enumerate(tab)))
+            for T in itertools.combinations(range(1, M.n + 1), 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 7).flatmap(lambda n: st.sampled_from([4, 40]).flatmap(
+    lambda bound: st.tuples(
+        st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                 min_size=3, max_size=3),
+        st.integers(1, n), st.fractions(-8, 8, max_denominator=2),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)),
+                 max_size=2)))))
+def test_recheck_through_i_equals_full_induce(case):
+    # The landed matrix differs from M in entry (2, i) only, so the
+    # re-check recomputes just the triples through i.  Against a field
+    # that agrees with induce(M) off i (the moved matrix's first least
+    # placements, tied or not, or induce(M), with some triples through i
+    # re-placed) it must accept exactly when a full induce of the moved
+    # matrix equals that field, and refuse every tie.
+    rows, i, eps, from_moved, edits = case
+    M = WeightMatrix.from_rows(rows)
+    try:
+        L = induce(M)
+    except TieError:
+        assume(False)
+    M2 = M.with_entry(2, i, M.entry(2, i) + eps)
+    assignment = first_argmins(M2) if from_moved else dict(L.assignment)
+    through = [T for T in assignment if i in T]
+    for k, p in edits:
+        T = through[k % len(through)]
+        assignment[T] = tuple(itertools.permutations(T))[p]
+    expected = MatchingField(M.n, assignment)
+    try:
+        full = induce(M2) == expected
+    except TieError:
+        full = False
+    assert mutate._recheck(M2, i, expected) == full
+
+
 def test_swap_recheck_catches_wrong_interval(monkeypatch):
-    # Scaling every placement weight by 1000 keeps each sign but widens
-    # the offset interval of the closer-threshold swap from (0, 1) to
-    # (0, 1000), so gap/2 = 1 is picked; there the triple {1, 3, 5} is
-    # tied, and the re-check with the true weights refuses the matrix.
-    real = mutate.placement_weight
-    monkeypatch.setattr(mutate, "placement_weight",
-                        lambda M, tab: 1000 * real(M, tab))
+    # Scaling every int placement weight by 1000 but not the common
+    # denominator keeps each sign but widens the offset interval of the
+    # closer-threshold swap from (0, 1) to (0, 1000), so gap/2 = 1 is
+    # picked; there the triple {1, 3, 5} is tied, and the re-check, whose
+    # argmins a common scale cannot move, refuses the matrix.
+    real = mutate._int_rows
+
+    def scaled(M):
+        rows, D = real(M)
+        return tuple([1000 * x for x in row] for row in rows), D
+
+    monkeypatch.setattr(mutate, "_int_rows", scaled)
     with pytest.raises(AssertionError, match="re-check"):
         swap(closer_threshold_matrix(), 3, 4)
 
@@ -499,6 +549,24 @@ def test_certify_facts_equal_direct_recomputation(M, flip):
         except (Boundary, NotAdjacent, TiedX):
             expected = None
         assert cert.star == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(certify_matrices(), st.booleans())
+@example(five_line_matrix(), False)
+@example(closer_threshold_matrix(), True)
+def test_certify_with_held_field_writes_the_same_text(M, flip):
+    # A plan hands each step the field its previous re-check proved;
+    # given induce(M), certify must write what it writes on its own.
+    try:
+        L = induce(M)
+    except TieError:
+        assume(False)
+    for i, j in swap_pairs(M, None)[:-1]:
+        if flip:
+            i, j = j, i
+        assert (certificate_to_text(certify(M, i, j, field=L))
+                == certificate_to_text(certify(M, i, j)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -92,6 +92,19 @@ def test_certificate_edit_raises_value_error(line, value):
         parse_certificate(CERTIFICATE.replace(line + "\n", value + "\n", 1))
 
 
+def test_matrix_after_must_swap_the_pair():
+    # Line 3 put back left of line 4, with epsilon and order-after edited
+    # to match: every derived line agrees, but line 3 never passed line 4.
+    edited = CERTIFICATE
+    for line, value in (("  -2 -3 3 2 4", "  -2 -3 1 2 4"),
+                        ("epsilon: 1", "epsilon: -1"),
+                        ("order-after: 2 1 4 3 5", "order-after: 2 1 3 4 5")):
+        assert line + "\n" in edited
+        edited = edited.replace(line + "\n", value + "\n", 1)
+    with pytest.raises(ValueError, match="3 and 4 transposed"):
+        parse_certificate(edited)
+
+
 def test_certificate_n_must_fit_the_wf_rows():
     # w and f are derived from n, so a large n is refused before the
     # re-write would build rows of that length.

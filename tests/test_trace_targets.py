@@ -66,6 +66,9 @@ def test_traced_plan_sees_every_step(tmp_path):
     assert metrics["mutate.certify.calls"] == (6, "count")
     assert names.count("mutate.certificate_to_text") >= 6
     assert names.count("planner.plan_to_text") == 1
+    # One full induce at the start and one at the endpoint; every step
+    # gets the field its predecessor's re-check proved.
+    assert metrics["mfcore.induce.calls"] == (2, "count")
 
 
 def test_traced_mutate_proves_each_failure_without_lp(tmp_path):
