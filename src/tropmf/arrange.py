@@ -4,25 +4,27 @@ Each column p of a weight matrix gives a tropical line: three rays from
 an apex, leftward, downward, and up-diagonal.  The plane splits into
 three sectors per line, numbered by the row that wins the argmin of
 (0, apex_x - x, apex_y - y) at a query point; the boundary between
-sectors is the line itself.  Reading the sector numbers of the three
+sectors is the line itself.  One rule, _sector, decides that argmin for
+both type_at and cell111.  Reading the sector numbers of the three
 lines of a triple inside the unique cell where all three differ
 reconstructs the induced tableau, which gives a purely geometric route
 to the matching field and a cross-check of the algebraic one.  That
 cell has a closed form: for each ordering of the triple it is an open
 polygon cut out by vertical, horizontal and slope-1 lines through the
-apexes, so cell111 tests the six orderings by a few rational
-comparisons and samples an exact interior point of the one that is
-non-empty.
+apexes, so cell111 tests the six orderings by a few int comparisons on
+the apexes scaled by D, the lcm of the source's denominators, and
+samples an exact interior point on the scale 4D.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .mfcore import (MatchingField, Triple, WeightMatrix, check_triple,
-                     normalize, triples)
+from .mfcore import (MatchingField, Triple, WeightMatrix, _int_rows,
+                     check_triple, normalize, triples)
 
 Point = tuple[Fraction, Fraction]
 
@@ -70,6 +72,13 @@ class Arrangement:
     def apex(self, p: int) -> Point:
         return self.lines[p - 1].apex
 
+    @cached_property
+    def _int_apexes(self) -> tuple:
+        """(apexes, D): each apex times D, the lcm of the source's
+        denominators, as a pair of ints; computed on first use."""
+        (_, xs, ys), D = _int_rows(self.source)
+        return tuple(zip(xs, ys)), D
+
 
 @dataclass(frozen=True)
 class Covector:
@@ -95,17 +104,25 @@ def apexes(M: WeightMatrix) -> Arrangement:
     return Arrangement(lines, N)
 
 
+def _sector(u, v, index: int) -> int:
+    """Argmin row of (0, u, v): the sector type of a point at offset
+    (u, v) = (apex_x - x, apex_y - y) from line index's apex.  Raises
+    OnBoundary(index) on a tie."""
+    if u > 0 < v:
+        return 1
+    if u < 0 and u < v:
+        return 2
+    if v < 0 and v < u:
+        return 3
+    raise OnBoundary(index)
+
+
 def type_at(line: TropicalLine, q: Point) -> int:
     """Sector type of q relative to one line: the argmin row of
-    (0, apex_x - x, apex_y - y).  Raises OnBoundary on a tie."""
+    (0, apex_x - x, apex_y - y), decided by _sector on the exact
+    Fraction differences.  Raises OnBoundary on a tie."""
     a, b = line.apex
-    x, y = Fraction(q[0]), Fraction(q[1])
-    values = (Fraction(0), a - x, b - y)
-    low = min(values)
-    hits = [t for t in (1, 2, 3) if values[t - 1] == low]
-    if len(hits) > 1:
-        raise OnBoundary(line.index)
-    return hits[0]
+    return _sector(a - Fraction(q[0]), b - Fraction(q[1]), line.index)
 
 
 def covector_at(A: Arrangement, q: Point, subset) -> Covector:
@@ -122,33 +139,42 @@ def cell111(A: Arrangement, T: Triple):
     lines take pairwise distinct sector types.
 
     Write (a_k, b_k) for the apex of line c_k and d_k = b_k - a_k.  By
-    the sector rule of type_at, lines c1, c2, c3 take types 1, 2, 3 on
-    the open cell a2 < x < a1, b3 < y < b1, d3 < y - x < d2.  Setting
-    s = y - x, the cell is non-empty iff a2 < a1, b3 < b1 and
-    max(b3 - a1, d3) < min(b1 - a2, d2), that is, iff the placement
-    weight a2 + b3 of (c1, c2, c3) is strictly below the other five.
-    So at most one ordering of the triple qualifies, and none does on a
-    tied triple; then NotFound is raised.  The sample point takes s
-    midway in its range and x midway in the x-interval at that s.  Its
-    covector is recomputed with covector_at, which keeps this route
-    independent of the argmin in mfcore.
+    the sector rule, lines c1, c2, c3 take types 1, 2, 3 on the open
+    cell a2 < x < a1, b3 < y < b1, d3 < y - x < d2.  Setting s = y - x,
+    the cell is non-empty iff a2 < a1, b3 < b1 and
+    lo = max(b3 - a1, d3) < hi = min(b1 - a2, d2), that is, iff the
+    placement weight a2 + b3 of (c1, c2, c3) is strictly below the
+    other five.  So at most one ordering of the triple qualifies, and
+    none does on a tied triple; then NotFound is raised.  The sample
+    point takes s midway in its range and x midway in the x-interval at
+    that s.  Every decision is an int comparison: the apexes are taken
+    times D, the lcm of the source's denominators, and the point times
+    4D, where it is X = max(2 a2, 2 b3 - s2) + min(2 a1, 2 b1 - s2) and
+    Y = X + 2 s2 with s2 = lo + hi.  Its sector types are re-checked
+    with _sector, which keeps this route independent of the argmin in
+    mfcore.  The point is returned as Fractions (X/4D, Y/4D).
     """
     T = check_triple(T, A.n)
+    apex, D = A._int_apexes
     for c in itertools.permutations(T):
-        (a1, b1), (a2, b2), (a3, b3) = (A.apex(p) for p in c)
+        (a1, b1), (a2, b2), (a3, b3) = (apex[p - 1] for p in c)
         lo, hi = max(b3 - a1, b3 - a3), min(b1 - a2, b2 - a2)
         if a2 < a1 and b3 < b1 and lo < hi:
-            s = (lo + hi) / 2
-            x = (max(a2, b3 - s) + min(a1, b1 - s)) / 2
-            q = (x, x + s)
+            s2 = lo + hi
+            X = max(2 * a2, 2 * b3 - s2) + min(2 * a1, 2 * b1 - s2)
+            Y = X + 2 * s2
+            q = (Fraction(X, 4 * D), Fraction(Y, 4 * D))
+            c1, c2, c3 = c
             try:
-                cov = covector_at(A, q, T)
+                ok = (_sector(4 * a1 - X, 4 * b1 - Y, c1) == 1
+                      and _sector(4 * a2 - X, 4 * b2 - Y, c2) == 2
+                      and _sector(4 * a3 - X, 4 * b3 - Y, c3) == 3)
             except OnBoundary:
-                cov = None
-            if cov != Covector(*(frozenset((p,)) for p in c)):
+                ok = False
+            if not ok:
                 raise NotFound("sample point %r of triple %r is not in the "
                                "cell of %r" % (q, T, c))
-            return q, cov
+            return q, Covector(*(frozenset((p,)) for p in c))
     raise NotFound("no cell with distinct types for triple %r" % (T,))
 
 

@@ -9,14 +9,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_generic_matrix, three_line_matrix
-from tropmf import (NotFound, OnBoundary, TiedX, TropicalLine, WeightMatrix,
-                    adjacent, apexes, cell111, covector_at, genericity,
-                    induce, induce_geometric, triples, type_at, x_order)
+from tropmf import (Covector, NotFound, OnBoundary, TiedX, TropicalLine,
+                    WeightMatrix, adjacent, apexes, cell111, covector_at,
+                    genericity, induce, induce_geometric, triples, type_at,
+                    x_order)
 
 
 def placement_weight(M, tab):
     """Weight of placing column tab[t] into row t + 1, in Fractions."""
     return sum(M.rows[r][c - 1] for r, c in enumerate(tab))
+
+
+def cell111_reference(A, T):
+    """The closed form of cell111 in Fractions on the apexes themselves:
+    (q, cov) of the one ordering whose cell is non-empty, or None."""
+    for c in permutations(T):
+        (a1, b1), (a2, b2), (a3, b3) = (A.apex(p) for p in c)
+        lo, hi = max(b3 - a1, b3 - a3), min(b1 - a2, b2 - a2)
+        if a2 < a1 and b3 < b1 and lo < hi:
+            s = (lo + hi) / 2
+            x = (max(a2, b3 - s) + min(a1, b1 - s)) / 2
+            return (x, x + s), Covector(*(frozenset((p,)) for p in c))
+    return None
+
+
+# Entries p/q with |p| <= 40 and q <= 6, so that the lcm of a matrix's
+# denominators is usually neither 1 nor its largest denominator.
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
+
+
+def rational_matrices(n_min=4, n_max=6):
+    """3 x n matrices whose rows are rational, or small ints so that
+    tied triples occur."""
+    def rows(n):
+        row = st.one_of(st.lists(RATIONALS, min_size=n, max_size=n),
+                        st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return st.lists(row, min_size=3, max_size=3)
+    return st.integers(n_min, n_max).flatmap(rows).map(WeightMatrix.from_rows)
+
+
+def geometric_or_none(M):
+    try:
+        return induce_geometric(apexes(M))
+    except NotFound:
+        return None
 
 
 def test_apexes_diag6(diag6):
@@ -177,3 +213,47 @@ def test_geometric_equals_algebraic_property(rows):
                 cell111(A, T)
     if genericity(M).ok:
         assert induce_geometric(A) == induce(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_cell111_matches_fraction_reference(M):
+    # cell111 decides on ints at scale 4 * lcm of the denominators; it
+    # must return exactly the Fraction closed form's point and covector,
+    # and fail exactly on the triples whose least placement is tied.
+    A = apexes(M)
+    for T in triples(M.n):
+        weights = [placement_weight(M, tab) for tab in permutations(T)]
+        tied = weights.count(min(weights)) > 1
+        expected = cell111_reference(A, T)
+        assert (expected is None) == tied
+        if tied:
+            with pytest.raises(NotFound):
+                cell111(A, T)
+            continue
+        q, cov = cell111(A, T)
+        assert (q, cov) == expected
+        assert all(type(v) is Fraction for v in q)
+        assert covector_at(A, q, T) == cov
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.integers(0, 2), RATIONALS,
+       RATIONALS.filter(lambda x: x > 0), st.data())
+def test_geometric_field_invariances(M, r, c, scale, data):
+    # Adding c to a whole row or to one column adds c to every
+    # placement weight of the affected triples, and a positive scale
+    # multiplies all of them, so no argmin and no tie changes.
+    p = data.draw(st.integers(0, M.n - 1))
+    field = geometric_or_none(M)
+    row_shift = [[x + c if k == r else x for x in row]
+                 for k, row in enumerate(M.rows)]
+    scaled = [[x * scale for x in row] for row in M.rows]
+    column_shift = [[x + c if q == p else x for q, x in enumerate(row)]
+                    for row in M.rows]
+    for rows in (row_shift, scaled, column_shift):
+        assert geometric_or_none(WeightMatrix.from_rows(rows)) == field
+    if genericity(M).ok:
+        assert field == induce(M)
+    else:
+        assert field is None

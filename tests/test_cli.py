@@ -65,6 +65,26 @@ def test_check_covectors(tmp_path, capsys):
     assert out.splitlines()[-1] == "10/10 triples agree"
 
 
+def test_check_covectors_tied_matrix_exit_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "zero.wm",
+                        WeightMatrix.from_rows([[0] * 3] * 3))
+    code, out, err = run_cli(capsys, "check-covectors", "-m", path)
+    assert code == 2
+    assert out == ""
+    assert err == "TieError: tie at triple 1 2 3\n"
+
+
+def test_check_covectors_fractional_entries(tmp_path, capsys):
+    path = tmp_path / "frac.wm"
+    path.write_text("3 4\n0 0 0 0\n1/2 -3/4 2/3 5\n7/6 0 -1/5 3\n",
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "check-covectors", "-m", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "4/4 triples agree"
+    assert all(line.endswith("| ok") for line in lines[:-1])
+
+
 def test_star_output(tmp_path, capsys):
     path = write_matrix(tmp_path, "five.wm", five_line_matrix())
     code, out, _ = run_cli(capsys, "star", "-m", path, "-i", "3", "-j", "4")
