@@ -38,14 +38,16 @@ def cell111_reference(A, T):
 RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
 
 
-def rational_matrices(n_min=4, n_max=6):
-    """3 x n matrices whose rows are rational, or small ints so that
-    tied triples occur."""
-    def rows(n):
-        row = st.one_of(st.lists(RATIONALS, min_size=n, max_size=n),
-                        st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        return st.lists(row, min_size=3, max_size=3)
-    return st.integers(n_min, n_max).flatmap(rows).map(WeightMatrix.from_rows)
+def _rows(n):
+    row = st.one_of(st.lists(RATIONALS, min_size=n, max_size=n),
+                    st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return st.lists(row, min_size=3, max_size=3)
+
+
+# 3 x n matrices, n = 4..6, whose rows are rational, or small ints so
+# that tied triples occur.
+RATIONAL_MATRICES = st.integers(4, 6).flatmap(_rows).map(
+    WeightMatrix.from_rows)
 
 
 def geometric_or_none(M):
@@ -216,7 +218,7 @@ def test_geometric_equals_algebraic_property(rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rational_matrices())
+@given(RATIONAL_MATRICES)
 def test_cell111_matches_fraction_reference(M):
     # cell111 decides on ints at scale 4 * lcm of the denominators; it
     # must return exactly the Fraction closed form's point and covector,
@@ -238,7 +240,7 @@ def test_cell111_matches_fraction_reference(M):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices(), st.integers(0, 2), RATIONALS,
+@given(RATIONAL_MATRICES, st.integers(0, 2), RATIONALS,
        RATIONALS.filter(lambda x: x > 0), st.data())
 def test_geometric_field_invariances(M, r, c, scale, data):
     # Adding c to a whole row or to one column adds c to every
@@ -249,7 +251,7 @@ def test_geometric_field_invariances(M, r, c, scale, data):
     row_shift = [[x + c if k == r else x for x in row]
                  for k, row in enumerate(M.rows)]
     scaled = [[x * scale for x in row] for row in M.rows]
-    column_shift = [[x + c if q == p else x for q, x in enumerate(row)]
+    column_shift = [[x + c if k == p else x for k, x in enumerate(row)]
                     for row in M.rows]
     for rows in (row_shift, scaled, column_shift):
         assert geometric_or_none(WeightMatrix.from_rows(rows)) == field
