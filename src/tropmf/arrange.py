@@ -11,20 +11,21 @@ reconstructs the induced tableau, which gives a purely geometric route
 to the matching field and a cross-check of the algebraic one.  That
 cell has a closed form: for each ordering of the triple it is an open
 polygon cut out by vertical, horizontal and slope-1 lines through the
-apexes, so cell111 tests the six orderings by a few int comparisons on
-the apexes scaled by D, the lcm of the source's denominators, and
-samples an exact interior point on the scale 4D.
+apexes, so cell111 tests the six orderings by a few int comparisons and
+samples an exact interior point on the scale 4D.  An Arrangement stores
+the apexes only as ints, times D, the lcm of the source's denominators:
+a positive scale keeps every comparison, and apex, line and lines hand
+out the Fraction points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .mfcore import (MatchingField, Triple, WeightMatrix, _int_rows,
-                     check_triple, normalize, triples)
+                     check_triple, triples)
 
 Point = tuple[Fraction, Fraction]
 
@@ -57,27 +58,28 @@ class TropicalLine:
 
 @dataclass(frozen=True)
 class Arrangement:
-    """One tropical line per column, plus the normalized source matrix."""
+    """The tropical lines of source, the matrix as given (not
+    normalized): line p's apex is (xs[p - 1], ys[p - 1]) / D, stored
+    only as these ints, with D the lcm of the source's denominators."""
 
-    lines: tuple[TropicalLine, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    D: int
     source: WeightMatrix
 
     @property
     def n(self) -> int:
-        return len(self.lines)
-
-    def line(self, p: int) -> TropicalLine:
-        return self.lines[p - 1]
+        return len(self.xs)
 
     def apex(self, p: int) -> Point:
-        return self.lines[p - 1].apex
+        return Fraction(self.xs[p - 1], self.D), Fraction(self.ys[p - 1], self.D)
 
-    @cached_property
-    def _int_apexes(self) -> tuple:
-        """(apexes, D): each apex times D, the lcm of the source's
-        denominators, as a pair of ints; computed on first use."""
-        (_, xs, ys), D = _int_rows(self.source)
-        return tuple(zip(xs, ys)), D
+    def line(self, p: int) -> TropicalLine:
+        return TropicalLine(p, self.apex(p))
+
+    @property
+    def lines(self) -> tuple[TropicalLine, ...]:
+        return tuple(self.line(p) for p in range(1, self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,11 @@ class Covector:
 
 
 def apexes(M: WeightMatrix) -> Arrangement:
-    """Arrangement with line p at (m2p - m1p, m3p - m1p)."""
-    N = normalize(M)
-    lines = tuple(TropicalLine(p, (N.rows[1][p - 1], N.rows[2][p - 1]))
-                  for p in range(1, N.n + 1))
-    return Arrangement(lines, N)
+    """Arrangement with line p at (m2p - m1p, m3p - m1p), held as the
+    ints (r2p - r1p, r3p - r1p) of M's rows times D (mfcore._int_rows)."""
+    (r1, r2, r3), D = _int_rows(M)
+    return Arrangement(tuple(b - a for a, b in zip(r1, r2)),
+                       tuple(c - a for a, c in zip(r1, r3)), D, M)
 
 
 def _sector(u, v, index: int) -> int:
@@ -147,17 +149,16 @@ def cell111(A: Arrangement, T: Triple):
     other five.  So at most one ordering of the triple qualifies, and
     none does on a tied triple; then NotFound is raised.  The sample
     point takes s midway in its range and x midway in the x-interval at
-    that s.  Every decision is an int comparison: the apexes are taken
-    times D, the lcm of the source's denominators, and the point times
-    4D, where it is X = max(2 a2, 2 b3 - s2) + min(2 a1, 2 b1 - s2) and
-    Y = X + 2 s2 with s2 = lo + hi.  Its sector types are re-checked
+    that s.  Every decision is an int comparison on A's apexes and on
+    the point times 4D: X = max(2 a2, 2 b3 - s2) + min(2 a1, 2 b1 - s2)
+    and Y = X + 2 s2 with s2 = lo + hi.  Its sector types are re-checked
     with _sector, which keeps this route independent of the argmin in
     mfcore.  The point is returned as Fractions (X/4D, Y/4D).
     """
     T = check_triple(T, A.n)
-    apex, D = A._int_apexes
+    xs, ys, D = A.xs, A.ys, A.D
     for c in itertools.permutations(T):
-        (a1, b1), (a2, b2), (a3, b3) = (apex[p - 1] for p in c)
+        (a1, b1), (a2, b2), (a3, b3) = ((xs[p - 1], ys[p - 1]) for p in c)
         lo, hi = max(b3 - a1, b3 - a3), min(b1 - a2, b2 - a2)
         if a2 < a1 and b3 < b1 and lo < hi:
             s2 = lo + hi
@@ -188,8 +189,8 @@ def induce_geometric(A: Arrangement) -> MatchingField:
 
 
 def x_order(A: Arrangement) -> tuple:
-    """Line indices sorted by apex x coordinate, left to right."""
-    keyed = sorted((line.apex[0], line.index) for line in A.lines)
+    """Line indices sorted by apex x (A's ints), left to right."""
+    keyed = sorted(zip(A.xs, range(1, A.n + 1)))
     for (xa, ia), (xb, ib) in zip(keyed, keyed[1:]):
         if xa == xb:
             raise TiedX(ia, ib)

@@ -97,7 +97,7 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
     if opts.pair is not None:
         i, j = opts.pair
         _check_pair(A.n, i, j)
-        if A.apex(i)[0] > A.apex(j)[0]:
+        if A.xs[i - 1] > A.xs[j - 1]:
             i, j = j, i
         try:
             _, eps = swap(A.source, i, j)
@@ -237,7 +237,7 @@ def _cmd_star(args) -> int:
     A = apexes(M)
     i, j = args.i, args.j
     _check_pair(M.n, i, j)
-    if A.apex(i)[0] > A.apex(j)[0]:
+    if A.xs[i - 1] > A.xs[j - 1]:
         i, j = j, i
     R = classify(A, i, j)
     S = _star_report(R)

@@ -22,12 +22,12 @@ generic, not adjacent, a boundary apex, no workable epsilon, or a
 two-sided swap whose star condition fails).  The swap moves line i a
 landing offset eps past line j, accepted only when the induced field
 changes by exactly the red-region flips.  That holds on an open interval
-of eps, read off in one pass over the triples through i; the offset is
-the largest gap/2^k inside it.  The accepted matrix differs from M only
-in column i, so every triple without i keeps its tableau, and the
-re-check recomputes the triples through i from scratch, plus x_order;
-that equals a full induce of the accepted matrix.  Placement weights are
-ints on the matrix's common-denominator scale (mfcore._int_rows).
+(0, hi) of eps, read off in one pass over the triples through i; the
+offset is the largest gap/2^k inside it.  The accepted matrix differs
+from M only in column i, so every triple without i keeps its tableau,
+and the re-check recomputes the triples through i from scratch, plus
+x_order; that equals a full induce of the accepted matrix.  Placement
+weights are ints on the matrix's common-denominator scale (_int_rows).
 certify works in one pass: one induce per matrix (none when the caller
 hands it the field), one classification (regions and star report) on
 certify's x order, the swap search on that state, and one f-value split
@@ -150,8 +150,6 @@ class MutationCertificate:
     k3_failures: list = field(default_factory=list)
     k4_failures: list = field(default_factory=list)
     witnesses: list | None = None
-    _order_after: tuple = field(default=(None, None), init=False,
-                                repr=False, compare=False)
 
     @property
     def kind(self) -> str | None:
@@ -167,24 +165,20 @@ class MutationCertificate:
     @property
     def epsilon(self) -> Fraction | None:
         """The landing offset: swap raises entry (2, i) and keeps column
-        j, so it is line i's apex x minus line j's after the swap (the
-        apex x of column p is m2p - m1p)."""
+        j, so it is line i's apex x minus line j's in
+        apexes(matrix_after)."""
         if self.matrix_after is None:
             return None
-        (r1, r2, _), i, j = self.matrix_after.rows, self.i - 1, self.j - 1
-        return r2[i] - r1[i] - r2[j] + r1[j]
+        A = apexes(self.matrix_after)
+        return A.apex(self.i)[0] - A.apex(self.j)[0]
 
     @property
     def order_after(self) -> tuple | None:
-        """x_order(apexes(matrix_after)), sorted once per matrix: the
-        reader's transposition check, a plan's chain check and the
-        writer all read it."""
-        M = self.matrix_after
-        if M is None:
+        """x_order(apexes(matrix_after)): what the reader's transposition
+        check, a plan's chain check and the writer read."""
+        if self.matrix_after is None:
             return None
-        if self._order_after[0] is not M:
-            self._order_after = (M, x_order(apexes(M)))
-        return self._order_after[1]
+        return x_order(apexes(self.matrix_after))
 
     @property
     def k1(self) -> bool | None:
@@ -265,7 +259,7 @@ def _landing_gap(A: Arrangement, order: tuple, j: int) -> Fraction:
     to the next apex in x order, or 1 when j is rightmost."""
     pos = order.index(j)
     if pos + 1 < A.n:
-        return A.apex(order[pos + 1])[0] - A.apex(j)[0]
+        return Fraction(A.xs[order[pos + 1] - 1] - A.xs[j - 1], A.D)
     return Fraction(1)
 
 
@@ -276,14 +270,23 @@ def _triples_through(i: int, n: int):
 
 
 def _offset_interval(M0: WeightMatrix, i: int, expected: MatchingField,
-                     gap: Fraction):
-    """Open interval (lo, hi) within (0, gap) of the offsets eps for
-    which raising entry (2, i) of M0 by eps gives every triple through i
-    its expected tableau as the unique minimum; empty (lo == hi) when a
-    triple rules out every eps.  The weight differences d are ints on
-    M0's common-denominator scale D, so the bounds are d / D."""
+                     gap: Fraction) -> Fraction:
+    """hi such that the offsets eps in (0, gap) for which raising entry
+    (2, i) of M0 by eps gives every triple through i its expected tableau
+    as the unique minimum are the open interval (0, hi), empty when
+    hi <= 0.  The weight differences d are ints on M0's scale D.
+
+    No bound lies above 0 when M0 is M with line i moved right onto line
+    j's x (by a_j - a_i > 0) and expected is expected_flip, as in
+    _swap_core.  A lower bound -d comes only from a placement t with i
+    in row 2 whose expected tableau e lacks it.  Off the red flips e is
+    induce(M)'s and the move adds a_j - a_i to w(t) only, so d > 0.  For
+    a red k, e = (i, j, k): t = (j, i, k) has d = 0 and t = (k, i, j)
+    has d = b_j - b_k > 0, as a red apex lies below j's (case ONE:
+    b_k < b_i + a_k - a_i < b_j; case TWO: b_k < a_k + b_j - a_i < b_j).
+    _recheck still checks the landed matrix."""
     (r1, r2, r3), D = _int_rows(M0)
-    lo, hi = 0, None
+    hi = gap * D
     for T in _triples_through(i, M0.n):
         e = expected[T]
         we = r1[e[0] - 1] + r2[e[1] - 1] + r3[e[2] - 1]
@@ -293,12 +296,10 @@ def _offset_interval(M0: WeightMatrix, i: int, expected: MatchingField,
             d = r1[t[0] - 1] + r2[t[1] - 1] + r3[t[2] - 1] - we
             if (t[1] == i) == (e[1] == i):
                 if d <= 0:
-                    return Fraction(lo, D), Fraction(lo, D)
+                    return Fraction(0)
             elif e[1] == i:
-                hi = d if hi is None else min(hi, d)
-            else:
-                lo = max(lo, -d)
-    return Fraction(lo, D), gap if hi is None else min(gap, Fraction(hi, D))
+                hi = min(hi, d)
+    return Fraction(hi, D)
 
 
 def _recheck(M2: WeightMatrix, i: int, expected: MatchingField) -> bool:
@@ -331,7 +332,7 @@ def swap(M: WeightMatrix, i: int, j: int):
     L = induce(M)
     A = apexes(M)
     order = x_order(A)
-    if not A.apex(i)[0] < A.apex(j)[0]:
+    if not A.xs[i - 1] < A.xs[j - 1]:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     if order.index(j) != order.index(i) + 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
@@ -345,17 +346,17 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
     red-flip prediction) and the transposed x order are both re-checked
     on M2, the field by _recheck on the triples through i.  The largest
     gap/2^k below hi has k = bit length of gap // hi (k >= 1, as hi <=
-    gap), and it lands when it also lies above lo."""
+    gap)."""
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, order, j)
     pi = order.index(i)
     target = order[:pi] + (j, i) + order[pi + 2:]
     base = M.entry(1, i) + A.apex(j)[0]
-    lo, hi = _offset_interval(M.with_entry(2, i, base), i, expected, gap)
-    if lo < hi:
+    hi = _offset_interval(M.with_entry(2, i, base), i, expected, gap)
+    if hi > 0:
         k = (gap // hi).bit_length()
         eps = gap / 2 ** k
-        if k <= 64 and lo < eps:
+        if k <= 64:
             M2 = M.with_entry(2, i, base + eps)
             if not (_recheck(M2, i, expected)
                     and x_order(apexes(M2)) == target):
@@ -552,7 +553,7 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     except TiedX as e:
         cert.stop = str(e)
         return cert
-    if A.apex(i)[0] > A.apex(j)[0]:
+    if A.xs[i - 1] > A.xs[j - 1]:
         i, j = j, i
         cert.i, cert.j = i, j
     cert.order_before = order

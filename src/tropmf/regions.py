@@ -85,12 +85,11 @@ def _strict(lhs, rhs, k):
     return -1 if lhs < rhs else 1
 
 
-def _bounds(A: Arrangement, i: int, j: int) -> tuple:
-    """Case of the pair (i left of j) and its four bounds: the red/purple
-    split and green/yellow diagonal on D = b - a, the purple/olive top
-    and blue/green low on b.  Equal apex heights give case TWO."""
-    ai, bi = A.apex(i)
-    aj, bj = A.apex(j)
+def _bounds(ai, bi, aj, bj) -> tuple:
+    """Case of the pair (i left of j, apexes (ai, bi), (aj, bj), ints on
+    one scale or Fractions) and its four bounds: the red/purple split and
+    green/yellow diagonal on D = b - a, the purple/olive top and
+    blue/green low on b.  Equal apex heights give case TWO."""
     if bj > bi:
         return Case.ONE, bi - ai, bj, aj + bi - ai, bj - aj
     return Case.TWO, bj - ai, bi, bj, bi - ai
@@ -129,22 +128,20 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
 
 def _classify(A: Arrangement, order: tuple, i: int, j: int) -> RegionAssignment:
     """classify for two distinct columns i, j, on the caller's x order
-    of A's apexes (x_order(A))."""
+    of A's apexes (x_order(A)), comparing A's int apexes."""
     if abs(order.index(i) - order.index(j)) != 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
-    ai, bi = A.apex(i)
-    aj, bj = A.apex(j)
+    xs, ys = A.xs, A.ys
+    ai, bi, aj, bj = xs[i - 1], ys[i - 1], xs[j - 1], ys[j - 1]
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     if bi == bj:
         raise Boundary(j)
-    case, split, top, low, diag = _bounds(A, i, j)
+    case, split, top, low, diag = _bounds(ai, bi, aj, bj)
     colors = {}
-    for line in A.lines:
-        k = line.index
+    for k, (ak, bk) in enumerate(zip(xs, ys), 1):
         if k in (i, j):
             continue
-        ak, bk = line.apex
         dk = bk - ak
         if ak < ai:
             if _strict(dk, split, k) < 0:
@@ -169,10 +166,10 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
     Each region maps to a list of triples (p, q, c) meaning
     p*x + q*y <= c; the region is the intersection.
     """
-    ai, aj = A.apex(i)[0], A.apex(j)[0]
+    (ai, bi), (aj, bj) = A.apex(i), A.apex(j)
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    _, split, top, low, diag = _bounds(A, i, j)
+    _, split, top, low, diag = _bounds(ai, bi, aj, bj)
     left = (1, 0, ai)
     right = (-1, 0, -aj)
     return {

@@ -234,37 +234,64 @@ def test_swap_equals_halving_reference(case):
         assert _outcome(swap, M, i, j) == _outcome(_swap_by_halving, M, i, j)
 
 
+def lower_bound_walk(M0: WeightMatrix, i: int, expected: MatchingField):
+    """The largest -d over the placements t with i in row 2 whose
+    expected tableau e lacks it, which bounded the offset interval from
+    below before the bound was proved to be 0; None without any."""
+    rows = M0.rows
+    lo = None
+    for T in itertools.combinations(range(1, M0.n + 1), 3):
+        e = expected[T]
+        if i not in T or e[1] == i:
+            continue
+        for t in itertools.permutations(T):
+            if t[1] == i:
+                d = sum(rows[r][t[r] - 1] - rows[r][e[r] - 1] for r in range(3))
+                lo = -d if lo is None else max(lo, -d)
+    return lo
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(3, 5).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-             min_size=3, max_size=3),
-    st.integers(1, n), st.integers(1, 40))))
-def test_offset_interval_is_exact_acceptance_set(case):
-    # In a swap the lower end of the interval is always 0 (a red line
-    # lies below line j), so this drives _offset_interval directly: the
-    # field induced at some offset is the target, and probes at and
-    # around both ends must agree with induce.
-    rows, i, quarters = case
-    M0 = WeightMatrix.from_rows(rows)
-    m2i = M0.entry(2, i)
-
-    def field_at(eps):
+@given(st.integers(3, 6).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4)),
+             min_size=n, max_size=n), min_size=3, max_size=3)))
+def test_offset_interval_is_exact_acceptance_set(rows):
+    # M0 and the expected field are built as _swap_core builds them: line
+    # i moved onto line j's x for each adjacent pair (i left of j), and
+    # the red-flip prediction.  The offsets eps in (0, gap) that give the
+    # prediction are then exactly (0, hi): probes just above 0, at hi/2,
+    # at hi and beyond hi agree with induce, and the lower bound that
+    # _offset_interval no longer computes is never above 0.
+    M = WeightMatrix.from_rows(rows)
+    try:
+        L = induce(M)
+        A = apexes(M)
+        order = x_order(A)
+    except (TieError, TiedX):
+        assume(False)
+    for i, j in zip(order, order[1:]):
         try:
-            return induce(M0.with_entry(2, i, m2i + eps))
-        except TieError:
-            return None
+            expected = expected_flip(L, i, j, classify(A, i, j))
+        except (Boundary, PatternMismatch):
+            continue
+        gap = _landing_gap(A, order, j)
+        m2i = M.entry(1, i) + A.apex(j)[0]
+        M0 = M.with_entry(2, i, m2i)
+        hi = mutate._offset_interval(M0, i, expected, gap)
+        lo = lower_bound_walk(M0, i, expected)
+        assert lo is None or lo <= 0
+        assert hi <= gap
 
-    star_eps = Fraction(quarters, 4)
-    expected = field_at(star_eps)
-    assume(expected is not None)
-    gap = Fraction(100)
-    lo, hi = mutate._offset_interval(M0, i, expected, gap)
-    assert lo < star_eps < hi
-    probes = {(lo + star_eps) / 2, (star_eps + hi) / 2, lo, hi,
-              lo - Fraction(1, 8), hi + Fraction(1, 8)}
-    for eps in probes:
-        if 0 < eps < gap:
-            assert (field_at(eps) == expected) == (lo < eps < hi)
+        def field_at(eps):
+            try:
+                return induce(M0.with_entry(2, i, m2i + eps))
+            except TieError:
+                return None
+
+        top = hi if hi > 0 else gap
+        for eps in (top / 1000, hi / 2, hi, hi + gap / 1000, (hi + gap) / 2):
+            if 0 < eps < gap:
+                assert (field_at(eps) == expected) == (eps < hi)
 
 
 def first_argmins(M: WeightMatrix) -> dict:

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pair_matrix, random_generic_matrix
-from tropmf import (Boundary, Case, NotAdjacent, Region, apexes, classify,
+from tropmf import (Boundary, Case, NotAdjacent, Region, TiedX,
+                    TropicalLine, WeightMatrix, apexes, classify, normalize,
                     region_halfplanes, star, x_order)
 
 
@@ -201,3 +204,115 @@ def test_region_halfplanes_draw_equal_heights_as_case_two():
     assert planes[Region.OLIVE] == [(1, 0, 0), (0, -1, -1)]
     assert planes[Region.BLUE] == [(-1, 0, -2), (0, 1, 1)]
     assert planes[Region.YELLOW] == [(-1, 0, -2), (1, -1, -1)]
+
+
+# --- the int arrangement against a Fraction reference -------------------------
+
+def reference_apexes(M):
+    """Apexes as Fractions, read off normalize(M)."""
+    N = normalize(M)
+    return [(N.rows[1][c], N.rows[2][c]) for c in range(M.n)]
+
+
+def reference_x_order(pts):
+    keyed = sorted((x, p) for p, (x, _) in enumerate(pts, 1))
+    for (xa, ia), (xb, ib) in zip(keyed, keyed[1:]):
+        if xa == xb:
+            raise TiedX(ia, ib)
+    return tuple(p for _, p in keyed)
+
+
+def reference_bounds(pts, i, j):
+    (ai, bi), (aj, bj) = pts[i - 1], pts[j - 1]
+    if bj > bi:
+        return Case.ONE, bi - ai, bj, aj + bi - ai, bj - aj
+    return Case.TWO, bj - ai, bi, bj, bi - ai
+
+
+def reference_classify(pts, i, j):
+    """(case, colors) on the Fraction apexes, by the comparisons of the
+    classify docstring."""
+    order = reference_x_order(pts)
+    if abs(order.index(i) - order.index(j)) != 1:
+        raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
+    (ai, bi), (aj, bj) = pts[i - 1], pts[j - 1]
+    if not ai < aj:
+        raise NotAdjacent("line %d is not left of line %d" % (i, j))
+    if bi == bj:
+        raise Boundary(j)
+    case, split, top, low, diag = reference_bounds(pts, i, j)
+
+    def below(lhs, rhs, k):
+        if lhs == rhs:
+            raise Boundary(k)
+        return lhs < rhs
+
+    colors = {}
+    for k, (ak, bk) in enumerate(pts, 1):
+        if k in (i, j):
+            continue
+        if ak < ai:
+            colors[k] = (Region.RED if below(bk - ak, split, k) else
+                         Region.PURPLE if below(bk, top, k) else Region.OLIVE)
+        else:
+            colors[k] = (Region.BLUE if below(bk, low, k) else
+                         Region.GREEN if below(bk - ak, diag, k) else
+                         Region.YELLOW)
+    return case, colors
+
+
+def reference_halfplanes(pts, i, j):
+    (ai, _), (aj, _) = pts[i - 1], pts[j - 1]
+    _, split, top, low, diag = reference_bounds(pts, i, j)
+    left, right = (1, 0, ai), (-1, 0, -aj)
+    return {
+        Region.RED: [left, (-1, 1, split)],
+        Region.PURPLE: [left, (1, -1, -split), (0, 1, top)],
+        Region.OLIVE: [left, (0, -1, -top)],
+        Region.BLUE: [right, (0, 1, low)],
+        Region.GREEN: [right, (0, -1, -low), (-1, 1, diag)],
+        Region.YELLOW: [right, (1, -1, -diag)],
+    }
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+# Entries p/q with |p| <= 40 and q <= 6, so the apexes of a matrix rarely
+# share a denominator, or small ints, so that ties and boundary apexes
+# occur.
+ENTRIES = st.one_of(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+                    st.integers(-3, 3))
+MATRICES = st.integers(3, 6).flatmap(lambda n: st.lists(
+    st.lists(ENTRIES, min_size=n, max_size=n), min_size=3, max_size=3)).map(
+        WeightMatrix.from_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRICES)
+def test_int_arrangement_equals_fraction_reference(M):
+    # The arrangement stores its apexes only as ints on the lcm scale D;
+    # every point it returns and every decision it takes must be the
+    # Fraction one.
+    A = apexes(M)
+    pts = reference_apexes(M)
+    assert [A.apex(p) for p in range(1, M.n + 1)] == pts
+    assert all(type(x) is Fraction for p in range(1, M.n + 1) for x in A.apex(p))
+    assert A.lines == tuple(TropicalLine(p, pt) for p, pt in enumerate(pts, 1))
+    assert A.source is M
+    assert outcome(x_order, A) == outcome(reference_x_order, pts)
+    for i in range(1, M.n + 1):
+        for j in range(1, M.n + 1):
+            if i == j:
+                continue
+            got = outcome(classify, A, i, j)
+            if not isinstance(got, tuple):
+                got = (got.case, got.colors)
+            assert got == outcome(reference_classify, pts, i, j)
+            if pts[i - 1][0] < pts[j - 1][0]:
+                assert (region_halfplanes(A, i, j)
+                        == reference_halfplanes(pts, i, j))
