@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mfcore import (MatchingField, Triple, WeightMatrix, _int_rows,
+from .mfcore import (MatchingField, Triple, WeightMatrix, _apex_ints,
                      check_triple, triples)
 
 Point = tuple[Fraction, Fraction]
@@ -100,10 +100,8 @@ class Covector:
 
 def apexes(M: WeightMatrix) -> Arrangement:
     """Arrangement with line p at (m2p - m1p, m3p - m1p), held as the
-    ints (r2p - r1p, r3p - r1p) of M's rows times D (mfcore._int_rows)."""
-    (r1, r2, r3), D = _int_rows(M)
-    return Arrangement(tuple(b - a for a, b in zip(r1, r2)),
-                       tuple(c - a for a, c in zip(r1, r3)), D, M)
+    apex ints of mfcore._apex_ints, the ones induce decides on."""
+    return Arrangement(*_apex_ints(M), M)
 
 
 def _sector(u, v, index: int) -> int:

@@ -103,7 +103,7 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
             _, eps = swap(A.source, i, j)
         except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
                 Boundary):
-            eps = _landing_gap(A, x_order(A), j) / 2
+            eps = Fraction(_landing_gap(A, x_order(A), j), 2 * A.D)
         target_apex = (A.apex(j)[0] + eps, A.apex(i)[1])
         pts.append(target_apex)
     else:

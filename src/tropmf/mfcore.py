@@ -9,11 +9,11 @@ induced tableau of the subset, and the map from all subsets to their
 tableaux is the induced matching field.
 
 Entries are `fractions.Fraction`.  Every decision is an exact int
-comparison on the common-denominator scale: the rows are multiplied by
-the lcm D of their denominators, and a positive scale keeps every
-argmin.  Nothing in this module (or anywhere else in the package)
-decides anything in floating point.  Column indices are 1-based
-throughout the public API.
+comparison on the apex ints xs = m2 - m1 and ys = m3 - m1 times the lcm D
+of the denominators: a triple's six placements share its row-1 sum, so
+(c1, c2, c3) ranks by xs[c2] + ys[c3], and a positive scale keeps every
+argmin.  Nothing in the package decides anything in floating point.
+Column indices are 1-based throughout the public API.
 """
 
 from __future__ import annotations
@@ -119,23 +119,22 @@ def check_triple(triple: Triple, n: int) -> Triple:
 _PLACEMENTS = tuple(itertools.permutations(range(3)))
 
 
-def _int_rows(M: WeightMatrix) -> tuple:
-    """(rows, D): the lcm D of the entries' denominators and M's rows
-    times D, as lists of ints."""
+def _apex_ints(M: WeightMatrix) -> tuple:
+    """(xs, ys, D): the lcm D of the entries' denominators and the apex
+    ints xs = r2 - r1 and ys = r3 - r1 of M's rows r times D."""
     D = math.lcm(*[x.denominator for row in M.rows for x in row])
-    return tuple([x.numerator * (D // x.denominator) for x in row]
-                 for row in M.rows), D
+    r1, r2, r3 = ([x.numerator * (D // x.denominator) for x in r] for r in M.rows)
+    return (tuple(b - a for a, b in zip(r1, r2)),
+            tuple(c - a for a, c in zip(r1, r3)), D)
 
 
-def _minima(rows, Ts) -> Iterator:
-    """(T, least weight, its placement) for each triple T of Ts on the
-    int rows; the placement is None when the least weight is tied."""
-    r1, r2, r3 = rows
+def _minima(xs, ys, Ts) -> Iterator:
+    """(T, least xs[c2] + ys[c3], its placement (c1, c2, c3)) for each
+    triple T of Ts; the placement is None when the least weight is tied."""
     for T in Ts:
         a, b, c = T[0] - 1, T[1] - 1, T[2] - 1
-        ws = (r1[a] + r2[b] + r3[c], r1[a] + r2[c] + r3[b],
-              r1[b] + r2[a] + r3[c], r1[b] + r2[c] + r3[a],
-              r1[c] + r2[a] + r3[b], r1[c] + r2[b] + r3[a])
+        ws = (xs[b] + ys[c], xs[c] + ys[b], xs[a] + ys[c],
+              xs[c] + ys[a], xs[a] + ys[b], xs[b] + ys[a])
         low = min(ws)
         if ws.count(low) > 1:
             yield T, low, None
@@ -159,8 +158,8 @@ def normalize(M: WeightMatrix) -> WeightMatrix:
 
 def genericity(M: WeightMatrix) -> GenericityReport:
     """Report whether every triple has a unique minimum-weight placement."""
-    rows, _ = _int_rows(M)
-    offending = tuple(T for T, _, tab in _minima(rows, triples(M.n))
+    xs, ys, _ = _apex_ints(M)
+    offending = tuple(T for T, _, tab in _minima(xs, ys, triples(M.n))
                       if tab is None)
     return GenericityReport(ok=not offending, offending=offending)
 
@@ -168,9 +167,9 @@ def genericity(M: WeightMatrix) -> GenericityReport:
 def induce(M: WeightMatrix) -> MatchingField:
     """The matching field induced by M (TieError on the first tied
     triple in lex order)."""
-    rows, _ = _int_rows(M)
+    xs, ys, _ = _apex_ints(M)
     assignment = {}
-    for T, _, tab in _minima(rows, triples(M.n)):
+    for T, _, tab in _minima(xs, ys, triples(M.n)):
         if tab is None:
             raise TieError(T)
         assignment[T] = tab
@@ -179,8 +178,9 @@ def induce(M: WeightMatrix) -> MatchingField:
 
 def plucker_weights(M: WeightMatrix) -> dict:
     """Minimum placement weight of every triple (ties allowed)."""
-    rows, D = _int_rows(M)
-    return {T: Fraction(w, D) for T, w, _ in _minima(rows, triples(M.n))}
+    xs, ys, D = _apex_ints(M)
+    return {T: Fraction(w, D) + sum(M.rows[0][c - 1] for c in T)
+            for T, w, _ in _minima(xs, ys, triples(M.n))}
 
 
 def diagonal(n: int) -> MatchingField:

@@ -27,7 +27,7 @@ offset is the largest gap/2^k inside it.  The accepted matrix differs
 from M only in column i, so every triple without i keeps its tableau,
 and the re-check recomputes the triples through i from scratch, plus
 x_order; that equals a full induce of the accepted matrix.  Placement
-weights are ints on the matrix's common-denominator scale (_int_rows).
+weights are read off the caller's arrangement, as its apex ints.
 certify works in one pass: one induce per matrix (none when the caller
 hands it the field), one classification (regions and star report) on
 certify's x order, the swap search on that state, and one f-value split
@@ -46,9 +46,9 @@ vertices, checked on the midpoint and on every vertex.  No LP is solved.
 
 A certificate stores each fact once.  Its kind, verdict, landing offset,
 x order after the swap, the reason once a swap has landed, k1-k4, the
-star flags a-d and (w, f) are derived from the regions, groups, swapped
-matrix, diff, images, failure lists and witnesses it records.  Its
-text has one writer, certificate_to_text, and one reader,
+star lists and flags a-d and (w, f) are derived from the regions,
+groups, swapped matrix, diff, images, failure lists and witnesses it
+records.  Its text has one writer, certificate_to_text, and one reader,
 parse_certificate, which skips the derived lines and accepts only the
 exact bytes the writer gives back for what it read (plan files read
 their steps the same way), so no derived line can disagree.
@@ -63,14 +63,14 @@ from fractions import Fraction
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
-                     _int_rows, _minima, induce, mf_diff,
+                     _minima, induce, mf_diff,
                      weight_matrix_from_text, weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
 from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      StarReport, _classify, _star_report)
+                      StarReport, _classify)
 from .regions import classify  # noqa: F401  unused; perfbench traces this name
 from .regions import star  # noqa: F401  unused; perfbench traces this name
 
@@ -131,9 +131,10 @@ class WitnessEntry:
 
 @dataclass
 class MutationCertificate:
-    """The facts certify found for one swap; the kind, the landing offset,
-    the x order after the swap, k1-k4 (None where certify stopped before
-    the check), the verdict and the reason are derived."""
+    """The facts certify found for one swap; the star report, the kind,
+    the landing offset, the x order after the swap, k1-k4 (None where
+    certify stopped before the check), the verdict and the reason are
+    derived."""
 
     digest: str
     n: int
@@ -141,7 +142,6 @@ class MutationCertificate:
     j: int
     stop: str | None = None           # why certify stopped before the swap landed
     case: str | None = None
-    star: StarReport | None = None
     matrix_after: WeightMatrix | None = None
     order_before: tuple | None = None
     data: MutationData | None = None
@@ -150,6 +150,18 @@ class MutationCertificate:
     k3_failures: list = field(default_factory=list)
     k4_failures: list = field(default_factory=list)
     witnesses: list | None = None
+
+    @property
+    def star(self) -> StarReport | None:
+        """The four region lists, from the groups: red is group 1,
+        yellow-green group 2, red-purple groups 1 and 3, and blue-olive
+        every other line but i and j; None without swap data."""
+        if self.data is None:
+            return None
+        red, two, three = (self.data.group_red, self.data.group_two,
+                           self.data.group_three)
+        rest = set(range(1, self.n + 1)) - {self.i, self.j} - red - two - three
+        return StarReport(*(tuple(sorted(g)) for g in (red, rest, two, red | three)))
 
     @property
     def kind(self) -> str | None:
@@ -213,7 +225,7 @@ class MutationCertificate:
         """INAPPLICABLE without a swapped matrix or for a MUTATION whose
         star condition fails, else VERIFIED when k1-k4 pass, or REFUTED."""
         if self.matrix_after is None or (
-                self.kind == "MUTATION" and not (self.star and self.star.overall)):
+                self.kind == "MUTATION" and not self.star.overall):
             return "INAPPLICABLE"
         return ("VERIFIED" if self.k1 and self.k2 and self.k3 and self.k4
                 else "REFUTED")
@@ -254,13 +266,13 @@ def expected_flip(L: MatchingField, i: int, j: int, R: RegionAssignment) -> Matc
     return MatchingField(L.n, assignment)
 
 
-def _landing_gap(A: Arrangement, order: tuple, j: int) -> Fraction:
-    """Room right of line j's apex for line i to land in: the x distance
-    to the next apex in x order, or 1 when j is rightmost."""
+def _landing_gap(A: Arrangement, order: tuple, j: int) -> int:
+    """Room right of line j's apex for line i to land in, on A's int scale:
+    the x distance to the next apex in x order, or D when j is rightmost."""
     pos = order.index(j)
     if pos + 1 < A.n:
-        return Fraction(A.xs[order[pos + 1] - 1] - A.xs[j - 1], A.D)
-    return Fraction(1)
+        return A.xs[order[pos + 1] - 1] - A.xs[j - 1]
+    return A.D
 
 
 def _triples_through(i: int, n: int):
@@ -269,15 +281,16 @@ def _triples_through(i: int, n: int):
     return (tuple(sorted((i, a, b))) for a, b in itertools.combinations(others, 2))
 
 
-def _offset_interval(M0: WeightMatrix, i: int, expected: MatchingField,
-                     gap: Fraction) -> Fraction:
-    """hi such that the offsets eps in (0, gap) for which raising entry
-    (2, i) of M0 by eps gives every triple through i its expected tableau
-    as the unique minimum are the open interval (0, hi), empty when
-    hi <= 0.  The weight differences d are ints on M0's scale D.
+def _offset_interval(xs, ys, i: int, expected: MatchingField,
+                     gap: int) -> int:
+    """hi such that the offsets eps in (0, gap) for which moving line i's
+    apex x from xs[i - 1] to xs[i - 1] + eps gives every triple through i
+    its expected tableau as the unique minimum are the open interval
+    (0, hi), empty when hi <= 0.  xs, ys, gap and hi are apex ints on one
+    scale, and the weight differences d of xs[c2] + ys[c3] are too.
 
-    No bound lies above 0 when M0 is M with line i moved right onto line
-    j's x (by a_j - a_i > 0) and expected is expected_flip, as in
+    No bound lies above 0 when xs is A.xs with line i moved right onto
+    line j's x (by a_j - a_i > 0) and expected is expected_flip, as in
     _swap_core.  A lower bound -d comes only from a placement t with i
     in row 2 whose expected tableau e lacks it.  Off the red flips e is
     induce(M)'s and the move adds a_j - a_i to w(t) only, so d > 0.  For
@@ -285,31 +298,30 @@ def _offset_interval(M0: WeightMatrix, i: int, expected: MatchingField,
     has d = b_j - b_k > 0, as a red apex lies below j's (case ONE:
     b_k < b_i + a_k - a_i < b_j; case TWO: b_k < a_k + b_j - a_i < b_j).
     _recheck still checks the landed matrix."""
-    (r1, r2, r3), D = _int_rows(M0)
-    hi = gap * D
-    for T in _triples_through(i, M0.n):
+    hi = gap
+    for T in _triples_through(i, len(xs)):
         e = expected[T]
-        we = r1[e[0] - 1] + r2[e[1] - 1] + r3[e[2] - 1]
+        we = xs[e[1] - 1] + ys[e[2] - 1]
         for t in itertools.permutations(T):
             if t == e:
                 continue
-            d = r1[t[0] - 1] + r2[t[1] - 1] + r3[t[2] - 1] - we
+            d = xs[t[1] - 1] + ys[t[2] - 1] - we
             if (t[1] == i) == (e[1] == i):
                 if d <= 0:
-                    return Fraction(0)
+                    return 0
             elif e[1] == i:
                 hi = min(hi, d)
-    return Fraction(hi, D)
+    return hi
 
 
-def _recheck(M2: WeightMatrix, i: int, expected: MatchingField) -> bool:
+def _recheck(A2: Arrangement, i: int, expected: MatchingField) -> bool:
     """Whether every triple through i has its expected tableau as the
-    unique minimum on M2.  When M2 differs from M only in column i and
-    expected equals induce(M) on the triples without i, this is exactly
-    induce(M2) == expected: those triples keep all six weights."""
-    rows, _ = _int_rows(M2)
-    return all(tab == expected[T]
-               for T, _, tab in _minima(rows, _triples_through(i, M2.n)))
+    unique minimum on the apex ints of A2.  When A2's source differs
+    from M only in column i and expected equals induce(M) on the triples
+    without i, this is exactly induce(A2.source) == expected: those
+    triples keep all six weights."""
+    return all(tab == expected[T] for T, _, tab in
+               _minima(A2.xs, A2.ys, _triples_through(i, A2.n)))
 
 
 def swap(M: WeightMatrix, i: int, j: int):
@@ -334,8 +346,6 @@ def swap(M: WeightMatrix, i: int, j: int):
     order = x_order(A)
     if not A.xs[i - 1] < A.xs[j - 1]:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    if order.index(j) != order.index(i) + 1:
-        raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
     return _swap_core(M, L, A, order, _classify(A, order, i, j), i, j)[:2]
 
 
@@ -344,27 +354,27 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
     """swap's search on the caller's state for the adjacent pair (i left
     of j); L must be induce(M).  Returns (M2, eps, L2); the field L2 (the
     red-flip prediction) and the transposed x order are both re-checked
-    on M2, the field by _recheck on the triples through i.  The largest
-    gap/2^k below hi has k = bit length of gap // hi (k >= 1, as hi <=
-    gap)."""
+    on apexes(M2), the field by _recheck.  gap and hi are ints on A's
+    scale D, and the largest gap/2^k below hi has k = bit length of
+    gap // hi (k >= 1, as hi <= gap)."""
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, order, j)
     pi = order.index(i)
     target = order[:pi] + (j, i) + order[pi + 2:]
-    base = M.entry(1, i) + A.apex(j)[0]
-    hi = _offset_interval(M.with_entry(2, i, base), i, expected, gap)
+    xs = A.xs[:i - 1] + (A.xs[j - 1],) + A.xs[i:]   # line i onto j's x
+    hi = _offset_interval(xs, A.ys, i, expected, gap)
     if hi > 0:
         k = (gap // hi).bit_length()
-        eps = gap / 2 ** k
         if k <= 64:
-            M2 = M.with_entry(2, i, base + eps)
-            if not (_recheck(M2, i, expected)
-                    and x_order(apexes(M2)) == target):
+            eps = Fraction(gap, A.D << k)
+            M2 = M.with_entry(2, i, M.entry(1, i) + A.apex(j)[0] + eps)
+            A2 = apexes(M2)
+            if not (_recheck(A2, i, expected) and x_order(A2) == target):
                 raise AssertionError("offset %s for lines %d and %d fails "
                                      "the field re-check" % (eps, i, j))
             return M2, eps, expected
     raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
-                       "lines %d and %d" % (gap, i, j))
+                       "lines %d and %d" % (Fraction(gap, A.D), i, j))
 
 
 def _cube(u: Tableau, v: Tableau):
@@ -562,7 +572,6 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     except (NotAdjacent, Boundary) as e:
         cert.stop = str(e)
         return cert
-    cert.star = _star_report(R)
     cert.case = R.case.value
     cert.data = D = build_wf(A, i, j, R)
     V = vertices(L)
@@ -626,10 +635,10 @@ def certificate_to_text(c: MutationCertificate) -> str:
            "kind: %s" % _opt(c.kind),
            "verdict: %s" % c.verdict,
            "reason: %s" % _opt(c.reason),
-           "STAR",
-           "present: %s" % _bool(c.star is not None)]
-    if c.star is not None:
-        s = c.star
+           "STAR"]
+    s = c.star
+    out.append("present: %s" % _bool(s is not None))
+    if s is not None:
         out += ["%s: %s" % (k, _bool(getattr(s, k)))
                 for k in ("a", "b", "c", "d", "overall")]
         out += ["red: %s" % _ints(s.red),
@@ -738,8 +747,8 @@ def _parse_ints(text: str) -> tuple:
 def _read_certificate(rd: _Reader) -> MutationCertificate:
     """One certificate block, CERTIFICATE through END, from rd's position.
     Lines that the writer derives (version, kind, verdict, the reason
-    after a landed swap, the star flags, epsilon, order-after, w, f and
-    k1-k4) are skipped here and checked by the caller's re-write; the
+    after a landed swap, the star flags and lists, epsilon, order-after,
+    w, f and k1-k4) are skipped here and checked by the caller's re-write; the
     caller also runs _check_swapped."""
     rd.expect("CERTIFICATE")
     rd.value("version")
@@ -753,12 +762,8 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     reason = rd.value("reason")
     rd.expect("STAR")
     if rd.value("present") == "true":
-        for _ in range(5):
+        for _ in range(9):   # the flags and the four lists
             rd.take()
-        cert.star = StarReport(red=_parse_ints(rd.value("red")),
-                               blue_olive=_parse_ints(rd.value("blue-olive")),
-                               yellow_green=_parse_ints(rd.value("yellow-green")),
-                               red_purple=_parse_ints(rd.value("red-purple")))
     rd.expect("SWAP")
     rd.value("epsilon")
     cert.order_before = _parse_ints(rd.value("order-before")) or None
@@ -773,6 +778,11 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     if rd.value("present") == "true":
         g1, g2, g3 = (frozenset(_parse_ints(rd.value("group-%d" % k)))
                       for k in (1, 2, 3))
+        union = g1 | g2 | g3
+        if (len(g1) + len(g2) + len(g3) != len(union)
+                or not all(1 <= c <= n and c not in (i, j) for c in union)):
+            raise ValueError("groups must be disjoint subsets of 1..%d "
+                             "without %d and %d" % (n, i, j))
         cert.data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
                                  group_three=g3)
         for _ in range(8):   # w and f: a key line, then three rows of n

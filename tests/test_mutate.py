@@ -179,7 +179,7 @@ def _swap_by_halving(M: WeightMatrix, i: int, j: int):
     L = induce(M)
     R = classify(A, i, j)
     expected = expected_flip(L, i, j, R)
-    gap = _landing_gap(A, order, j)
+    gap = Fraction(_landing_gap(A, order, j), A.D)
     target = list(order)
     target[pi], target[pj] = target[pj], target[pi]
     target = tuple(target)
@@ -256,9 +256,11 @@ def lower_bound_walk(M0: WeightMatrix, i: int, expected: MatchingField):
     st.lists(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4)),
              min_size=n, max_size=n), min_size=3, max_size=3)))
 def test_offset_interval_is_exact_acceptance_set(rows):
-    # M0 and the expected field are built as _swap_core builds them: line
-    # i moved onto line j's x for each adjacent pair (i left of j), and
-    # the red-flip prediction.  The offsets eps in (0, gap) that give the
+    # The moved apex ints and the expected field are built as _swap_core
+    # builds them: A's ints with line i moved onto line j's x, kept on A's
+    # scale (apexes(M0) may have a smaller lcm), for each adjacent pair
+    # (i left of j), and the red-flip prediction; M0 is that move as a
+    # matrix, for the probes.  The offsets eps in (0, gap) that give the
     # prediction are then exactly (0, hi): probes just above 0, at hi/2,
     # at hi and beyond hi agree with induce, and the lower bound that
     # _offset_interval no longer computes is never above 0.
@@ -274,10 +276,14 @@ def test_offset_interval_is_exact_acceptance_set(rows):
             expected = expected_flip(L, i, j, classify(A, i, j))
         except (Boundary, PatternMismatch):
             continue
-        gap = _landing_gap(A, order, j)
+        gap_int = _landing_gap(A, order, j)
+        gap = Fraction(gap_int, A.D)
         m2i = M.entry(1, i) + A.apex(j)[0]
         M0 = M.with_entry(2, i, m2i)
-        hi = mutate._offset_interval(M0, i, expected, gap)
+        xs = list(A.xs)
+        xs[i - 1] = A.xs[j - 1]
+        hi = Fraction(mutate._offset_interval(xs, A.ys, i, expected, gap_int),
+                      A.D)
         lo = lower_bound_walk(M0, i, expected)
         assert lo is None or lo <= 0
         assert hi <= gap
@@ -336,22 +342,16 @@ def test_recheck_through_i_equals_full_induce(case):
         full = induce(M2) == expected
     except TieError:
         full = False
-    assert mutate._recheck(M2, i, expected) == full
+    assert mutate._recheck(apexes(M2), i, expected) == full
 
 
 def test_swap_recheck_catches_wrong_interval(monkeypatch):
-    # Scaling every int placement weight by 1000 but not the common
-    # denominator keeps each sign but widens the offset interval of the
-    # closer-threshold swap from (0, 1) to (0, 1000), so gap/2 = 1 is
-    # picked; there the triple {1, 3, 5} is tied, and the re-check, whose
-    # argmins a common scale cannot move, refuses the matrix.
-    real = mutate._int_rows
-
-    def scaled(M):
-        rows, D = real(M)
-        return tuple([1000 * x for x in row] for row in rows), D
-
-    monkeypatch.setattr(mutate, "_int_rows", scaled)
+    # An offset interval widened to the whole gap makes the closer-
+    # threshold swap pick gap/2 = 1, where its true interval is (0, 1);
+    # there the triple {1, 3, 5} is tied, and the re-check, which reads
+    # the landed matrix's own apexes, refuses the matrix.
+    monkeypatch.setattr(mutate, "_offset_interval",
+                        lambda xs, ys, i, expected, gap: gap)
     with pytest.raises(AssertionError, match="re-check"):
         swap(closer_threshold_matrix(), 3, 4)
 

@@ -85,6 +85,13 @@ def test_edited_plan_parses_or_raises_value_error(text):
     ("a: true", "a: x"),
     ("  3 5", "  3 6"),
     ("k1-slab: pass", "k1-slab: maybe"),
+    ("red: 1", "red: 2"),
+    ("yellow-green: 5", "yellow-green: 2"),
+    ("red-purple: 1 2", "red-purple: 2 1"),
+    ("red-purple: 1 2", "red-purple: 1 5"),
+    ("group-3: 2", "group-3: 1 2"),
+    ("group-3: 2", "group-3: 9"),
+    ("group-1: 1", "group-1: 1 3"),
 ])
 def test_certificate_edit_raises_value_error(line, value):
     assert line + "\n" in CERTIFICATE
@@ -137,6 +144,8 @@ DERIVED_WORDS = {
     **dict.fromkeys(("a", "b", "c", "d", "overall"), ("true", "false")),
     "kind": ("NOOP", "SHEAR", "MUTATION", "-"),
     "epsilon": ("-", "1", "1/2", "1/1024"),
+    **dict.fromkeys(("red", "blue-olive", "yellow-green", "red-purple"),
+                    ("-", "1", "1 2")),
 }
 REASONS = ("-", "star condition fails for a two-sided swap", "x")
 
@@ -144,8 +153,8 @@ REASONS = ("-", "star condition fails for a two-sided swap", "x")
 def derived_line_edits(lines):
     """(line index, new line) for every single-line edit of a line that
     the writer derives: the kind, the verdict, k1-k4, the star flags a-d
-    and overall, epsilon, order-after, each w and f entry, and the reason
-    after a landed swap.  One more edit repeats the first image line and
+    and overall, the four star lists, epsilon, order-after, each w and f
+    entry, and the reason after a landed swap.  One more edit repeats the first image line and
     raises the image count to match."""
     for at, ln in enumerate(lines):
         key, _, value = ln.partition(": ")

@@ -86,3 +86,7 @@ def test_traced_mutate_proves_each_failure_without_lp(tmp_path):
     assert "k3-fail-count: 1\n" in text and "k4-fail-count: 1\n" in text
     assert metrics["lp.calls"] == (0, "count")
     assert metrics["polytope.member.calls"] == (0, "count")
+    # One certify, whose only induce is of the start matrix: the landed
+    # swap is re-checked on the triples through i.
+    assert metrics["mutate.certify.calls"] == (1, "count")
+    assert metrics["mfcore.induce.calls"] == (1, "count")
