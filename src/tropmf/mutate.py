@@ -38,11 +38,13 @@ with f-value -1 is the only sheared one, and its image is (i, j, t3)
 when it places j over i, else no tableau.  The midpoint of tableaux u
 and v is the centre of the cube of tuples t with t[r] in {u[r], v[r]},
 and lies in a vertex hull iff the hull's cube vertices hold an antipodal
-pair or (three differing rows) a whole parity class.  A "yes" comes with
-that explicit combination, int weights out of 4, substituted back and
-checked in ints; a "no" comes
-with an integer separating functional built from the present cube
-vertices, checked on the midpoint and on every vertex.  No LP is solved.
+pair or (three differing rows) a whole parity class.  A witness pair in
+the hull is a "yes" with weights 2 and 2 (the swap rewrites only (j, i,
+k), of f-value -1, so both sets share their f-value-0 witnesses); other
+pairs get the cube rule: a "yes" comes with its combination, int weights
+out of 4, substituted back and checked in ints, a "no" with an integer
+separating functional built from the present cube vertices, checked on
+the midpoint and on every vertex.  No LP is solved.
 
 A certificate stores each fact once.  Its kind, verdict, landing offset,
 x order after the swap, the reason once a swap has landed, k1-k4, the
@@ -60,6 +62,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
@@ -120,8 +123,7 @@ class MutationData:
                 (0,) * self.n)
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(NamedTuple):
     u: Tableau
     v: Tableau
     kind: str            # case1 / case2 / case3 / search / none
@@ -186,11 +188,12 @@ class MutationCertificate:
 
     @property
     def order_after(self) -> tuple | None:
-        """x_order(apexes(matrix_after)): what the reader's transposition
-        check, a plan's chain check and the writer read."""
+        """order_before with i and j transposed, as _swap_core re-checked."""
         if self.matrix_after is None:
             return None
-        return x_order(apexes(self.matrix_after))
+        i, j = self.i, self.j
+        return tuple(j if c == i else i if c == j else c
+                     for c in self.order_before or ())
 
     @property
     def k1(self) -> bool | None:
@@ -518,9 +521,13 @@ def _midpoint_in_hull(u: Tableau, v: Tableau, P: VertexSet) -> bool:
     return True
 
 
-def _midpoint_failures(neg: list, pos: list, P: VertexSet) -> list:
-    """The split pairs of tableaux (u, v) with midpoint outside conv(P)."""
-    return [(u, v) for u in neg for v in pos if not _midpoint_in_hull(u, v, P)]
+def _battery(entries: list, P: VertexSet) -> list:
+    """The pairs (u, v) of the witness entries, in order, whose midpoint
+    lies outside conv(P): a witness pair in P is a "yes" (t + t2 = u + v
+    row by row, weights 2 and 2), any other pair goes to _midpoint_in_hull."""
+    return [(e.u, e.v) for e in entries
+            if not (e.t in P.points and e.t2 in P.points)
+            and not _midpoint_in_hull(e.u, e.v, P)]
 
 
 def _check_pair(n: int, i: int, j: int):
@@ -543,51 +550,39 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     Each fact is derived once: induce per matrix (a TieError is the
     genericity verdict), one classification on the x order already
     sorted, for the regions and the star report, and one f-value split
-    per vertex set, from which the images and the cube-rule batteries
-    are read.  A caller that holds induce(M) already passes it as field
-    (plan_to_order passes the field the previous step's re-check proved),
-    and certify then makes no induce.
+    per vertex set, from which the images, the witnesses and both
+    batteries are read.  A caller that holds induce(M) already passes it
+    as field (plan_to_order passes the field the previous step's re-check
+    proved), and certify then makes no induce.  Each stop is raised only
+    by its stage: the landing offset lies in a tie-free open interval.
     """
     _check_pair(M.n, i, j)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j)
-    L = field
-    if L is None:
-        try:
-            L = induce(M)
-        except TieError as e:
-            cert.stop = "not generic: %s" % e
-            return cert
-    A = apexes(M)
     try:
+        L = induce(M) if field is None else field
+        A = apexes(M)
         order = x_order(A)
-    except TiedX as e:
-        cert.stop = str(e)
-        return cert
-    if A.xs[i - 1] > A.xs[j - 1]:
-        i, j = j, i
-        cert.i, cert.j = i, j
-    cert.order_before = order
-    try:
+        if A.xs[i - 1] > A.xs[j - 1]:
+            i, j = j, i
+            cert.i, cert.j = i, j
+        cert.order_before = order
         R = _classify(A, order, i, j)
-    except (NotAdjacent, Boundary) as e:
-        cert.stop = str(e)
-        return cert
-    cert.case = R.case.value
-    cert.data = D = build_wf(A, i, j, R)
-    V = vertices(L)
-    neg, zero, pos = _f_split(V, D.f)
-    cert.witnesses = _witnesses(neg, zero, pos, D)
-    try:
+        cert.case = R.case.value
+        cert.data = D = build_wf(A, i, j, R)
+        V = vertices(L)
+        neg, zero, pos = _f_split(V, D.f)
+        cert.witnesses = _witnesses(neg, zero, pos, D)
         cert.matrix_after, _, L2 = _swap_core(M, L, A, order, R, i, j)
-    except (NotSwappable, PatternMismatch) as e:
+    except TieError as e:
+        cert.stop = "not generic: %s" % e
+    except (TiedX, NotAdjacent, Boundary, NotSwappable, PatternMismatch) as e:
         cert.stop = str(e)
-        return cert
-    cert.diff = mf_diff(L, L2)
-    V2 = vertices(L2)
-    cert.images = _images(V, neg, i, j)
-    cert.k3_failures = _midpoint_failures(neg, pos, V2)
-    neg2, _, pos2 = _f_split(V2, D.f)
-    cert.k4_failures = _midpoint_failures(neg2, pos2, V)
+    else:
+        cert.diff = mf_diff(L, L2)
+        V2 = vertices(L2)
+        cert.images = _images(V, neg, i, j)
+        cert.k3_failures = _battery(cert.witnesses, V2)
+        cert.k4_failures = _battery(_witnesses(*_f_split(V2, D.f), D), V)
     return cert
 
 
@@ -755,6 +750,7 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     digest = rd.value("digest")
     n = int(rd.value("n"))
     i, j = (int(t) for t in rd.value("pair").split())
+    _check_pair(n, i, j)
     cert = MutationCertificate(digest=digest, n=n, i=i, j=j,
                                case=rd.word("case", _CASES))
     rd.value("kind")
@@ -812,32 +808,31 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
     if rd.value("present") == "true":
         cert.witnesses = []
         for _ in range(int(rd.value("count"))):
-            ln = rd.take()
-            pairs, _, rest = ln.partition(" : ")
+            pairs, _, rest = rd.take().partition(" : ")
             u, _, v = pairs.partition(" | ")
-            if rest == "none":
-                cert.witnesses.append(WitnessEntry(_parse_tab(u), _parse_tab(v),
-                                                   "none", None, None))
-            else:
-                kind, _, wit = rest.partition(" : ")
-                t, _, t2 = wit.partition(" + ")
-                cert.witnesses.append(WitnessEntry(_parse_tab(u), _parse_tab(v),
-                                                   kind, _parse_tab(t), _parse_tab(t2)))
+            kind, _, wit = rest.partition(" : ")   # a none entry has no pair
+            t, _, t2 = (wit or "* + *").partition(" + ")
+            cert.witnesses.append(WitnessEntry(_parse_tab(u), _parse_tab(v), kind,
+                                               _parse_tab(t), _parse_tab(t2)))
     rd.expect("END")
     return cert
 
 
 def _check_swapped(cert: MutationCertificate) -> None:
-    """ValueError unless a matrix-after swapped the pair: its x order must
-    be order-before with i and j transposed."""
+    """ValueError unless a matrix-after swapped the pair: its x order is
+    order-before with i and j transposed, and its case ONE when j's apex is
+    higher than i's, else TWO (a swap keeps the heights; equal never land)."""
     if cert.matrix_after is None:
         return
     i, j = cert.i, cert.j
-    swapped = tuple(j if c == i else i if c == j else c
-                    for c in cert.order_before or ())
-    if cert.order_after != swapped:
+    A = apexes(cert.matrix_after)
+    if x_order(A) != cert.order_after:
         raise ValueError("order-after is not order-before with lines %d and "
                          "%d transposed" % (i, j))
+    yi, yj = A.ys[i - 1], A.ys[j - 1]
+    if yi == yj or cert.case != ("ONE" if yj > yi else "TWO"):
+        raise ValueError("case %s is not that of the apex heights of lines "
+                         "%d and %d in matrix-after" % (_opt(cert.case), i, j))
 
 
 def _check_written(text: str, written: str) -> None:

@@ -9,10 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, golden_texts,
                       shear_matrix)
-from tropmf import (Boundary, Case, MatchingField, NotAdjacent, NotSwappable,
-                    PatternMismatch, Region, RegionAssignment, SlabViolation,
-                    TieError, TiedX, VertexSet, WeightMatrix, apexes,
-                    build_wf, certificate_to_text, certify, classify,
+from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
+                    NotSwappable, PatternMismatch, Region, RegionAssignment,
+                    SlabViolation, TieError, TiedX, VertexSet, WeightMatrix,
+                    apexes, build_wf, certificate_to_text, certify, classify,
                     expected_flip, genericity, induce, member, mf_diff,
                     midpoint, parse_certificate, star, swap, tableau_of,
                     tropical_map, vertex_of, vertices, witness_table, x_order)
@@ -159,11 +159,13 @@ def test_swap_empty_red_is_field_preserving(diag6):
 
 
 def _swap_by_halving(M: WeightMatrix, i: int, j: int):
-    """Reference: the halving search that swap replaced, kept verbatim.
+    """Reference: the halving search that swap replaced, on the Fraction
+    apexes.
 
-    Tries eps = gap/2, gap/4, .. (64 steps) and accepts the first offset
-    whose matrix is generic, has the transposed x order and induces the
-    red-flip prediction.
+    Tries eps = gap/2, gap/4, .. (64 steps), gap the room right of j's
+    apex (the next apex's x minus j's, or 1 when j is rightmost), and
+    accepts the first offset whose matrix is generic, has the transposed
+    x order and induces the red-flip prediction.
     """
     report = genericity(M)
     if not report.ok:
@@ -179,7 +181,8 @@ def _swap_by_halving(M: WeightMatrix, i: int, j: int):
     L = induce(M)
     R = classify(A, i, j)
     expected = expected_flip(L, i, j, R)
-    gap = Fraction(_landing_gap(A, order, j), A.D)
+    gap = (A.apex(order[pj + 1])[0] - aj if pj + 1 < len(order)
+           else Fraction(1))
     target = list(order)
     target[pi], target[pj] = target[pj], target[pi]
     target = tuple(target)
@@ -219,8 +222,11 @@ def swap_pairs(M: WeightMatrix, extra):
 
 @st.composite
 def swap_cases(draw):
+    """Int entries, or p/q ones so that the apex ints' scale D exceeds 1."""
     n = draw(st.integers(3, 7))
-    rows = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(3)]
+    entries = (st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+               if draw(st.booleans()) else st.integers(-5, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(3)]
     i = draw(st.integers(1, n))
     j = draw(st.integers(1, n).filter(lambda c: c != i))
     return WeightMatrix.from_rows(rows), (i, j)
@@ -764,6 +770,44 @@ def test_midpoint_rule_equals_member_on_drawn_sets(case):
     assert mutate._midpoint_in_hull(u, v, P) == inside
     if not inside:
         check_separator(u, v, P)
+
+
+@st.composite
+def drawn_batteries(draw):
+    """(entries, P): the witness entries of a drawn pair on a vertex set
+    that is no field (every tableau of f-value 0, so that witness pairs
+    exist, and one to three drawn tableaux of f-value -1 and +1 each), and
+    P a drawn part of that set, so that a witness pair can lie outside P."""
+    n = draw(st.integers(4, 5))
+    i, j, *others = draw(st.permutations(range(1, n + 1)))
+    two = draw(st.frozensets(st.sampled_from(others), min_size=1,
+                             max_size=len(others) - 1))
+    D = MutationData(n, i, j, frozenset(), two, frozenset())
+    tableaux = VertexSet(n, frozenset(
+        t for T in itertools.combinations(range(1, n + 1), 3)
+        for t in itertools.permutations(T)))
+    neg, zero, pos = mutate._f_split(tableaux, D.f)
+    neg, pos = (draw(st.lists(st.sampled_from(g), min_size=1, max_size=3,
+                              unique=True)) for g in (neg, pos))
+    P = VertexSet(n, frozenset(t for t in neg + zero + pos
+                               if draw(st.booleans())))
+    entries = mutate._witnesses(neg, zero, pos, D)
+    assert [(e.u, e.v) for e in entries] == [(u, v) for u in neg for v in pos]
+    return entries, P
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_batteries())
+def test_battery_equals_member_with_witnesses_outside_the_hull(case):
+    # On a coherent field the witnesses lie in both vertex sets; here they
+    # need not lie in P, and the battery must test that they do.
+    entries, P = case
+    for e in entries:
+        if e.kind != "none":
+            assert all({e.t[r], e.t2[r]} == {e.u[r], e.v[r]} for r in range(3))
+    assert mutate._battery(entries, P) == [
+        (e.u, e.v) for e in entries
+        if not member(midpoint(vertex_of(e.u, P.n), vertex_of(e.v, P.n)), P)]
 
 
 def generic_certificates(M, flip):

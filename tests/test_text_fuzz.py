@@ -99,16 +99,32 @@ def test_certificate_edit_raises_value_error(line, value):
         parse_certificate(CERTIFICATE.replace(line + "\n", value + "\n", 1))
 
 
+def edit_lines(text, edits):
+    """text with each (line, value) of edits replacing its first line."""
+    for line, value in edits:
+        assert line + "\n" in text
+        text = text.replace(line + "\n", value + "\n", 1)
+    return text
+
+
 def test_matrix_after_must_swap_the_pair():
     # Line 3 put back left of line 4, with epsilon and order-after edited
     # to match: every derived line agrees, but line 3 never passed line 4.
-    edited = CERTIFICATE
-    for line, value in (("  -2 -3 3 2 4", "  -2 -3 1 2 4"),
-                        ("epsilon: 1", "epsilon: -1"),
-                        ("order-after: 2 1 4 3 5", "order-after: 2 1 3 4 5")):
-        assert line + "\n" in edited
-        edited = edited.replace(line + "\n", value + "\n", 1)
+    edited = edit_lines(CERTIFICATE, (
+        ("  -2 -3 3 2 4", "  -2 -3 1 2 4"),
+        ("epsilon: 1", "epsilon: -1"),
+        ("order-after: 2 1 4 3 5", "order-after: 2 1 3 4 5")))
     with pytest.raises(ValueError, match="3 and 4 transposed"):
+        parse_certificate(edited)
+
+
+def test_pair_outside_the_columns_raises_value_error():
+    # order-before set to the landed x order, so transposing the absent
+    # lines 8 and 9 gives it back and only the pair itself is wrong.
+    edited = edit_lines(CERTIFICATE, (
+        ("pair: 3 4", "pair: 8 9"),
+        ("order-before: 2 1 3 4 5", "order-before: 2 1 4 3 5")))
+    with pytest.raises(ValueError, match="bad pair"):
         parse_certificate(edited)
 
 
@@ -147,50 +163,67 @@ DERIVED_WORDS = {
     **dict.fromkeys(("red", "blue-olive", "yellow-green", "red-purple"),
                     ("-", "1", "1 2")),
 }
-REASONS = ("-", "star condition fails for a two-sided swap", "x")
+LANDED_WORDS = {
+    "reason": ("-", "star condition fails for a two-sided swap", "x"),
+    "case": ("ONE", "TWO", "-"),
+}
 
 
 def derived_line_edits(lines):
-    """(line index, new line) for every single-line edit of a line that
-    the writer derives: the kind, the verdict, k1-k4, the star flags a-d
-    and overall, the four star lists, epsilon, order-after, each w and f
-    entry, and the reason after a landed swap.  One more edit repeats the first image line and
-    raises the image count to match."""
+    """(line index, key, new line) for every single-line edit of a line
+    that the writer derives or the reader checks: the kind, the verdict,
+    k1-k4, the star flags a-d and overall, the four star lists, epsilon,
+    order-after, each w and f entry (key "w:" or "f:"), and the reason
+    and the case after a landed swap.  One more edit (key "IMAGES")
+    repeats the first image line and raises the image count to match."""
     for at, ln in enumerate(lines):
         key, _, value = ln.partition(": ")
         if key in DERIVED_WORDS:
             words = DERIVED_WORDS[key]
         elif key == "order-after":
             words = ("-", "1 2", " ".join(reversed(value.split())))
-        elif key == "reason" and next(
+        elif key in LANDED_WORDS and next(
                 other for other in lines[at:]
                 if other.startswith("matrix-after:")) != "matrix-after: -":
-            words = REASONS
+            words = LANDED_WORDS[key]
         else:
             words = ()
-        yield from ((at, "%s: %s" % (key, w)) for w in words if w != value)
+        yield from ((at, key, "%s: %s" % (key, w)) for w in words if w != value)
         if ln == "IMAGES" and lines[at + 1] != "count: 0":
             count = int(lines[at + 1].split()[1])
-            yield at + 1, "count: %d\n%s" % (count + 1, lines[at + 2])
+            yield at + 1, ln, "count: %d\n%s" % (count + 1, lines[at + 2])
         if ln in ("w:", "f:"):
             for row in range(at + 1, at + 4):
                 entries = lines[row].split()
                 for c, x in enumerate(entries):
                     for y in ("-1", "0", "1"):
                         if y != x:
-                            yield row, "  " + " ".join(
+                            yield row, ln, "  " + " ".join(
                                 entries[:c] + [y] + entries[c + 1:])
 
 
 @pytest.mark.parametrize("text", golden_texts("*.txt"))
 def test_every_derived_line_edit_raises_value_error(text):
-    read = parse_plan if text.startswith("PLAN\n") else parse_certificate
+    # An edit is read by the certificate reader on its own CERTIFICATE ..
+    # END block (a plan step is a certificate); in a plan, the first edit
+    # of each key is also read as a whole plan.
     lines = text.splitlines()
+    starts = [k for k, ln in enumerate(lines) if ln == "CERTIFICATE"]
+    blocks = {start: lines.index("END", start) + 1 for start in starts}
+    for start, end in blocks.items():
+        parse_certificate("\n".join(lines[start:end]) + "\n")
     edits = list(derived_line_edits(lines))
     assert edits
-    for at, value in edits:
+    planned = set()
+    for at, key, value in edits:
+        start = max(k for k in starts if k <= at)
+        edited = lines[:at] + [value] + lines[at + 1:]
         with pytest.raises(ValueError):
-            read("\n".join(lines[:at] + [value] + lines[at + 1:]) + "\n")
+            parse_certificate("\n".join(edited[start:blocks[start]]) + "\n")
+        if text.startswith("PLAN\n") and key not in planned:
+            planned.add(key)
+            with pytest.raises(ValueError):
+                parse_plan("\n".join(edited) + "\n")
 
 
 @pytest.mark.parametrize("line, value", [

@@ -53,8 +53,8 @@ def traced_cli(argv):
 def test_traced_plan_sees_every_step(tmp_path):
     """A refactor that calls around a traced name would zero its rows of
     the benchmark's per-layer metrics; a traced plan must see them all.
-    Every midpoint of a block-diagonal plan is decided by the cube rule,
-    so the plan makes no LP call."""
+    Every midpoint of a block-diagonal plan is decided by a witness pair
+    in the hull, so the plan makes no LP call."""
     code, spans = traced_cli(
         ["plan", "--block", "5", "2", "-o", str(tmp_path / "plan.txt")])
     metrics = load_tracing().layer_metrics(spans)
