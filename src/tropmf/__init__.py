@@ -13,14 +13,14 @@ from .mfcore import (BadSize, GenericityReport, MatchingField, SizeMismatch,
 from .mutate import (MutationCertificate, MutationData, NotSwappable,
                      PatternMismatch, SlabViolation, WitnessEntry, build_wf,
                      certificate_to_text, certify, expected_flip,
-                     matrix_digest, parse_certificate, swap, tropical_map,
-                     witness_table)
+                     matrix_digest, parse_certificate, star, swap,
+                     tropical_map, witness_table)
 from .planner import (EndpointMismatch, Plan, PlanError, parse_plan,
                       plan_block_to_diagonal, plan_to_order, plan_to_text)
 from .polytope import (BadIndex, LatticePoint, NotInSet, ShapeMismatch,
                        VertexSet, hull_equal, is_hull_vertex, member,
                        midpoint, pair, tableau_of, vertex_of, vertices)
 from .regions import (Boundary, Case, NotAdjacent, Region, RegionAssignment,
-                      StarReport, classify, region_halfplanes, star)
+                      classify, region_halfplanes)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,8 +18,9 @@ from . import mfcore, planner, polytope
 from .arrange import Arrangement, apexes, induce_geometric, x_order
 from .mfcore import TieError, WeightMatrix
 from .mutate import (NotSwappable, PatternMismatch, _check_pair,
-                     _landing_gap, certificate_to_text, certify, swap)
-from .regions import (Boundary, NotAdjacent, Region, _star_report, classify,
+                     _landing_gap, build_wf, certificate_to_text, certify,
+                     swap)
+from .regions import (Boundary, NotAdjacent, Region, classify,
                       region_halfplanes)
 
 # Every typed input error of the package (TieError, BadSize, NotAdjacent,
@@ -240,7 +241,7 @@ def _cmd_star(args) -> int:
     if A.xs[i - 1] > A.xs[j - 1]:
         i, j = j, i
     R = classify(A, i, j)
-    S = _star_report(R)
+    S = build_wf(A, i, j, R)
     lines = ["pair: %d %d" % (i, j), "case: %s" % R.case.value]
     for region in _REGION_ORDER:
         members = sorted(k for k, r in R.colors.items() if r is region)
@@ -261,29 +262,22 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    if args.block:
-        n, ell = args.block
-        source = "block-diagonal %d %d" % (n, ell)
-        try:
+    if not (args.block or args.matrix):
+        print("plan needs -m FILE or --block N L", file=sys.stderr)
+        return 2
+    try:
+        if args.block:
+            n, ell = args.block
+            source = "block-diagonal %d %d" % (n, ell)
             plan = planner.plan_block_to_diagonal(n, ell, strict=args.strict)
-        except planner.EndpointMismatch as e:
-            print(str(e), file=sys.stderr)
-            return 1
-        except planner.PlanError as e:
-            print(str(e), file=sys.stderr)
-            return 2
-    else:
-        if not args.matrix:
-            print("plan needs -m FILE or --block N L", file=sys.stderr)
-            return 2
-        M = _load_matrix(args.matrix)
-        source = "file %s" % args.matrix
-        target = tuple(range(M.n, 0, -1))
-        try:
-            plan = planner.plan_to_order(M, target, strict=args.strict)
-        except planner.PlanError as e:
-            print(str(e), file=sys.stderr)
-            return 2
+        else:
+            M = _load_matrix(args.matrix)
+            source = "file %s" % args.matrix
+            plan = planner.plan_to_order(M, tuple(range(M.n, 0, -1)),
+                                         strict=args.strict)
+    except (planner.EndpointMismatch, planner.PlanError) as e:
+        print(str(e), file=sys.stderr)
+        return 1 if isinstance(e, planner.EndpointMismatch) else 2
     _emit(planner.plan_to_text(plan, source=source), args.output)
     return 1 if plan.summary()["refuted"] else 0
 

@@ -29,7 +29,7 @@ and the re-check recomputes the triples through i from scratch, plus
 x_order; that equals a full induce of the accepted matrix.  Placement
 weights are read off the caller's arrangement, as its apex ints.
 certify works in one pass: one induce per matrix (none when the caller
-hands it the field), one classification (regions and star report) on
+hands it the field), one classification (regions and their groups) on
 certify's x order, the swap search on that state, and one f-value split
 per vertex set.
 
@@ -73,9 +73,7 @@ from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
 from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      StarReport, _classify)
-from .regions import classify  # noqa: F401  unused; perfbench traces this name
-from .regions import star  # noqa: F401  unused; perfbench traces this name
+                      _classify, classify)
 
 
 _STAR_FAILS = "star condition fails for a two-sided swap"
@@ -99,8 +97,18 @@ class SlabViolation(ValueError):
 
 @dataclass(frozen=True)
 class MutationData:
-    """The region groups of an adjacent pair (i, j) on n columns, and the
-    pair (w, f) derived from them as 3 x n int rows."""
+    """The region groups of an adjacent pair (i, j) on n columns (1: red,
+    2: green and yellow, 3: purple; disjoint, without i and j), and what
+    is derived from them: the pair (w, f) as 3 x n int rows, the four
+    star lists (blue-olive is every other line but i and j) and the
+    star flags
+
+        (a) red is non-empty,
+        (b) blue and olive are both empty,
+        (c) yellow or green is non-empty,
+        (d) red and purple together hold at least two lines,
+
+    with overall their conjunction."""
 
     n: int
     i: int
@@ -108,6 +116,22 @@ class MutationData:
     group_red: frozenset
     group_two: frozenset
     group_three: frozenset
+
+    red = property(lambda self: tuple(sorted(self.group_red)))
+    yellow_green = property(lambda self: tuple(sorted(self.group_two)))
+    red_purple = property(
+        lambda self: tuple(sorted(self.group_red | self.group_three)))
+    a = property(lambda self: bool(self.group_red))
+    b = property(lambda self: not self.blue_olive)
+    c = property(lambda self: bool(self.group_two))
+    d = property(lambda self: len(self.group_red) + len(self.group_three) >= 2)
+    overall = property(lambda self: self.a and self.b and self.c and self.d)
+
+    @property
+    def blue_olive(self) -> tuple:
+        grouped = self.group_red | self.group_two | self.group_three
+        return tuple(c for c in range(1, self.n + 1)
+                     if c not in grouped and c not in (self.i, self.j))
 
     @property
     def w(self) -> tuple:
@@ -133,10 +157,9 @@ class WitnessEntry(NamedTuple):
 
 @dataclass
 class MutationCertificate:
-    """The facts certify found for one swap; the star report, the kind,
-    the landing offset, the x order after the swap, k1-k4 (None where
-    certify stopped before the check), the verdict and the reason are
-    derived."""
+    """The facts certify found for one swap; the kind, the landing
+    offset, the x order after the swap, k1-k4 (None where certify
+    stopped before the check), the verdict and the reason are derived."""
 
     digest: str
     n: int
@@ -145,7 +168,7 @@ class MutationCertificate:
     stop: str | None = None           # why certify stopped before the swap landed
     case: str | None = None
     matrix_after: WeightMatrix | None = None
-    order_before: tuple | None = None
+    order_before: tuple = ()
     data: MutationData | None = None
     diff: list = field(default_factory=list)
     images: list = field(default_factory=list)
@@ -154,16 +177,9 @@ class MutationCertificate:
     witnesses: list | None = None
 
     @property
-    def star(self) -> StarReport | None:
-        """The four region lists, from the groups: red is group 1,
-        yellow-green group 2, red-purple groups 1 and 3, and blue-olive
-        every other line but i and j; None without swap data."""
-        if self.data is None:
-            return None
-        red, two, three = (self.data.group_red, self.data.group_two,
-                           self.data.group_three)
-        rest = set(range(1, self.n + 1)) - {self.i, self.j} - red - two - three
-        return StarReport(*(tuple(sorted(g)) for g in (red, rest, two, red | three)))
+    def star(self) -> MutationData | None:
+        """data, under the name of the star lists and flags it carries."""
+        return self.data
 
     @property
     def kind(self) -> str | None:
@@ -193,7 +209,7 @@ class MutationCertificate:
             return None
         i, j = self.i, self.j
         return tuple(j if c == i else i if c == j else c
-                     for c in self.order_before or ())
+                     for c in self.order_before)
 
     @property
     def k1(self) -> bool | None:
@@ -228,7 +244,7 @@ class MutationCertificate:
         """INAPPLICABLE without a swapped matrix or for a MUTATION whose
         star condition fails, else VERIFIED when k1-k4 pass, or REFUTED."""
         if self.matrix_after is None or (
-                self.kind == "MUTATION" and not self.star.overall):
+                self.kind == "MUTATION" and not self.data.overall):
             return "INAPPLICABLE"
         return ("VERIFIED" if self.k1 and self.k2 and self.k3 and self.k4
                 else "REFUTED")
@@ -245,6 +261,11 @@ def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationDat
     return MutationData(n=A.n, i=i, j=j, group_red=R.group(Region.RED),
                         group_two=R.group(Region.GREEN, Region.YELLOW),
                         group_three=R.group(Region.PURPLE))
+
+
+def star(A: Arrangement, i: int, j: int) -> MutationData:
+    """The mutation data of the pair (i, j), with its star lists and flags."""
+    return build_wf(A, i, j, classify(A, i, j))
 
 
 def tropical_map(q: LatticePoint, D: MutationData) -> LatticePoint:
@@ -330,7 +351,7 @@ def _recheck(A2: Arrangement, i: int, expected: MatchingField) -> bool:
 def swap(M: WeightMatrix, i: int, j: int):
     """Move line i's apex horizontally to just past line j's.
 
-    The landing offset eps is the largest gap/2^k (k = 1..64) for which
+    The landing offset eps is the largest gap/2^k (k >= 1) for which
     the induced field equals the red-flip prediction.  Raising entry
     (2, i) by eps adds eps to the weight of every placement with i in
     row 2, so per triple through i the prediction holds on an open
@@ -366,18 +387,16 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
     target = order[:pi] + (j, i) + order[pi + 2:]
     xs = A.xs[:i - 1] + (A.xs[j - 1],) + A.xs[i:]   # line i onto j's x
     hi = _offset_interval(xs, A.ys, i, expected, gap)
-    if hi > 0:
-        k = (gap // hi).bit_length()
-        if k <= 64:
-            eps = Fraction(gap, A.D << k)
-            M2 = M.with_entry(2, i, M.entry(1, i) + A.apex(j)[0] + eps)
-            A2 = apexes(M2)
-            if not (_recheck(A2, i, expected) and x_order(A2) == target):
-                raise AssertionError("offset %s for lines %d and %d fails "
-                                     "the field re-check" % (eps, i, j))
-            return M2, eps, expected
-    raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
-                       "lines %d and %d" % (Fraction(gap, A.D), i, j))
+    if hi <= 0:
+        raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
+                           "lines %d and %d" % (Fraction(gap, A.D), i, j))
+    eps = Fraction(gap, A.D << (gap // hi).bit_length())
+    M2 = M.with_entry(2, i, M.entry(1, i) + A.apex(j)[0] + eps)
+    A2 = apexes(M2)
+    if not (_recheck(A2, i, expected) and x_order(A2) == target):
+        raise AssertionError("offset %s for lines %d and %d fails "
+                             "the field re-check" % (eps, i, j))
+    return M2, eps, expected
 
 
 def _cube(u: Tableau, v: Tableau):
@@ -403,7 +422,7 @@ def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
     return groups[-1], groups[0], groups[1]
 
 
-def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
+def witness_table(P: VertexSet, D: MutationData) -> list:
     """Witness search for every (f = -1, f = +1) vertex pair.
 
     Tries the row-swap pattern named by the +1 vertex's third row (row-1
@@ -412,13 +431,13 @@ def witness_table(P: VertexSet, D: MutationData, R: RegionAssignment) -> list:
     reported but is not by itself a refutation; the midpoint batteries
     are the decisive test.
     """
-    return _witnesses(*_f_split(P, D.f), D)
+    return list(_witnesses(*_f_split(P, D.f), D))
 
 
-def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
-    """witness_table on the f-value split of the vertices."""
+def _witnesses(neg: list, zero: list, pos: list, D: MutationData):
+    """The entries of witness_table on the f-value split of the vertices,
+    one at a time."""
     zero_set = set(zero)
-    entries = []
     for u in neg:
         for v in pos:
             kind = "case2" if v[2] == D.i else "case3" if v[2] == D.j else "case1"
@@ -427,15 +446,14 @@ def _witnesses(neg: list, zero: list, pos: list, D: MutationData) -> list:
             else:
                 t, t2 = (v[0], u[1], u[2]), (u[0], v[1], v[2])
             if t in zero_set and t2 in zero_set:
-                entries.append(WitnessEntry(u, v, kind, t, t2))
+                yield WitnessEntry(u, v, kind, t, t2)
                 continue
             for t, t2 in _cube(u, v):
                 if t in zero_set and t2 in zero_set:
-                    entries.append(WitnessEntry(u, v, "search", t, t2))
+                    yield WitnessEntry(u, v, "search", t, t2)
                     break
             else:
-                entries.append(WitnessEntry(u, v, "none", None, None))
-    return entries
+                yield WitnessEntry(u, v, "none", None, None)
 
 
 def _images(P: VertexSet, neg: list, i: int, j: int) -> list:
@@ -521,7 +539,7 @@ def _midpoint_in_hull(u: Tableau, v: Tableau, P: VertexSet) -> bool:
     return True
 
 
-def _battery(entries: list, P: VertexSet) -> list:
+def _battery(entries, P: VertexSet) -> list:
     """The pairs (u, v) of the witness entries, in order, whose midpoint
     lies outside conv(P): a witness pair in P is a "yes" (t + t2 = u + v
     row by row, weights 2 and 2), any other pair goes to _midpoint_in_hull."""
@@ -549,7 +567,7 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     INAPPLICABLE certificates carrying whatever was computed by then.
     Each fact is derived once: induce per matrix (a TieError is the
     genericity verdict), one classification on the x order already
-    sorted, for the regions and the star report, and one f-value split
+    sorted, for the regions and their groups, and one f-value split
     per vertex set, from which the images, the witnesses and both
     batteries are read.  A caller that holds induce(M) already passes it
     as field (plan_to_order passes the field the previous step's re-check
@@ -571,7 +589,7 @@ def certify(M: WeightMatrix, i: int, j: int, *,
         cert.data = D = build_wf(A, i, j, R)
         V = vertices(L)
         neg, zero, pos = _f_split(V, D.f)
-        cert.witnesses = _witnesses(neg, zero, pos, D)
+        cert.witnesses = list(_witnesses(neg, zero, pos, D))
         cert.matrix_after, _, L2 = _swap_core(M, L, A, order, R, i, j)
     except TieError as e:
         cert.stop = "not generic: %s" % e
@@ -631,7 +649,7 @@ def certificate_to_text(c: MutationCertificate) -> str:
            "verdict: %s" % c.verdict,
            "reason: %s" % _opt(c.reason),
            "STAR"]
-    s = c.star
+    s = c.data
     out.append("present: %s" % _bool(s is not None))
     if s is not None:
         out += ["%s: %s" % (k, _bool(getattr(s, k)))
@@ -642,7 +660,7 @@ def certificate_to_text(c: MutationCertificate) -> str:
                 "red-purple: %s" % _ints(s.red_purple)]
     out.append("SWAP")
     out.append("epsilon: %s" % _opt(c.epsilon))
-    out.append("order-before: %s" % _ints(c.order_before or ()))
+    out.append("order-before: %s" % _ints(c.order_before))
     out.append("order-after: %s" % _ints(c.order_after or ()))
     out.extend(_matrix_lines(c.matrix_after, "matrix-after"))
     out.append("WF")
@@ -762,7 +780,7 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
             rd.take()
     rd.expect("SWAP")
     rd.value("epsilon")
-    cert.order_before = _parse_ints(rd.value("order-before")) or None
+    cert.order_before = _parse_ints(rd.value("order-before"))
     rd.value("order-after")
     if rd.value("matrix-after") != "-":
         cert.matrix_after = rd.matrix()

@@ -3,13 +3,9 @@
 Fix two adjacent lines i (left) and j (right).  Every other line's apex
 falls into one of six regions named red, purple, olive, blue, green,
 yellow; which inequalities bound them depends on whether j's apex is
-higher than i's (case ONE) or lower (case TWO).  The star report
-summarizes the four emptiness conditions that the swap verifier needs:
-
-    (a) red is non-empty,
-    (b) blue and olive are both empty,
-    (c) yellow or green is non-empty,
-    (d) red and purple together hold at least two lines.
+higher than i's (case ONE) or lower (case TWO).  The swap verifier
+reads three groups off them (red; green and yellow; purple), and
+mutate.MutationData derives the star condition from those groups.
 
 Apexes exactly on a bounding ray make the swap ill-defined, so
 classification refuses them instead of choosing a side.
@@ -59,23 +55,6 @@ class RegionAssignment:
     def group(self, *regions) -> frozenset:
         wanted = set(regions)
         return frozenset(k for k, r in self.colors.items() if r in wanted)
-
-
-@dataclass(frozen=True)
-class StarReport:
-    """The four region lists behind the star condition; the flags a-d
-    and overall are derived from them."""
-
-    red: tuple
-    blue_olive: tuple
-    yellow_green: tuple
-    red_purple: tuple
-
-    a = property(lambda self: bool(self.red))
-    b = property(lambda self: not self.blue_olive)
-    c = property(lambda self: bool(self.yellow_green))
-    d = property(lambda self: len(self.red_purple) >= 2)
-    overall = property(lambda self: self.a and self.b and self.c and self.d)
 
 
 def _strict(lhs, rhs, k):
@@ -181,14 +160,3 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
         Region.YELLOW: [right, (1, -1, -diag)],
     }
 
-
-def _star_report(R: RegionAssignment) -> StarReport:
-    """The four-part emptiness report of a finished classification."""
-    groups = ((Region.RED,), (Region.BLUE, Region.OLIVE),
-              (Region.YELLOW, Region.GREEN), (Region.RED, Region.PURPLE))
-    return StarReport(*(tuple(sorted(R.group(*g))) for g in groups))
-
-
-def star(A: Arrangement, i: int, j: int) -> StarReport:
-    """The four-part emptiness report for the pair (i, j)."""
-    return _star_report(classify(A, i, j))

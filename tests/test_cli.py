@@ -4,8 +4,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import (diag6_matrix, five_line_matrix, three_line_matrix,
-                      tied_start_matrix, write_matrix)
+from conftest import (blue_obstruction_matrix, diag6_matrix,
+                      five_line_matrix, three_line_matrix, tied_start_matrix,
+                      write_matrix)
 from tropmf import (WeightMatrix, apexes, induce, matching_field_from_text,
                     parse_certificate)
 from tropmf.cli import RenderOptions, cli_main, render
@@ -163,6 +164,22 @@ def test_plan_non_generic_start_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "TieError: tie at triple 1 2 4\n"
+
+
+def test_plan_without_a_source_exit_2(capsys):
+    code, out, err = run_cli(capsys, "plan")
+    assert code == 2
+    assert out == ""
+    assert err == "plan needs -m FILE or --block N L\n"
+
+
+def test_plan_stopped_step_exit_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "blue.wm", blue_obstruction_matrix())
+    code, out, err = run_cli(capsys, "plan", "-m", path)
+    assert code == 2
+    assert out == ""
+    assert err == ("step 1 (1, 2): no landing offset in (0, 2) realizes the "
+                   "swap of lines 1 and 2\n")
 
 
 def test_exponent_token_exit_2(tmp_path, capsys):

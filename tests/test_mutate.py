@@ -158,6 +158,20 @@ def test_swap_empty_red_is_field_preserving(diag6):
     assert induce(M2) == induce(diag6)
 
 
+def test_swap_lands_at_any_power_of_two(five):
+    # Raising line 5's apex by 2^70 widens the gap right of line 4 to
+    # 2^70 + 2 while the offset interval stays (0, 8), so the landing
+    # offset is gap/2^68: past any fixed cap on k, and the (3, 4) swap
+    # is REFUTED with the unshifted fixture's k3 failure.
+    shift = 2 ** 70
+    M = five.with_entry(2, 5, five.entry(2, 5) + shift).with_entry(
+        3, 5, five.entry(3, 5) + shift)
+    assert swap(M, 3, 4)[1] == Fraction(shift + 2, 2 ** 68)
+    cert = certify(M, 3, 4)
+    assert cert.verdict == "REFUTED"
+    assert cert.k3_failures == [((4, 3, 1), (5, 2, 4))]
+
+
 def _swap_by_halving(M: WeightMatrix, i: int, j: int):
     """Reference: the halving search that swap replaced, on the Fraction
     apexes.
@@ -366,7 +380,7 @@ def test_swap_recheck_catches_wrong_interval(monkeypatch):
 
 def test_witness_table_five():
     M, A, R, D = five_setup()
-    table = witness_table(vertices(induce(M)), D, R)
+    table = witness_table(vertices(induce(M)), D)
     by_pair = {(e.u, e.v): e for e in table}
     assert len(table) == 3
     e1 = by_pair[((4, 3, 1), (5, 2, 1))]
@@ -381,7 +395,7 @@ def test_witness_table_five():
 def test_witness_sums_and_pairings():
     M, A, R, D = five_setup()
     V = vertices(induce(M))
-    for e in witness_table(V, D, R):
+    for e in witness_table(V, D):
         if e.kind == "none":
             continue
         t, t2 = vertex_of(e.t, 5), vertex_of(e.t2, 5)
@@ -791,7 +805,7 @@ def drawn_batteries(draw):
                               unique=True)) for g in (neg, pos))
     P = VertexSet(n, frozenset(t for t in neg + zero + pos
                                if draw(st.booleans())))
-    entries = mutate._witnesses(neg, zero, pos, D)
+    entries = list(mutate._witnesses(neg, zero, pos, D))
     assert [(e.u, e.v) for e in entries] == [(u, v) for u in neg for v in pos]
     return entries, P
 

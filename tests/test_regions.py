@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_matrix, random_generic_matrix
 from tropmf import (Boundary, Case, NotAdjacent, Region, TiedX,
-                    TropicalLine, WeightMatrix, apexes, classify, normalize,
-                    region_halfplanes, star, x_order)
+                    TropicalLine, WeightMatrix, apexes, classify, genericity,
+                    normalize, region_halfplanes, star, x_order)
 
 
 def classify_single(i_apex, j_apex, k_apex):
@@ -316,3 +316,39 @@ def test_int_arrangement_equals_fraction_reference(M):
             if pts[i - 1][0] < pts[j - 1][0]:
                 assert (region_halfplanes(A, i, j)
                         == reference_halfplanes(pts, i, j))
+
+
+def reference_star_lists(R):
+    """The four star lists read off the six region colors: red, blue and
+    olive, yellow and green, red and purple."""
+    groups = ((Region.RED,), (Region.BLUE, Region.OLIVE),
+              (Region.YELLOW, Region.GREEN), (Region.RED, Region.PURPLE))
+    return tuple(tuple(sorted(k for k, r in R.colors.items() if r in g))
+                 for g in groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_star_lists_equal_the_region_colors(M):
+    # star reads its lists and flags off the three groups of the swap
+    # data; they must equal the lists read off the six colors, and the
+    # flags the conditions (a)-(d) on those lists.
+    assume(genericity(M).ok)
+    A = apexes(M)
+    try:
+        order = x_order(A)
+    except TiedX:
+        assume(False)
+    for i, j in zip(order, order[1:]):
+        try:
+            R = classify(A, i, j)
+        except Boundary:
+            continue
+        S = star(A, i, j)
+        red, blue_olive, yellow_green, red_purple = reference_star_lists(R)
+        assert (S.red, S.blue_olive, S.yellow_green, S.red_purple) == (
+            red, blue_olive, yellow_green, red_purple)
+        flags = (bool(red), not blue_olive, bool(yellow_green),
+                 len(red_purple) >= 2)
+        assert (S.a, S.b, S.c, S.d) == flags
+        assert S.overall == all(flags)

@@ -3,12 +3,14 @@ module attribute name, so every name it lists must stay importable."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from conftest import five_line_matrix
 from tropmf import weight_matrix_to_text
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -23,6 +25,20 @@ def test_every_trace_target_exists():
     missing = [(module, attr) for module, attr, _ in tracing.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_every_tracer_only_import_is_a_trace_target():
+    """A name imported only for the tracer (# noqa: F401) must be one the
+    tracer wraps in that module; any other such import is dead code."""
+    targets = {(module, attr) for module, attr, _ in load_tracing().TARGETS}
+    imports = [("tropmf." + path.stem, line)
+               for path in sorted((ROOT / "src" / "tropmf").glob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if "# noqa: F401" in line]
+    untraced = [(module, line) for module, line in imports
+                if not (m := re.match(r"from \S+ import (\w+)  #", line))
+                or (module, m.group(1)) not in targets]
+    assert imports and untraced == []
 
 
 def test_tracer_installs_and_removes_every_wrapper():
