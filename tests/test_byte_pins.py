@@ -1,10 +1,12 @@
 """Byte-stable outputs beyond the golden files, pinned by SHA-256.
 
-The golden files pin a few fixtures byte for byte; these two pins cover
-every block plan for 4 <= n <= 10 and every ordered pair of 60 seeded
+The golden files pin a few fixtures byte for byte; these pins cover
+every block plan for 4 <= n <= 10, every ordered pair of 60 seeded
 matrices, rational or with small int entries so that ties, tied apex x
-coordinates and boundary apexes occur.  A change of any byte changes
-the hash; re-record only after an intended output change.
+coordinates and boundary apexes occur, and the command line's output
+and exit code on the 141 inputs of acceptance criterion 3 and on those
+60 matrices.  A change of any byte changes the hash; re-record only
+after an intended output change.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import hashlib
 import random
 from fractions import Fraction
 
-from tropmf import (WeightMatrix, certificate_to_text, certify,
-                    plan_block_to_diagonal)
+from conftest import (diag6_matrix, five_line_matrix, random_generic_matrix,
+                      write_matrix)
+from tropmf import (WeightMatrix, block_diagonal_weights,
+                    certificate_to_text, certify, plan_block_to_diagonal)
+from tropmf.cli import cli_main
 from tropmf.planner import plan_to_text
 
 
@@ -48,3 +53,44 @@ def test_certificates_of_seeded_matrices_are_byte_stable():
                     h.update(certificate_to_text(certify(M, i, j)).encode())
     assert h.hexdigest() == (
         "b9798afb759b7031727a9aa8916be596df9c5612ace7ed6d1c59cbdb1ee00c76")
+
+
+def criterion_3_matrices():
+    """The 141 inputs of acceptance criterion 3, in its order."""
+    yield diag6_matrix()
+    yield five_line_matrix()
+    for n in range(3, 9):
+        for ell in range(n + 1):
+            yield block_diagonal_weights(n, ell)
+    rng = random.Random(20240901)
+    for n in (4, 5, 6, 7):
+        for _ in range(25):
+            yield random_generic_matrix(rng, n)
+
+
+def cli_digest(tmp_path, capsys, commands, matrices) -> str:
+    """SHA-256 of the exit code, stdout and stderr of every command on
+    every matrix, each read from a file."""
+    h = hashlib.sha256()
+    for k, M in enumerate(matrices):
+        path = write_matrix(tmp_path, "m%d.wm" % k, M)
+        for command in commands:
+            code = cli_main([command, "-m", path])
+            captured = capsys.readouterr()
+            h.update(b"%d\n" % code)
+            h.update(captured.out.encode())
+            h.update(captured.err.encode())
+    return h.hexdigest()
+
+
+def test_check_covectors_of_criterion_3_is_byte_stable(tmp_path, capsys):
+    matrices = list(criterion_3_matrices())
+    assert len(matrices) == 141
+    assert cli_digest(tmp_path, capsys, ["check-covectors"], matrices) == (
+        "8ebcee839828a4faafe338239eca7934ce4eba239a5fe6afdc6cad1a4617f9cc")
+
+
+def test_field_commands_on_seeded_matrices_are_byte_stable(tmp_path, capsys):
+    commands = ["check-covectors", "induce", "weights"]
+    assert cli_digest(tmp_path, capsys, commands, seeded_matrices()) == (
+        "c3fc27c4721282c35bd76245892f7b26b055881fa6f08ee472e23d4c84922444")
