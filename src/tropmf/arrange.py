@@ -11,21 +11,21 @@ reconstructs the induced tableau, which gives a purely geometric route
 to the matching field and a cross-check of the algebraic one.  That
 cell has a closed form: for each ordering of the triple it is an open
 polygon cut out by vertical, horizontal and slope-1 lines through the
-apexes, so cell111 tests the six orderings by a few int comparisons and
-samples an exact interior point on the scale 4D.  An Arrangement stores
-the apexes only as ints, times D, the lcm of the source's denominators:
-a positive scale keeps every comparison, and apex, line and lines hand
-out the Fraction points.
+apexes, so _cell tests the six orderings by a few int comparisons and
+finds an exact interior point as ints on the scale 4D; induce_geometric
+reads only the ordering, and cell111 adds the Fraction point and the
+Covector.  An Arrangement stores the apexes only as ints, times D, the
+lcm of the source's denominators: a positive scale keeps every
+comparison, and apex, line and lines hand out the Fraction points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mfcore import (MatchingField, Triple, WeightMatrix, _apex_ints,
-                     check_triple, triples)
+from .mfcore import (_PLACEMENTS, MatchingField, Triple, WeightMatrix,
+                     _apex_ints, check_triple, triples)
 
 Point = tuple[Fraction, Fraction]
 
@@ -134,6 +134,33 @@ def covector_at(A: Arrangement, q: Point, subset) -> Covector:
                     frozenset(buckets[3]))
 
 
+def _cell(xs, ys, D: int, T: Triple) -> tuple:
+    """(c, X, Y): the ordering c of the sorted triple T whose cell of
+    cell111 is non-empty, and its sample point times 4D, as ints.
+    NotFound if none is, or if the point fails the _sector re-check."""
+    for i, j, k in _PLACEMENTS:
+        c = c1, c2, c3 = T[i], T[j], T[k]
+        a1, a2, a3 = xs[c1 - 1], xs[c2 - 1], xs[c3 - 1]
+        b1, b2, b3 = ys[c1 - 1], ys[c2 - 1], ys[c3 - 1]
+        lo, hi = max(b3 - a1, b3 - a3), min(b1 - a2, b2 - a2)
+        if a2 < a1 and b3 < b1 and lo < hi:
+            s2 = lo + hi
+            X = max(2 * a2, 2 * b3 - s2) + min(2 * a1, 2 * b1 - s2)
+            Y = X + 2 * s2
+            try:
+                ok = (_sector(4 * a1 - X, 4 * b1 - Y, c1) == 1
+                      and _sector(4 * a2 - X, 4 * b2 - Y, c2) == 2
+                      and _sector(4 * a3 - X, 4 * b3 - Y, c3) == 3)
+            except OnBoundary:
+                ok = False
+            if not ok:
+                q = (Fraction(X, 4 * D), Fraction(Y, 4 * D))
+                raise NotFound("sample point %r of triple %r is not in the "
+                               "cell of %r" % (q, T, c))
+            return c, X, Y
+    raise NotFound("no cell with distinct types for triple %r" % (T,))
+
+
 def cell111(A: Arrangement, T: Triple):
     """Sample point and covector of the cell where the triple's three
     lines take pairwise distinct sector types.
@@ -147,43 +174,24 @@ def cell111(A: Arrangement, T: Triple):
     other five.  So at most one ordering of the triple qualifies, and
     none does on a tied triple; then NotFound is raised.  The sample
     point takes s midway in its range and x midway in the x-interval at
-    that s.  Every decision is an int comparison on A's apexes and on
-    the point times 4D: X = max(2 a2, 2 b3 - s2) + min(2 a1, 2 b1 - s2)
-    and Y = X + 2 s2 with s2 = lo + hi.  Its sector types are re-checked
-    with _sector, which keeps this route independent of the argmin in
-    mfcore.  The point is returned as Fractions (X/4D, Y/4D).
+    that s.  _cell makes every decision by int comparisons on A's apexes
+    and on the point times 4D: X = max(2 a2, 2 b3 - s2) + min(2 a1,
+    2 b1 - s2) and Y = X + 2 s2 with s2 = lo + hi.  It re-checks the
+    point's sector types with _sector, which keeps this route independent
+    of the argmin in mfcore.  The point is returned as (X/4D, Y/4D).
     """
     T = check_triple(T, A.n)
-    xs, ys, D = A.xs, A.ys, A.D
-    for c in itertools.permutations(T):
-        (a1, b1), (a2, b2), (a3, b3) = ((xs[p - 1], ys[p - 1]) for p in c)
-        lo, hi = max(b3 - a1, b3 - a3), min(b1 - a2, b2 - a2)
-        if a2 < a1 and b3 < b1 and lo < hi:
-            s2 = lo + hi
-            X = max(2 * a2, 2 * b3 - s2) + min(2 * a1, 2 * b1 - s2)
-            Y = X + 2 * s2
-            q = (Fraction(X, 4 * D), Fraction(Y, 4 * D))
-            c1, c2, c3 = c
-            try:
-                ok = (_sector(4 * a1 - X, 4 * b1 - Y, c1) == 1
-                      and _sector(4 * a2 - X, 4 * b2 - Y, c2) == 2
-                      and _sector(4 * a3 - X, 4 * b3 - Y, c3) == 3)
-            except OnBoundary:
-                ok = False
-            if not ok:
-                raise NotFound("sample point %r of triple %r is not in the "
-                               "cell of %r" % (q, T, c))
-            return q, Covector(*(frozenset((p,)) for p in c))
-    raise NotFound("no cell with distinct types for triple %r" % (T,))
+    c, X, Y = _cell(A.xs, A.ys, A.D, T)
+    return ((Fraction(X, 4 * A.D), Fraction(Y, 4 * A.D)),
+            Covector(*(frozenset((p,)) for p in c)))
 
 
 def induce_geometric(A: Arrangement) -> MatchingField:
-    """Matching field read off the arrangement, triple by triple."""
-    assignment = {}
-    for T in triples(A.n):
-        _, cov = cell111(A, T)
-        assignment[T] = cov.singletons()
-    return MatchingField(A.n, assignment)
+    """Matching field read off the arrangement, triple by triple: the
+    orderings of _cell, without cell111's Fractions and Covector."""
+    xs, ys, D = A.xs, A.ys, A.D
+    return MatchingField(A.n, {T: _cell(xs, ys, D, T)[0]
+                               for T in triples(A.n)})
 
 
 def x_order(A: Arrangement) -> tuple:

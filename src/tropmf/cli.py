@@ -182,7 +182,10 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
 
 def _load_matrix(path: str) -> WeightMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return mfcore.weight_matrix_from_text(fh.read())
+        M = mfcore.weight_matrix_from_text(fh.read())
+    if M.n < 3:
+        raise mfcore.BadSize("need n >= 3 columns, got %d" % M.n)
+    return M
 
 
 def _emit(text: str, path: str | None):
@@ -216,9 +219,9 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_check_covectors(args) -> int:
-    M = _load_matrix(args.matrix)
-    algebraic = mfcore.induce(M)
-    geometric = induce_geometric(apexes(M))
+    A = apexes(_load_matrix(args.matrix))
+    algebraic = mfcore._induce(A.xs, A.ys, A.n)
+    geometric = induce_geometric(A)
     total = agree = 0
     lines = []
     for T, tab in algebraic.items():

@@ -56,8 +56,10 @@ class WeightMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "WeightMatrix":
-        """Build from any 3 iterables of Fraction-coercible values."""
-        converted = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        """Build from any 3 iterables of Fraction-coercible values;
+        entries that are already Fractions are kept as they are."""
+        converted = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                                for x in row) for row in rows)
         if len(converted) != 3:
             raise BadSize("a weight matrix has exactly 3 rows")
         width = len(converted[0])
@@ -166,14 +168,20 @@ def genericity(M: WeightMatrix) -> GenericityReport:
 
 def induce(M: WeightMatrix) -> MatchingField:
     """The matching field induced by M (TieError on the first tied
-    triple in lex order)."""
+    triple in lex order), decided by _induce on M's apex ints."""
     xs, ys, _ = _apex_ints(M)
+    return _induce(xs, ys, M.n)
+
+
+def _induce(xs, ys, n: int) -> MatchingField:
+    """The field whose tableaux are the argmins of xs[c2] + ys[c3] over
+    the n columns' apex ints (TieError on the first tied triple)."""
     assignment = {}
-    for T, _, tab in _minima(xs, ys, triples(M.n)):
+    for T, _, tab in _minima(xs, ys, triples(n)):
         if tab is None:
             raise TieError(T)
         assignment[T] = tab
-    return MatchingField(M.n, assignment)
+    return MatchingField(n, assignment)
 
 
 def plucker_weights(M: WeightMatrix) -> dict:
@@ -253,9 +261,14 @@ def weight_matrix_to_text(M: WeightMatrix) -> str:
 def _rational(token: str) -> Fraction:
     """Parse one rational token ("p", "p/q" or a plain decimal).
 
-    Exponent notation is refused: Fraction("1e9999999") would build
-    10**9999999, work that grows without bound in the exponent.
+    An integer token, an optional "-" then ASCII digits, goes straight
+    to int; any other token goes through Fraction's parser.  Exponent
+    notation is refused: Fraction("1e9999999") would build 10**9999999,
+    work that grows without bound in the exponent.
     """
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(token))
     if "e" in token or "E" in token:
         raise ValueError("exponent notation is not accepted: %r" % token)
     try:

@@ -239,6 +239,24 @@ def test_cell111_matches_fraction_reference(M):
         assert covector_at(A, q, T) == cov
 
 
+@settings(max_examples=150, deadline=None)
+@given(RATIONAL_MATRICES)
+def test_induce_geometric_reads_cell111(M):
+    # induce_geometric skips cell111's point and covector but must keep
+    # its tableaux and its first NotFound, message and all.
+    A = apexes(M)
+    if genericity(M).ok:
+        expected = {T: cell111(A, T)[1].singletons() for T in triples(M.n)}
+        assert induce_geometric(A).assignment == expected
+        return
+    with pytest.raises(NotFound) as want:
+        for T in triples(M.n):
+            cell111(A, T)
+    with pytest.raises(NotFound) as got:
+        induce_geometric(A)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(RATIONAL_MATRICES, st.integers(0, 2), RATIONALS,
        RATIONALS.filter(lambda x: x > 0), st.data())

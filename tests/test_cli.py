@@ -201,6 +201,18 @@ def test_zero_denominator_exit_2(tmp_path, capsys):
     assert err.startswith("ValueError: ") and "1/0" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["induce"], ["weights"], ["polytope"], ["check-covectors"],
+    ["star", "-i", "1", "-j", "2"], ["mutate", "-i", "1", "-j", "2"],
+    ["plan"], ["render"]], ids=lambda command: command[0])
+def test_two_column_matrix_exit_2(tmp_path, capsys, command):
+    # Gr(3, n) needs n >= 3; the parser itself accepts width 2.
+    M = WeightMatrix.from_rows([[0, 0], [1, 2], [3, 4]])
+    path = write_matrix(tmp_path, "two.wm", M)
+    code, out, err = run_cli(capsys, *command, "-m", path)
+    assert (code, out, err) == (2, "", "BadSize: need n >= 3 columns, got 2\n")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "weights", "-m", "/nonexistent/x.wm")
     assert code == 2

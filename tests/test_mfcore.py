@@ -13,6 +13,7 @@ from tropmf import (BadSize, SizeMismatch, TieError,
                     matching_field_to_text, mf_diff, normalize,
                     plucker_weights, tableau_sign, triples,
                     weight_matrix_from_text, weight_matrix_to_text)
+from tropmf.mfcore import _rational
 
 
 def brute_minimum(M, T):
@@ -266,6 +267,46 @@ def test_weight_matrix_rejects_exponent_tokens(token):
 def test_weight_matrix_rejects_zero_denominator():
     with pytest.raises(ValueError, match="1/0"):
         weight_matrix_from_text("3 2\n0 0\n1/0 0\n0 0\n")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("7", None), ("-0", None), ("007", None), ("+7", None), ("1_000", None),
+    ("\u0663", None), ("0.25", None), ("-3/4", None),
+    ("-", "Invalid literal for Fraction: '-'"),
+    ("--1", "Invalid literal for Fraction: '--1'"),
+    ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
+    ("1/0", "zero denominator: '1/0'"),
+    ("1e3", "exponent notation is not accepted: '1e3'"),
+    ("2E-1", "exponent notation is not accepted: '2E-1'"),
+])
+def test_rational_token_is_fraction_or_refused(token, message):
+    # Integer tokens skip Fraction's parser; every token must still give
+    # Fraction(token) or the same refusal as before.
+    if message is None:
+        value = _rational(token)
+        assert value == Fraction(token) and type(value) is Fraction
+    else:
+        with pytest.raises(ValueError) as refused:
+            _rational(token)
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_rational_refuses_integers_past_the_digit_limit(sign):
+    token = sign + "9" * 5000
+    with pytest.raises(ValueError) as want:
+        Fraction(token)
+    with pytest.raises(ValueError) as got:
+        _rational(token)
+    assert str(got.value) == str(want.value)
+
+
+def test_from_rows_gives_fraction_entries():
+    rows = [[1, -2, 0], ["3/4", "-0.5", "7"], [Fraction(5, 3), 0.25, -1.5]]
+    M = WeightMatrix.from_rows(rows)
+    assert all(type(x) is Fraction for row in M.rows for x in row)
+    assert M.rows == tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert M.rows[2][0] is rows[2][0]
 
 
 @pytest.mark.parametrize("extra", ["3 2 1 : 1 2 3", "0 1 2 : 0 1 2"])
