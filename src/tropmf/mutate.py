@@ -51,9 +51,10 @@ x order after the swap, the reason once a swap has landed, k1-k4, the
 star lists and flags a-d and (w, f) are derived from the regions,
 groups, swapped matrix, diff, images, failure lists and witnesses it
 records.  Its text has one writer, certificate_to_text, and one reader,
-parse_certificate, which skips the derived lines and accepts only the
-exact bytes the writer gives back for what it read (plan files read
-their steps the same way), so no derived line can disagree.
+parse_certificate, which accepts only the exact bytes the writer gives
+back for what it read.  It reads no derived line, and for a landed swap
+it recomputes the diff, images, witnesses and batteries with certify's
+own _vertex_facts; a stopped certificate keeps its witness lines.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
-                     _minima, induce, mf_diff,
+                     _induce, _minima, induce, mf_diff,
                      weight_matrix_from_text, weight_matrix_to_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
@@ -411,8 +412,8 @@ def _cube(u: Tableau, v: Tableau):
 
 
 def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
-    """The tableaux of P with f-value -1, 0 and +1, as three sorted
-    lists; SlabViolation on any other value."""
+    """The tableaux of P with f-value -1, 0 and +1, as three lists in P's
+    order (sorted for a VertexSet); SlabViolation on any other value."""
     groups = {-1: [], 0: [], 1: []}
     for t in P:
         value = f[0][t[0] - 1] + f[1][t[1] - 1] + f[2][t[2] - 1]
@@ -548,6 +549,22 @@ def _battery(entries, P: VertexSet) -> list:
             and not _midpoint_in_hull(e.u, e.v, P)]
 
 
+def _vertex_facts(cert: MutationCertificate, L: MatchingField,
+                  L2: MatchingField | None) -> None:
+    """Fill cert's witnesses from the field L before the swap and, once it
+    landed on L2, its diff, images and batteries (for certify and reader)."""
+    D = cert.data
+    V = vertices(L)
+    neg, zero, pos = _f_split(V, D.f)
+    cert.witnesses = list(_witnesses(neg, zero, pos, D))
+    if L2 is not None:
+        V2 = vertices(L2)
+        cert.diff = mf_diff(L, L2)
+        cert.images = _images(V, neg, cert.i, cert.j)
+        cert.k3_failures = _battery(cert.witnesses, V2)
+        cert.k4_failures = _battery(_witnesses(*_f_split(V2, D.f), D), V)
+
+
 def _check_pair(n: int, i: int, j: int):
     """Raise ValueError unless i and j are two distinct columns of 1..n."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -567,15 +584,16 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     INAPPLICABLE certificates carrying whatever was computed by then.
     Each fact is derived once: induce per matrix (a TieError is the
     genericity verdict), one classification on the x order already
-    sorted, for the regions and their groups, and one f-value split
-    per vertex set, from which the images, the witnesses and both
-    batteries are read.  A caller that holds induce(M) already passes it
-    as field (plan_to_order passes the field the previous step's re-check
-    proved), and certify then makes no induce.  Each stop is raised only
-    by its stage: the landing offset lies in a tie-free open interval.
+    sorted, for the regions and their groups, and, after the swap
+    attempt, one f-value split per vertex set in _vertex_facts.  A caller
+    that holds induce(M) passes it as field (plan_to_order passes the
+    field the previous step's re-check proved), and certify makes no
+    induce.  Each stop is raised only by its stage: the landing offset
+    lies in a tie-free open interval.
     """
     _check_pair(M.n, i, j)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j)
+    L2 = None
     try:
         L = induce(M) if field is None else field
         A = apexes(M)
@@ -586,21 +604,14 @@ def certify(M: WeightMatrix, i: int, j: int, *,
         cert.order_before = order
         R = _classify(A, order, i, j)
         cert.case = R.case.value
-        cert.data = D = build_wf(A, i, j, R)
-        V = vertices(L)
-        neg, zero, pos = _f_split(V, D.f)
-        cert.witnesses = list(_witnesses(neg, zero, pos, D))
+        cert.data = build_wf(A, i, j, R)
         cert.matrix_after, _, L2 = _swap_core(M, L, A, order, R, i, j)
     except TieError as e:
         cert.stop = "not generic: %s" % e
     except (TiedX, NotAdjacent, Boundary, NotSwappable, PatternMismatch) as e:
         cert.stop = str(e)
-    else:
-        cert.diff = mf_diff(L, L2)
-        V2 = vertices(L2)
-        cert.images = _images(V, neg, i, j)
-        cert.k3_failures = _battery(cert.witnesses, V2)
-        cert.k4_failures = _battery(_witnesses(*_f_split(V2, D.f), D), V)
+    if cert.data is not None:
+        _vertex_facts(cert, L, L2)
     return cert
 
 
@@ -728,27 +739,18 @@ class _Reader:
             raise ValueError("expected key %r, got %r" % (key, ln))
         return ln[len(prefix):].strip()
 
-    def word(self, key, words):
-        """A value that must be one of the writer's words; "-" reads as None."""
-        value = self.value(key)
-        if value not in words:
-            raise ValueError("unknown %s %r" % (key, value))
-        return None if value == "-" else value
-
     def matrix(self) -> WeightMatrix:
         """The indented "3 n" block that _matrix_lines writes under its key."""
         return weight_matrix_from_text("\n".join(self.take() for _ in range(4)))
 
 
-def _parse_triple(text: str) -> tuple:
+def _parse_tab(text: str) -> Tableau | None:
+    if text == "*":
+        return None
     out = tuple(map(int, text.split()))
     if len(out) != 3:
         raise ValueError("expected three columns, got %r" % text)
     return out
-
-
-def _parse_tab(text: str) -> Tableau | None:
-    return None if text == "*" else _parse_triple(text)
 
 
 def _parse_ints(text: str) -> tuple:
@@ -757,28 +759,48 @@ def _parse_ints(text: str) -> tuple:
     return tuple(map(int, text.split()))
 
 
+def _read_witness(ln: str, D: MutationData) -> WitnessEntry:
+    """One WITNESSES line; ValueError unless _witnesses could write it for
+    D: u, v and the witness pair are tableaux on 1..n of f-values -1, +1
+    and 0, and _witnesses gives the entry back when the pair is all of
+    f-value 0."""
+    pairs, _, rest = ln.partition(" : ")
+    u, _, v = pairs.partition(" | ")
+    kind, _, wit = rest.partition(" : ")   # a none entry has no pair
+    t, _, t2 = (wit or "* + *").partition(" + ")
+    e = WitnessEntry(*map(_parse_tab, (u, v)), kind, *map(_parse_tab, (t, t2)))
+    zero = [x for x in (e.t, e.t2) if x is not None]
+    if not (all(x and len(set(x)) == 3 and 0 < min(x) <= max(x) <= D.n
+                for x in [e.u, e.v] + zero)
+            and _f_split([e.u, e.v] + zero, D.f) == ([e.u], zero, [e.v])
+            and list(_witnesses([e.u], zero, [e.v], D)) == [e]):
+        raise ValueError("witness line %r is not one the witness search "
+                         "writes" % ln)
+    return e
+
+
 def _read_certificate(rd: _Reader) -> MutationCertificate:
     """One certificate block, CERTIFICATE through END, from rd's position.
-    Lines that the writer derives (version, kind, verdict, the reason
-    after a landed swap, the star flags and lists, epsilon, order-after,
-    w, f and k1-k4) are skipped here and checked by the caller's re-write; the
-    caller also runs _check_swapped."""
+    It reads the digest, pair, case, stop reason, order-before,
+    matrix-after, groups and witness lines (by _read_witness) and skips
+    the derived lines and the DIFF, IMAGES and CHECKS blocks, which
+    parse_certificate recomputes or checks by its re-write."""
     rd.expect("CERTIFICATE")
     rd.value("version")
     digest = rd.value("digest")
     n = int(rd.value("n"))
     i, j = (int(t) for t in rd.value("pair").split())
     _check_pair(n, i, j)
+    case = rd.value("case")
+    if case not in _CASES:
+        raise ValueError("unknown case %r" % case)
     cert = MutationCertificate(digest=digest, n=n, i=i, j=j,
-                               case=rd.word("case", _CASES))
+                               case=None if case == "-" else case)
     rd.value("kind")
     rd.value("verdict")
     reason = rd.value("reason")
-    rd.expect("STAR")
-    if rd.value("present") == "true":
-        for _ in range(9):   # the flags and the four lists
-            rd.take()
-    rd.expect("SWAP")
+    while rd.take() != "SWAP":   # STAR, derived from the groups
+        pass
     rd.value("epsilon")
     cert.order_before = _parse_ints(rd.value("order-before"))
     rd.value("order-after")
@@ -802,74 +824,64 @@ def _read_certificate(rd: _Reader) -> MutationCertificate:
         for _ in range(8):   # w and f: a key line, then three rows of n
             if len(rd.take().split()) not in (1, n):
                 raise ValueError("w and f rows must have %d entries" % n)
-    rd.expect("DIFF")
-    for _ in range(int(rd.value("count"))):
-        ln = rd.take()
-        left, _, rest = ln.partition(" : ")
-        before_t, _, after_t = rest.partition(" -> ")
-        cert.diff.append((_parse_triple(left),
-                          _parse_triple(before_t), _parse_triple(after_t)))
-    rd.expect("IMAGES")
-    for _ in range(int(rd.value("count"))):
-        src, _, dst = rd.take().partition(" -> ")
-        cert.images.append((_parse_triple(src), _parse_tab(dst)))
-    rd.expect("CHECKS")
-    rd.value("k1-slab")
-    rd.value("k2-vertex-image")
-    for k, way, failures in (("k3", "forward", cert.k3_failures),
-                             ("k4", "backward", cert.k4_failures)):
-        rd.value("%s-%s-midpoints" % (k, way))
-        for _ in range(int(rd.value(k + "-fail-count"))):
-            u, _, v = rd.value(k + "-fail").partition(" | ")
-            failures.append((_parse_tab(u), _parse_tab(v)))
-    rd.expect("WITNESSES")
-    if rd.value("present") == "true":
-        cert.witnesses = []
-        for _ in range(int(rd.value("count"))):
-            pairs, _, rest = rd.take().partition(" : ")
-            u, _, v = pairs.partition(" | ")
-            kind, _, wit = rest.partition(" : ")   # a none entry has no pair
-            t, _, t2 = (wit or "* + *").partition(" + ")
-            cert.witnesses.append(WitnessEntry(_parse_tab(u), _parse_tab(v), kind,
-                                               _parse_tab(t), _parse_tab(t2)))
+    while rd.take() != "WITNESSES":   # DIFF, IMAGES and CHECKS
+        pass
+    rd.expect("present: %s" % _bool(cert.data is not None))
+    if cert.data is not None:
+        cert.witnesses = [_read_witness(rd.take(), cert.data)
+                          for _ in range(int(rd.value("count")))]
     rd.expect("END")
     return cert
 
 
-def _check_swapped(cert: MutationCertificate) -> None:
-    """ValueError unless a matrix-after swapped the pair: its x order is
-    order-before with i and j transposed, and its case ONE when j's apex is
-    higher than i's, else TWO (a swap keeps the heights; equal never land)."""
-    if cert.matrix_after is None:
-        return
+def _landed_fields(cert: MutationCertificate) -> tuple:
+    """(L, L2): the field L2 matrix-after induces, and L, L2 with each red
+    triple put back from (i, j, k) to (j, i, k).  ValueError unless the
+    groups are present and matrix-after swapped the pair: its x order is
+    order-before on 1..n with i and j transposed, and its case ONE when
+    j's apex is higher than i's, else TWO (a swap keeps the heights)."""
     i, j = cert.i, cert.j
     A = apexes(cert.matrix_after)
-    if x_order(A) != cert.order_after:
-        raise ValueError("order-after is not order-before with lines %d and "
-                         "%d transposed" % (i, j))
+    if A.n != cert.n or x_order(A) != cert.order_after:
+        raise ValueError("matrix-after's x order is not order-before on 1..%d"
+                         " with lines %d and %d transposed" % (cert.n, i, j))
     yi, yj = A.ys[i - 1], A.ys[j - 1]
     if yi == yj or cert.case != ("ONE" if yj > yi else "TWO"):
         raise ValueError("case %s is not that of the apex heights of lines "
                          "%d and %d in matrix-after" % (_opt(cert.case), i, j))
+    if cert.data is None:
+        raise ValueError("a landed swap needs its groups")
+    L2 = _induce(A.xs, A.ys, A.n)
+    before = dict(L2.assignment)
+    for k in cert.data.red:
+        before[tuple(sorted((i, j, k)))] = (j, i, k)
+    return MatchingField(A.n, before), L2
 
 
 def _check_written(text: str, written: str) -> None:
     """ValueError naming the first line where text differs from what the
-    writer gives back for the object read from it."""
+    writer gives back for the object read from it, and the plan step
+    whose block holds that line."""
     if text == written:
         return
     got, want = text.splitlines(True), written.splitlines(True)
     k = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w),
              min(len(got), len(want)))
-    raise ValueError("line %d reads %r but is written back as %r"
-                     % (k + 1, "".join(got[k:k + 1]), "".join(want[k:k + 1])))
+    step = sum(ln.startswith("STEP ") for ln in got[:k])
+    where = ("plan step %d, " % step if step and "SUMMARY\n" not in got[:k]
+             else "")
+    raise ValueError("%sline %d reads %r but is written back as %r"
+                     % (where, k + 1, "".join(got[k:k + 1]),
+                        "".join(want[k:k + 1])))
 
 
 def parse_certificate(text: str) -> MutationCertificate:
     """Inverse of certificate_to_text: ValueError unless text is exactly
-    what certificate_to_text writes for the certificate read from it, or
-    when its matrix-after did not swap the pair."""
+    what certificate_to_text writes for the certificate read from it, with
+    a landed swap's vertex facts recomputed from the fields before and
+    after it (_landed_fields)."""
     cert = _read_certificate(_Reader(text))
-    _check_swapped(cert)
+    if cert.matrix_after is not None:
+        _vertex_facts(cert, *_landed_fields(cert))
     _check_written(text, certificate_to_text(cert))
     return cert

@@ -157,6 +157,6 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
         Region.OLIVE: [left, (0, -1, -top)],
         Region.BLUE: [right, (0, 1, low)],
         Region.GREEN: [right, (0, -1, -low), (-1, 1, diag)],
-        Region.YELLOW: [right, (1, -1, -diag)],
+        Region.YELLOW: [right, (0, -1, -low), (1, -1, -diag)],
     }
 

@@ -1,12 +1,13 @@
 """Byte-stable outputs beyond the golden files, pinned by SHA-256.
 
 The golden files pin a few fixtures byte for byte; these pins cover
-every block plan for 4 <= n <= 10, every ordered pair of 60 seeded
-matrices, rational or with small int entries so that ties, tied apex x
-coordinates and boundary apexes occur, and the command line's output
-and exit code on the 141 inputs of acceptance criterion 3 and on those
-60 matrices.  A change of any byte changes the hash; re-record only
-after an intended output change.
+every block plan for 4 <= n <= 10, which parse_plan also reads back to
+the same text, every ordered pair of 60 seeded matrices, rational or
+with small int entries so that ties, tied apex x coordinates and
+boundary apexes occur, and the command line's output and exit code on
+the 141 inputs of acceptance criterion 3 and on those 60 matrices.  A
+change of any byte changes the hash; re-record only after an intended
+output change.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from conftest import (diag6_matrix, five_line_matrix, random_generic_matrix,
 from tropmf import (WeightMatrix, block_diagonal_weights,
                     certificate_to_text, certify, plan_block_to_diagonal)
 from tropmf.cli import cli_main
-from tropmf.planner import plan_to_text
+from tropmf.planner import parse_plan, plan_to_text
 
 
 def seeded_matrices(count: int = 60, seed: int = 14):
@@ -42,6 +43,14 @@ def test_block_plans_are_byte_stable():
             h.update(plan_to_text(plan_block_to_diagonal(n, ell)).encode())
     assert h.hexdigest() == (
         "7659debb95f5c62825e842a45c9e2977d1254404567e45d58aa7f2b972aacff3")
+
+
+def test_block_plans_read_back_byte_for_byte():
+    # parse_plan runs each plan again from its matrix and target.
+    for n in range(4, 11):
+        for ell in range(1, n):
+            text = plan_to_text(plan_block_to_diagonal(n, ell), "block")
+            assert plan_to_text(*parse_plan(text)) == text
 
 
 def test_certificates_of_seeded_matrices_are_byte_stable():

@@ -107,6 +107,19 @@ def test_plan_error_carries_partial_plan():
     assert err.value.partial.steps == []
 
 
+def test_stop_partial_plan_reads_back():
+    # The reader runs the plan again and keeps the partial plan of the
+    # PlanError, so a plan that stopped reads back byte for byte.
+    from fractions import Fraction
+    B = pair_matrix([(0, 0), (1, 2), (3, Fraction(1, 2))])
+    with pytest.raises(PlanError) as err:
+        plan_to_order(B, (2, 1, 3))
+    text = plan_to_text(err.value.partial, source="stopped")
+    parsed, source = parse_plan(text)
+    assert parsed.steps == [] and source == "stopped"
+    assert plan_to_text(parsed, source) == text
+
+
 def test_strict_mode_aborts_on_refuted_step():
     # Arrangement whose (1, 2) swap is refuted; the order transposition
     # itself is fine, so the default mode completes and flags it.
@@ -147,7 +160,7 @@ def test_plan_step_without_swapped_matrix_raises_value_error():
     unswapped = certify(M, 1, 2)
     assert unswapped.matrix_after is None
     text = plan_to_text(Plan(initial=M, target=(2, 1, 3), steps=[unswapped]))
-    with pytest.raises(ValueError, match="step 1 has no matrix-after"):
+    with pytest.raises(ValueError, match="reads 'steps: 1"):
         parse_plan(text)
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_matrix, random_generic_matrix
@@ -203,7 +203,7 @@ def test_region_halfplanes_draw_equal_heights_as_case_two():
     assert planes[Region.RED] == [(1, 0, 0), (-1, 1, 1)]
     assert planes[Region.OLIVE] == [(1, 0, 0), (0, -1, -1)]
     assert planes[Region.BLUE] == [(-1, 0, -2), (0, 1, 1)]
-    assert planes[Region.YELLOW] == [(-1, 0, -2), (1, -1, -1)]
+    assert planes[Region.YELLOW] == [(-1, 0, -2), (0, -1, -1), (1, -1, -1)]
 
 
 # --- the int arrangement against a Fraction reference -------------------------
@@ -271,7 +271,7 @@ def reference_halfplanes(pts, i, j):
         Region.OLIVE: [left, (0, -1, -top)],
         Region.BLUE: [right, (0, 1, low)],
         Region.GREEN: [right, (0, -1, -low), (-1, 1, diag)],
-        Region.YELLOW: [right, (1, -1, -diag)],
+        Region.YELLOW: [right, (0, -1, -low), (1, -1, -diag)],
     }
 
 
@@ -352,3 +352,31 @@ def test_star_lists_equal_the_region_colors(M):
                  len(red_purple) >= 2)
         assert (S.a, S.b, S.c, S.d) == flags
         assert S.overall == all(flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+@example(WeightMatrix.from_rows([[0] * 6, [-19, -10, -8, 0, 16, -12],
+                                 [1, 7, -7, -3, -14, 4]]))
+def test_classified_apexes_lie_in_their_own_region_only(M):
+    # Every classified apex lies strictly inside each half-plane of its
+    # own region and outside the closure of every other region, so the
+    # rendered regions do not overlap at an apex.  In the example (case
+    # ONE with D_j < D_i), apex 2 of the pair (1, 6) is blue and lies
+    # below yellow's lower bound, the blue/green line b = low.
+    A = apexes(M)
+    try:
+        order = x_order(A)
+    except TiedX:
+        assume(False)
+    for i, j in zip(order, order[1:]):
+        try:
+            R = classify(A, i, j)
+        except Boundary:
+            continue
+        planes = region_halfplanes(A, i, j)
+        for k, color in R.colors.items():
+            x, y = A.apex(k)
+            assert all(p * x + q * y < c for p, q, c in planes[color])
+            assert not any(all(p * x + q * y <= c for p, q, c in planes[r])
+                           for r in planes if r != color), (i, j, k, color)

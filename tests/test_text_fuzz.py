@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blue_obstruction_matrix, five_line_matrix, golden_texts
+from conftest import (GOLDEN, blue_obstruction_matrix, five_line_matrix,
+                      golden_texts)
 from tropmf import (MatchingField, WeightMatrix, certificate_to_text, certify,
                     matching_field_from_text, matching_field_to_text,
                     parse_certificate, parse_plan, plan_block_to_diagonal,
@@ -99,12 +100,15 @@ def test_certificate_edit_raises_value_error(line, value):
         parse_certificate(CERTIFICATE.replace(line + "\n", value + "\n", 1))
 
 
-def edit_lines(text, edits):
-    """text with each (line, value) of edits replacing its first line."""
+def edit_lines(text, edits, start=0):
+    """text with each (line, value) of edits replacing the first such line
+    from line start on; a value of None deletes the line."""
+    lines = text.splitlines()
     for line, value in edits:
-        assert line + "\n" in text
-        text = text.replace(line + "\n", value + "\n", 1)
-    return text
+        assert line in lines[start:]
+        at = lines.index(line, start)
+        lines[at:at + 1] = [] if value is None else [value]
+    return "\n".join(lines) + "\n"
 
 
 def test_matrix_after_must_swap_the_pair():
@@ -169,14 +173,47 @@ LANDED_WORDS = {
 }
 
 
+def landed_fact_edit(block, ln):
+    """A well-formed edit of a line of a landed swap's DIFF, IMAGES,
+    CHECKS or WITNESSES block that states a recomputed fact, or None:
+    a diff line with its tableaux exchanged, an image sent to its source
+    or to no tableau, a k3 or k4 failure with its pair exchanged, and a
+    witness entry made none (a none entry gets its pair exchanged)."""
+    head, _, rest = ln.partition(" : ")
+    if block == "DIFF" and " -> " in ln:
+        before, _, after = rest.partition(" -> ")
+        return "%s : %s -> %s" % (head, after, before)
+    if block == "IMAGES" and " -> " in ln:
+        src, _, dst = ln.partition(" -> ")
+        return "%s -> %s" % (src, src if dst == "*" else "*")
+    key, _, pair = ln.partition(": ")
+    if key in ("k3-fail", "k4-fail"):
+        return "%s: %s" % (key, " | ".join(reversed(pair.split(" | "))))
+    if block == "WITNESSES" and " | " in ln:
+        if rest == "none":
+            head = " | ".join(reversed(head.split(" | ")))
+        return head + " : none"
+    return None
+
+
 def derived_line_edits(lines):
     """(line index, key, new line) for every single-line edit of a line
     that the writer derives or the reader checks: the kind, the verdict,
     k1-k4, the star flags a-d and overall, the four star lists, epsilon,
     order-after, each w and f entry (key "w:" or "f:"), and the reason
     and the case after a landed swap.  One more edit (key "IMAGES")
-    repeats the first image line and raises the image count to match."""
+    repeats the first image line and raises the image count to match.
+    Every DIFF, IMAGES, k3-fail, k4-fail and witness line of a landed
+    swap, which the reader recomputes, gets one landed_fact_edit (key
+    "fact: " and its block)."""
+    landed = block = None
     for at, ln in enumerate(lines):
+        if ln.startswith("matrix-after:"):
+            landed = ln != "matrix-after: -"
+        block = ln if ln.isupper() else block
+        edit = landed and landed_fact_edit(block, ln)
+        if edit:
+            yield at, "fact: " + block, edit
         key, _, value = ln.partition(": ")
         if key in DERIVED_WORDS:
             words = DERIVED_WORDS[key]
@@ -253,6 +290,63 @@ def test_plan_steps_must_chain():
         edited[at] = value
         with pytest.raises(ValueError, match="plan step 3"):
             parse_plan("\n".join(edited) + "\n")
+
+
+FIVE = (GOLDEN / "mutate_five_3_4.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("edits", [
+    # No failures, so every check passes: VERIFIED.
+    [("k3-fail: 4 3 1 | 5 2 4", None), ("k4-fail: 3 4 1 | 5 2 4", None),
+     ("k3-fail-count: 1", "k3-fail-count: 0"),
+     ("k4-fail-count: 1", "k4-fail-count: 0"),
+     ("k3-forward-midpoints: fail", "k3-forward-midpoints: pass"),
+     ("k4-backward-midpoints: fail", "k4-backward-midpoints: pass"),
+     ("verdict: REFUTED", "verdict: VERIFIED")],
+    # A witness pair whose second member is not a tableau.
+    [("4 3 1 | 5 2 4 : none", "4 3 1 | 5 2 4 : search : 5 2 1 + 4 3 4")],
+    # No diff, and the flipped vertex its own image: k2 still passes.
+    [("1 3 4 : 4 3 1 -> 3 4 1", None), ("count: 1", "count: 0"),
+     ("4 3 1 -> 3 4 1", "4 3 1 -> 4 3 1")],
+], ids=["verified-without-failures", "witness-not-a-tableau",
+        "images-without-diff"])
+def test_forged_certificate_facts_raise_value_error(edits):
+    # Each edit keeps every derived line consistent with the facts as
+    # written; the reader recomputes those facts from matrix-after.
+    forged = edit_lines(FIVE, edits)
+    with pytest.raises(ValueError):
+        parse_certificate(forged)
+
+
+def test_forged_plan_step_names_the_step():
+    text = (GOLDEN / "plan_block_6_2.txt").read_text(encoding="utf-8")
+    step = text.splitlines().index("STEP 3")
+    edited = edit_lines(text, [
+        ("verdict: VERIFIED", "verdict: REFUTED"),
+        ("k3-forward-midpoints: pass", "k3-forward-midpoints: fail"),
+        ("k3-fail-count: 0", "k3-fail-count: 1\nk3-fail: 1 2 3 | 1 2 3"),
+        ("verified: 8", "verified: 7"), ("refuted: 0", "refuted: 1")], step)
+    with pytest.raises(ValueError, match="plan step 3, "):
+        parse_plan(edited)
+
+
+STOPPED = certificate_to_text(certify(weight_matrix_from_text(
+    "3 5\n0 0 0 0 0\n-6 0 5 3 -1\n2 -2 2 -3 -6\n"), 2, 4))
+
+
+@pytest.mark.parametrize("value", [
+    "4 2 5 | 3 1 4 : bogus : 4 1 5 + 3 2 4",
+    "4 2 5 | 3 1 4 : case1 : 4 1 5 + 3 2 4",
+    "4 2 5 | 3 1 4 : case3 : 9 9 9 + 3 2 4",
+])
+def test_stopped_certificate_witness_must_be_one_the_search_writes(value):
+    # The swap found no landing offset, so the witness lines are read as
+    # facts; each must be an entry the witness search could write.
+    line = "4 2 5 | 3 1 4 : case3 : 4 1 5 + 3 2 4"
+    assert "matrix-after: -\n" in STOPPED and line + "\n" in STOPPED
+    assert parse_certificate(STOPPED) is not None
+    with pytest.raises(ValueError, match="witness"):
+        parse_certificate(STOPPED.replace(line, value))
 
 
 @pytest.mark.parametrize("read, text", [(parse_certificate, CERTIFICATE),

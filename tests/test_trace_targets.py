@@ -6,8 +6,10 @@ import importlib.util
 import re
 from pathlib import Path
 
-from conftest import five_line_matrix
-from tropmf import weight_matrix_to_text
+from conftest import GOLDEN, five_line_matrix
+from test_byte_pins import seeded_matrices
+from tropmf import (certificate_to_text, certify, parse_certificate,
+                    weight_matrix_to_text)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -106,3 +108,22 @@ def test_traced_mutate_proves_each_failure_without_lp(tmp_path):
     # swap is re-checked on the triples through i.
     assert metrics["mutate.certify.calls"] == (1, "count")
     assert metrics["mfcore.induce.calls"] == (1, "count")
+
+
+def test_reading_certificates_records_no_span():
+    """perfbench's traced pass checks outputs with parse_certificate while
+    the tracer is installed, and fails when a count moves between
+    passes; so the reader calls no traced name."""
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(GOLDEN.glob("mutate_*.txt"))]
+    texts += [certificate_to_text(certify(M, i, j))
+              for M in seeded_matrices()
+              for i in range(1, M.n + 1) for j in range(1, M.n + 1) if i != j]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for text in texts:
+            parse_certificate(text)
+    finally:
+        tracer.uninstall()
+    assert tracer.take() == []
