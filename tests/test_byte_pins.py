@@ -5,7 +5,8 @@ every block plan for 4 <= n <= 10, which parse_plan also reads back to
 the same text, every ordered pair of 60 seeded matrices, rational or
 with small int entries so that ties, tied apex x coordinates and
 boundary apexes occur, and the command line's output and exit code on
-the 141 inputs of acceptance criterion 3 and on those 60 matrices.  A
+the 141 inputs of acceptance criterion 3 and on those 60 matrices,
+including the region picture of every adjacent pair.  A
 change of any byte changes the hash; re-record only after an intended
 output change.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from conftest import (diag6_matrix, five_line_matrix, random_generic_matrix,
                       write_matrix)
-from tropmf import (WeightMatrix, block_diagonal_weights,
+from tropmf import (WeightMatrix, apexes, block_diagonal_weights,
                     certificate_to_text, certify, plan_block_to_diagonal)
 from tropmf.cli import cli_main
 from tropmf.planner import parse_plan, plan_to_text
@@ -77,14 +78,14 @@ def criterion_3_matrices():
             yield random_generic_matrix(rng, n)
 
 
-def cli_digest(tmp_path, capsys, commands, matrices) -> str:
-    """SHA-256 of the exit code, stdout and stderr of every command on
-    every matrix, each read from a file."""
+def cli_digest(tmp_path, capsys, runs, matrices) -> str:
+    """SHA-256 of the exit code, stdout and stderr of every command line
+    runs(M) gives for each matrix M, with M read from a file."""
     h = hashlib.sha256()
     for k, M in enumerate(matrices):
         path = write_matrix(tmp_path, "m%d.wm" % k, M)
-        for command in commands:
-            code = cli_main([command, "-m", path])
+        for argv in runs(M):
+            code = cli_main(argv + ["-m", path])
             captured = capsys.readouterr()
             h.update(b"%d\n" % code)
             h.update(captured.out.encode())
@@ -95,11 +96,38 @@ def cli_digest(tmp_path, capsys, commands, matrices) -> str:
 def test_check_covectors_of_criterion_3_is_byte_stable(tmp_path, capsys):
     matrices = list(criterion_3_matrices())
     assert len(matrices) == 141
-    assert cli_digest(tmp_path, capsys, ["check-covectors"], matrices) == (
+    runs = lambda M: [["check-covectors"]]  # noqa: E731
+    assert cli_digest(tmp_path, capsys, runs, matrices) == (
         "8ebcee839828a4faafe338239eca7934ce4eba239a5fe6afdc6cad1a4617f9cc")
 
 
 def test_field_commands_on_seeded_matrices_are_byte_stable(tmp_path, capsys):
-    commands = ["check-covectors", "induce", "weights"]
-    assert cli_digest(tmp_path, capsys, commands, seeded_matrices()) == (
+    def runs(M):
+        return [[command] for command in ("check-covectors", "induce",
+                                          "weights")]
+
+    assert cli_digest(tmp_path, capsys, runs, seeded_matrices()) == (
         "c3fc27c4721282c35bd76245892f7b26b055881fa6f08ee472e23d4c84922444")
+
+
+def region_runs(M):
+    """star on every ordered pair, and render --regions on every pair
+    adjacent in the apexes' x order (ties broken by index) in both
+    orders."""
+    A = apexes(M)
+    order = sorted(range(1, M.n + 1), key=lambda p: (A.xs[p - 1], p))
+    pairs = [(i, j) for i in range(1, M.n + 1)
+             for j in range(1, M.n + 1) if i != j]
+    runs = [["star", "-i", str(i), "-j", str(j)] for i, j in pairs]
+    runs += [["render", "--pair", "%d,%d" % pair, "--regions"]
+             for a, b in zip(order, order[1:]) for pair in ((a, b), (b, a))]
+    return runs
+
+
+def test_region_commands_on_seeded_matrices_are_byte_stable(tmp_path, capsys):
+    # The last matrix has a case ONE pair (1, 6) with D_j < D_i, where
+    # the yellow region is bounded by the blue one.
+    matrices = list(seeded_matrices()) + [WeightMatrix.from_rows(
+        [[0] * 6, [-19, -10, -8, 0, 16, -12], [1, 7, -7, -3, -14, 4]])]
+    assert cli_digest(tmp_path, capsys, region_runs, matrices) == (
+        "629ced3c5f6b7867cf3104a0f36979902bc5dfa86ee2f48ae5e8c204ffc3caed")
