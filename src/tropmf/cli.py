@@ -27,9 +27,6 @@ from .regions import (Boundary, NotAdjacent, Region, classify,
 # TiedX, NotSwappable, ...) is a ValueError.
 _INPUT_ERRORS = (ValueError, OSError)
 
-_REGION_ORDER = (Region.RED, Region.PURPLE, Region.OLIVE, Region.BLUE,
-                 Region.GREEN, Region.YELLOW)
-
 
 @dataclass(frozen=True)
 class RenderOptions:
@@ -41,7 +38,7 @@ class RenderOptions:
 
 def _dec(x, places: int = 4) -> str:
     """Exact fixed-point decimal string of a rational (display only)."""
-    scaled = round(Fraction(x) * 10 ** places)
+    scaled = round(x * 10 ** places)
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10 ** places)
     return "%s%d.%s" % (sign, whole, str(frac).zfill(places))
@@ -51,12 +48,9 @@ def _clip(polygon, halfplane):
     """Sutherland-Hodgman step: keep p*x + q*y <= c, exact arithmetic."""
     p, q, c = halfplane
     out = []
-    m = len(polygon)
-    for idx in range(m):
-        a = polygon[idx]
-        b = polygon[(idx + 1) % m]
-        fa = p * a[0] + q * a[1] - c
-        fb = p * b[0] + q * b[1] - c
+    values = [p * x + q * y - c for x, y in polygon]
+    for a, b, fa, fb in zip(polygon, polygon[1:] + polygon[:1],
+                            values, values[1:] + values[:1]):
         if fa <= 0:
             out.append(a)
         if (fa < 0 < fb) or (fb < 0 < fa):
@@ -136,7 +130,7 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
         frame = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
         halfplanes = region_halfplanes(A, i, j)
         out.append('<g id="regions">')
-        for region in _REGION_ORDER:
+        for region in Region:
             poly = frame
             for hp in halfplanes[region]:
                 poly = _clip(poly, hp)
@@ -246,7 +240,7 @@ def _cmd_star(args) -> int:
     R = classify(A, i, j)
     S = build_wf(A, i, j, R)
     lines = ["pair: %d %d" % (i, j), "case: %s" % R.case.value]
-    for region in _REGION_ORDER:
+    for region in Region:
         members = sorted(k for k, r in R.colors.items() if r is region)
         lines.append("%s: %s" % (region.value,
                                  " ".join(str(k) for k in members) if members else "-"))

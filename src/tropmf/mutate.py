@@ -74,7 +74,7 @@ from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
 from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      _classify, classify)
+                      _case, _classify, classify)
 
 
 _STAR_FAILS = "star condition fails for a two-sided swap"
@@ -846,7 +846,7 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
         raise ValueError("matrix-after's x order is not order-before on 1..%d"
                          " with lines %d and %d transposed" % (cert.n, i, j))
     yi, yj = A.ys[i - 1], A.ys[j - 1]
-    if yi == yj or cert.case != ("ONE" if yj > yi else "TWO"):
+    if yi == yj or cert.case != _case(yi, yj).value:
         raise ValueError("case %s is not that of the apex heights of lines "
                          "%d and %d in matrix-after" % (_opt(cert.case), i, j))
     if cert.data is None:

@@ -134,13 +134,16 @@ def plan_to_text(plan: Plan, source: str = "matrix") -> str:
 
 
 def parse_plan(text: str) -> tuple:
-    """Inverse of plan_to_text: (plan, source).  It reads the source, the
-    initial matrix and the target, runs plan_to_order on them (keeping
-    the partial plan of a PlanError), and raises ValueError, naming the
-    first differing line and its step, unless text is exactly what
-    plan_to_text writes for that plan.  A strict-mode partial plan that
+    """Inverse of plan_to_text: (plan, source).  It refuses a text whose
+    last line is not END-PLAN, then reads the source, the initial matrix
+    and the target, runs plan_to_order on them (keeping the partial plan
+    of a PlanError), and raises ValueError, naming the first differing
+    line and its step, unless text is exactly what plan_to_text writes
+    for that plan.  A strict-mode partial plan that
     stopped on a REFUTED step reads back only if the default mode writes
     the same text."""
+    if not text.endswith("\nEND-PLAN\n"):
+        raise ValueError("plan text does not end with the line END-PLAN")
     rd = _Reader(text)
     rd.expect("PLAN")
     rd.value("n")

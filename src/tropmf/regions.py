@@ -3,8 +3,11 @@
 Fix two adjacent lines i (left) and j (right).  Every other line's apex
 falls into one of six regions named red, purple, olive, blue, green,
 yellow; which inequalities bound them depends on whether j's apex is
-higher than i's (case ONE) or lower (case TWO).  The swap verifier
-reads three groups off them (red; green and yellow; purple), and
+higher than i's (case ONE) or lower (case TWO).  One ladder per side
+of the pair (_ladders) is the one definition of the regions: classify
+walks its rungs on the int apexes, and region_halfplanes builds from
+them the polygons that render fills.  The swap verifier reads three
+groups off the regions (red; green and yellow; purple), and
 mutate.MutationData derives the star condition from those groups.
 
 Apexes exactly on a bounding ray make the swap ill-defined, so
@@ -57,57 +60,55 @@ class RegionAssignment:
         return frozenset(k for k, r in self.colors.items() if r in wanted)
 
 
-def _strict(lhs, rhs, k):
-    """-1, +1 for strict comparison outcomes; Boundary(k) on equality."""
-    if lhs == rhs:
-        raise Boundary(k)
-    return -1 if lhs < rhs else 1
+def _case(bi, bj) -> Case:
+    """Case ONE when line j's apex is higher than line i's, else TWO."""
+    return Case.ONE if bj > bi else Case.TWO
 
 
-def _bounds(ai, bi, aj, bj) -> tuple:
-    """Case of the pair (i left of j, apexes (ai, bi), (aj, bj), ints on
-    one scale or Fractions) and its four bounds: the red/purple split and
-    green/yellow diagonal on D = b - a, the purple/olive top and
-    blue/green low on b.  Equal apex heights give case TWO."""
-    if bj > bi:
-        return Case.ONE, bi - ai, bj, aj + bi - ai, bj - aj
-    return Case.TWO, bj - ai, bi, bj, bi - ai
+def _ladders(ai, bi, aj, bj) -> tuple:
+    """The case of the pair (i left of j, apexes (ai, bi), (aj, bj), ints
+    on one scale or Fractions) and its ladder for each side, the one
+    definition of the six regions.  A ladder is the side bound (x <= a_i
+    or x >= a_j), two rungs ((p, q, c), region) and a last region: the
+    region of a point on that side is that of its first rung with
+    p*x + q*y < c, else the last one.  On D = b - a, the rungs compare
+    D with the red/purple split and the green/yellow diagonal, and b
+    with the purple/olive top and the blue/green low.  Equal apex
+    heights give case TWO."""
+    case = _case(bi, bj)
+    if case is Case.ONE:
+        split, top, low, diag = bi - ai, bj, aj + bi - ai, bj - aj
+    else:
+        split, top, low, diag = bj - ai, bi, bj, bi - ai
+    left = ((1, 0, ai), (((-1, 1, split), Region.RED),
+                         ((0, 1, top), Region.PURPLE)), Region.OLIVE)
+    right = ((-1, 0, -aj), (((0, 1, low), Region.BLUE),
+                            ((-1, 1, diag), Region.GREEN)), Region.YELLOW)
+    return case, left, right
+
+
+def _check_lines(A: Arrangement, i: int, j: int):
+    """NotAdjacent unless i and j are two distinct lines of A."""
+    if i == j or not (1 <= i <= A.n and 1 <= j <= A.n):
+        raise NotAdjacent("bad pair (%d, %d)" % (i, j))
 
 
 def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
-    """Region of every line other than i and j.
-
-    With apexes (a, b), diagonal offsets D = b - a, and i left of j:
-
-    case ONE (b_j > b_i), left side a_k < a_i:
-        red    D_k < D_i
-        purple D_k > D_i and b_k < b_j
-        olive  b_k > b_j
-    case ONE, right side a_k > a_j:
-        blue   b_k < a_j + D_i
-        green  b_k > a_j + D_i and D_k < D_j
-        yellow D_k > D_j
-    case TWO (b_i > b_j), left side:
-        red    D_k < b_j - a_i
-        purple D_k > b_j - a_i and b_k < b_i
-        olive  b_k > b_i
-    case TWO, right side:
-        blue   b_k < b_j
-        green  b_k > b_j and D_k < D_i
-        yellow D_k > D_i
+    """Region of every line other than i and j, read off the ladders of
+    _ladders on the apexes.
 
     No other apex can share an x coordinate with i or j, or lie between
     them: the adjacency check sorts the apexes with x_order, which raises
     TiedX on any equal x, and confirms that i and j are consecutive.
     """
-    if i == j or not (1 <= i <= A.n and 1 <= j <= A.n):
-        raise NotAdjacent("bad pair (%d, %d)" % (i, j))
+    _check_lines(A, i, j)
     return _classify(A, x_order(A), i, j)
 
 
 def _classify(A: Arrangement, order: tuple, i: int, j: int) -> RegionAssignment:
     """classify for two distinct columns i, j, on the caller's x order
-    of A's apexes (x_order(A)), comparing A's int apexes."""
+    of A's apexes (x_order(A)), comparing A's int apexes.  An apex on a
+    rung's line raises Boundary."""
     if abs(order.index(i) - order.index(j)) != 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
     xs, ys = A.xs, A.ys
@@ -116,26 +117,20 @@ def _classify(A: Arrangement, order: tuple, i: int, j: int) -> RegionAssignment:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     if bi == bj:
         raise Boundary(j)
-    case, split, top, low, diag = _bounds(ai, bi, aj, bj)
+    case, left, right = _ladders(ai, bi, aj, bj)
     colors = {}
     for k, (ak, bk) in enumerate(zip(xs, ys), 1):
         if k in (i, j):
             continue
-        dk = bk - ak
-        if ak < ai:
-            if _strict(dk, split, k) < 0:
-                colors[k] = Region.RED
-            elif _strict(bk, top, k) < 0:
-                colors[k] = Region.PURPLE
-            else:
-                colors[k] = Region.OLIVE
-        else:
-            if _strict(bk, low, k) < 0:
-                colors[k] = Region.BLUE
-            elif _strict(dk, diag, k) < 0:
-                colors[k] = Region.GREEN
-            else:
-                colors[k] = Region.YELLOW
+        _, rungs, region = left if ak < ai else right
+        for (p, q, c), below in rungs:
+            v = p * ak + q * bk
+            if v == c:
+                raise Boundary(k)
+            if v < c:
+                region = below
+                break
+        colors[k] = region
     return RegionAssignment(i, j, case, colors)
 
 
@@ -143,20 +138,19 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
     """Half-plane descriptions of the six regions, for rendering.
 
     Each region maps to a list of triples (p, q, c) meaning
-    p*x + q*y <= c; the region is the intersection.
+    p*x + q*y <= c; the region is the intersection of its side bound,
+    the earlier rungs of its ladder negated and its own rung, so an apex
+    that classify colours lies in exactly one region.
     """
+    _check_lines(A, i, j)
     (ai, bi), (aj, bj) = A.apex(i), A.apex(j)
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    _, split, top, low, diag = _bounds(ai, bi, aj, bj)
-    left = (1, 0, ai)
-    right = (-1, 0, -aj)
-    return {
-        Region.RED: [left, (-1, 1, split)],
-        Region.PURPLE: [left, (1, -1, -split), (0, 1, top)],
-        Region.OLIVE: [left, (0, -1, -top)],
-        Region.BLUE: [right, (0, 1, low)],
-        Region.GREEN: [right, (0, -1, -low), (-1, 1, diag)],
-        Region.YELLOW: [right, (0, -1, -low), (1, -1, -diag)],
-    }
-
+    planes = {}
+    for bound, rungs, last in _ladders(ai, bi, aj, bj)[1:]:
+        above = [bound]
+        for (p, q, c), region in rungs:
+            planes[region] = above + [(p, q, c)]
+            above.append((-p, -q, -c))
+        planes[last] = above
+    return planes

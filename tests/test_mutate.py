@@ -1,6 +1,8 @@
 """Mutation data, the tropical map, verified swaps, and certificates."""
 
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, golden_texts,
                       shear_matrix)
+from test_byte_pins import seeded_matrices
 from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
                     NotSwappable, PatternMismatch, Region, RegionAssignment,
                     SlabViolation, TieError, TiedX, VertexSet, WeightMatrix,
@@ -644,6 +647,58 @@ def test_f_split_groups_as_pair(M, data):
         else:
             with pytest.raises(SlabViolation):
                 mutate._f_split(S, f)
+
+
+def certify_facts(M: WeightMatrix, i: int, j: int) -> tuple:
+    """What certify decides for the pair, and classify's colours or
+    error, less the landing offset: right of the rightmost line the room
+    to land is one unit at any scale, so epsilon and the gap in a "no
+    landing offset" reason need not scale with M."""
+    c = certify(M, i, j)
+    try:
+        colors = classify(apexes(M), i, j).colors
+    except ValueError as e:
+        colors = str(e)
+    reason = re.sub(r"\(0, \S+\)", "(0, gap)", c.reason or "")
+    return (c.verdict, c.kind, c.case, c.i, c.j, c.order_before, c.data,
+            c.diff, c.images, c.witnesses, c.k3_failures, c.k4_failures,
+            reason, colors)
+
+
+def transformed(M: WeightMatrix, rng: random.Random):
+    """M scaled by a positive rational, translated along x and along y (a
+    rational added to all of row 2 or of row 3), and with a rational
+    added to one column."""
+    def rational(lo):
+        return Fraction(rng.randint(lo, 30), rng.randint(1, 7))
+
+    r1, r2, r3 = M.rows
+    s, tx, ty, u = rational(1), rational(-30), rational(-30), rational(-30)
+    c = rng.randrange(M.n)
+    for rows in ([[s * x for x in row] for row in M.rows],
+                 [r1, [x + tx for x in r2], r3],
+                 [r1, r2, [y + ty for y in r3]],
+                 [[x + u * (k == c) for k, x in enumerate(row)]
+                  for row in M.rows]):
+        yield WeightMatrix.from_rows(rows)
+
+
+def test_certify_is_invariant_under_scale_translation_and_column_shift():
+    # Every decision of certify compares weight differences of one triple
+    # or apex coordinates of one arrangement, so a positive scale, a
+    # translation and a column shift (which keeps every apex) keep all of
+    # them.  The fixtures add landed MUTATION swaps with k3/k4 failures.
+    rng = random.Random(8)
+    verdicts = set()
+    for M in [five_line_matrix(), closer_threshold_matrix(), shear_matrix(),
+              diag6_matrix(), *seeded_matrices(40, seed=8)]:
+        pairs = [(i, j) for i in range(1, M.n + 1)
+                 for j in range(1, M.n + 1) if i != j]
+        facts = [certify_facts(M, i, j) for i, j in pairs]
+        verdicts.update(f[0] for f in facts)
+        for M2 in transformed(M, rng):
+            assert [certify_facts(M2, i, j) for i, j in pairs] == facts, M2
+    assert verdicts == {"VERIFIED", "REFUTED", "INAPPLICABLE"}
 
 
 # --- certificate serialization ----------------------------------------------

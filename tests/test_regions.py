@@ -102,6 +102,12 @@ def test_not_adjacent_and_misordered(five):
         classify(A, 4, 3)   # right line first
     with pytest.raises(NotAdjacent):
         classify(A, 3, 3)
+    # Pairs outside 1..n, which apex() would read from the other end.
+    for i, j in ((4, 0), (1, A.n + 1)):
+        for fn in (classify, region_halfplanes):
+            with pytest.raises(NotAdjacent, match=r"bad pair \(%d, %d\)"
+                               % (i, j)):
+                fn(A, i, j)
 
 
 def test_boundary_refusal():
@@ -201,7 +207,7 @@ def test_region_halfplanes_draw_equal_heights_as_case_two():
         classify(A, 1, 2)
     planes = region_halfplanes(A, 1, 2)
     assert planes[Region.RED] == [(1, 0, 0), (-1, 1, 1)]
-    assert planes[Region.OLIVE] == [(1, 0, 0), (0, -1, -1)]
+    assert planes[Region.OLIVE] == [(1, 0, 0), (1, -1, -1), (0, -1, -1)]
     assert planes[Region.BLUE] == [(-1, 0, -2), (0, 1, 1)]
     assert planes[Region.YELLOW] == [(-1, 0, -2), (0, -1, -1), (1, -1, -1)]
 
@@ -268,7 +274,7 @@ def reference_halfplanes(pts, i, j):
     return {
         Region.RED: [left, (-1, 1, split)],
         Region.PURPLE: [left, (1, -1, -split), (0, 1, top)],
-        Region.OLIVE: [left, (0, -1, -top)],
+        Region.OLIVE: [left, (1, -1, -split), (0, -1, -top)],
         Region.BLUE: [right, (0, 1, low)],
         Region.GREEN: [right, (0, -1, -low), (-1, 1, diag)],
         Region.YELLOW: [right, (0, -1, -low), (1, -1, -diag)],
