@@ -68,6 +68,35 @@ def test_edited_plan_parses_or_raises_value_error(text):
     assert_exact_or_value_error(rewrite_plan, text)
 
 
+BLUE = certificate_to_text(certify(blue_obstruction_matrix(), 1, 2))
+
+
+def line_edits(text, stop=None):
+    """The lines of text with one whole line among the first stop deleted,
+    duplicated, swapped with the next line, or copied in after the first
+    line, ahead of every line the writer puts there."""
+    lines = text.splitlines()
+    for at, ln in enumerate(lines[:stop]):
+        yield lines[:at] + lines[at + 1:]
+        yield lines[:at] + [ln] + lines[at:]
+        yield lines[:at] + lines[at + 1:at + 2] + [ln] + lines[at + 2:]
+        yield lines[:1] + [ln] + lines[1:]
+
+
+@pytest.mark.parametrize("rewrite, text, stop", [
+    (rewrite_certificate, CERTIFICATE, None),
+    (rewrite_certificate, BLUE, None),
+    # Reading a plan runs it, so only the header and the first step are
+    # edited; every step is a certificate block.
+    (rewrite_plan, PLAN, PLAN.splitlines().index("STEP 2")),
+], ids=["certificate", "stopped", "plan"])
+def test_line_edit_parses_or_raises_value_error(rewrite, text, stop):
+    edits = list(line_edits(text, stop))
+    assert edits
+    for lines in edits:
+        assert_exact_or_value_error(rewrite, "\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("line, value", [
     ("epsilon: 1", "epsilon: 1/0"),
     ("  0 0 0 0 0", "  1/0 0 0 0 0"),
