@@ -52,9 +52,13 @@ star lists and flags a-d and (w, f) are derived from the regions,
 groups, swapped matrix, diff, images, failure lists and witnesses it
 records.  Its text has one writer, certificate_to_text, and one reader,
 parse_certificate, which accepts only the exact bytes the writer gives
-back for what it read.  It reads no derived line, and for a landed swap
-it recomputes the diff, images, witnesses and batteries with certify's
-own _vertex_facts; a stopped certificate keeps its witness lines.
+back for what it read.  The layout lives in the writer alone: the
+reader takes each fact from the first line that carries its key, reads
+no derived line, and leaves where every line stands to that re-write.
+For a landed swap it recomputes the diff, images, witnesses and
+batteries with certify's own _vertex_facts; a stopped certificate keeps
+its witness lines, and its case and order-before must have the shape
+certify gives them.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
 from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      _case, _classify, classify)
+                      _case, _check_lines, _classify, classify)
 
 
 _STAR_FAILS = "star condition fails for a two-sided swap"
@@ -364,10 +368,12 @@ def swap(M: WeightMatrix, i: int, j: int):
     executable, and the accepted matrix is checked once more: the
     triples through i from scratch, and x_order.  Returns (M2, eps);
     certify runs the same search on the field, apexes and regions it
-    already holds.
+    already holds.  A pair that is not two distinct lines of M raises
+    NotAdjacent, as in classify.
     """
-    L = induce(M)
     A = apexes(M)
+    _check_lines(A, i, j)
+    L = induce(M)
     order = x_order(A)
     if not A.xs[i - 1] < A.xs[j - 1]:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
@@ -713,37 +719,6 @@ def certificate_to_text(c: MutationCertificate) -> str:
     return "\n".join(out) + "\n"
 
 
-class _Reader:
-    """The lines of a certificate or plan text, read front to back."""
-
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def take(self):
-        if self.pos >= len(self.lines):
-            raise ValueError("input ends after line %d" % self.pos)
-        ln = self.lines[self.pos]
-        self.pos += 1
-        return ln
-
-    def expect(self, literal):
-        ln = self.take()
-        if ln != literal:
-            raise ValueError("expected %r, got %r" % (literal, ln))
-
-    def value(self, key):
-        ln = self.take()
-        prefix = key + ":"
-        if not ln.startswith(prefix):
-            raise ValueError("expected key %r, got %r" % (key, ln))
-        return ln[len(prefix):].strip()
-
-    def matrix(self) -> WeightMatrix:
-        """The indented "3 n" block that _matrix_lines writes under its key."""
-        return weight_matrix_from_text("\n".join(self.take() for _ in range(4)))
-
-
 def _parse_tab(text: str) -> Tableau | None:
     if text == "*":
         return None
@@ -779,67 +754,89 @@ def _read_witness(ln: str, D: MutationData) -> WitnessEntry:
     return e
 
 
-def _read_certificate(rd: _Reader) -> MutationCertificate:
-    """One certificate block, CERTIFICATE through END, from rd's position.
-    It reads the digest, pair, case, stop reason, order-before,
-    matrix-after, groups and witness lines (by _read_witness) and skips
-    the derived lines and the DIFF, IMAGES and CHECKS blocks, which
-    parse_certificate recomputes or checks by its re-write."""
-    rd.expect("CERTIFICATE")
-    rd.value("version")
-    digest = rd.value("digest")
-    n = int(rd.value("n"))
-    i, j = (int(t) for t in rd.value("pair").split())
+def _value(lines: list, key: str) -> str:
+    """The value of the first line that carries key."""
+    for ln in lines:
+        if ln.startswith(key + ":"):
+            return ln[len(key) + 1:].strip()
+    raise ValueError("no %r line" % key)
+
+
+def _after(lines: list, literal: str, count: int) -> list:
+    """The count lines after the first line that reads literal."""
+    at = lines.index(literal) + 1 if literal in lines else len(lines) + 1
+    if not 0 <= count <= len(lines) - at:
+        raise ValueError("no %d lines after a %r line" % (count, literal))
+    return lines[at:at + count]
+
+
+def _read_matrix(lines: list, key: str) -> WeightMatrix:
+    """The indented "3 n" block that _matrix_lines writes under key."""
+    return weight_matrix_from_text("\n".join(_after(lines, key + ":", 4)))
+
+
+def _read_certificate(text: str) -> MutationCertificate:
+    """The digest, n, pair, case, stop reason, order-before, matrix-after,
+    groups and witness lines (by _read_witness) of a certificate text,
+    each from the first line that carries its key; the w rows are read
+    only for their width.  Where the lines stand, and every other line,
+    is left to parse_certificate's re-write.
+
+    certify sets the case and the groups together, so the groups are
+    read exactly when the case is ONE or TWO: a group-less ONE or TWO
+    finds no group line, and a - beside groups is written back without
+    them.  certify writes order-before empty (a stop before the x
+    order) or as the x order, i left of j, right next to it once the
+    pair has groups."""
+    lines = text.splitlines()
+    n = int(_value(lines, "n"))
+    i, j = (int(t) for t in _value(lines, "pair").split())
     _check_pair(n, i, j)
-    case = rd.value("case")
+    case = _value(lines, "case")
     if case not in _CASES:
         raise ValueError("unknown case %r" % case)
-    cert = MutationCertificate(digest=digest, n=n, i=i, j=j,
-                               case=None if case == "-" else case)
-    rd.value("kind")
-    rd.value("verdict")
-    reason = rd.value("reason")
-    while rd.take() != "SWAP":   # STAR, derived from the groups
-        pass
-    rd.value("epsilon")
-    cert.order_before = _parse_ints(rd.value("order-before"))
-    rd.value("order-after")
-    if rd.value("matrix-after") != "-":
-        cert.matrix_after = rd.matrix()
+    order = _parse_ints(_value(lines, "order-before"))
+    cert = MutationCertificate(digest=_value(lines, "digest"), n=n, i=i, j=j,
+                               case=None if case == "-" else case,
+                               order_before=order)
+    reason = _value(lines, "reason")
+    if _value(lines, "matrix-after") != "-":
+        cert.matrix_after = _read_matrix(lines, "matrix-after")
     elif reason != "-":
         cert.stop = reason
     else:
         raise ValueError("certificate has neither a matrix-after nor a reason")
-    rd.expect("WF")
-    if rd.value("present") == "true":
-        g1, g2, g3 = (frozenset(_parse_ints(rd.value("group-%d" % k)))
+    if cert.case is not None:
+        g1, g2, g3 = (frozenset(_parse_ints(_value(lines, "group-%d" % k)))
                       for k in (1, 2, 3))
         union = g1 | g2 | g3
         if (len(g1) + len(g2) + len(g3) != len(union)
                 or not all(1 <= c <= n and c not in (i, j) for c in union)):
             raise ValueError("groups must be disjoint subsets of 1..%d "
                              "without %d and %d" % (n, i, j))
+        if any(len(row.split()) != n for row in _after(lines, "w:", 3)):
+            raise ValueError("w and f rows must have %d entries" % n)
         cert.data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
                                  group_three=g3)
-        for _ in range(8):   # w and f: a key line, then three rows of n
-            if len(rd.take().split()) not in (1, n):
-                raise ValueError("w and f rows must have %d entries" % n)
-    while rd.take() != "WITNESSES":   # DIFF, IMAGES and CHECKS
-        pass
-    rd.expect("present: %s" % _bool(cert.data is not None))
-    if cert.data is not None:
-        cert.witnesses = [_read_witness(rd.take(), cert.data)
-                          for _ in range(int(rd.value("count")))]
-    rd.expect("END")
+        count = int(_value(_after(lines, "WITNESSES", 2), "count"))
+        cert.witnesses = [_read_witness(ln, cert.data)
+                          for ln in _after(lines, "WITNESSES", 2 + count)[2:]]
+    if (order or cert.data) and not (
+            len(order) == n and sorted(order) == list(range(1, n + 1)) and
+            0 < order.index(j) - order.index(i) <= (1 if cert.data else n)):
+        raise ValueError("order-before must be empty or a permutation of "
+                         "1..%d with %d left of %d, next to it when the "
+                         "groups are present" % (n, i, j))
     return cert
 
 
 def _landed_fields(cert: MutationCertificate) -> tuple:
     """(L, L2): the field L2 matrix-after induces, and L, L2 with each red
-    triple put back from (i, j, k) to (j, i, k).  ValueError unless the
-    groups are present and matrix-after swapped the pair: its x order is
-    order-before on 1..n with i and j transposed, and its case ONE when
-    j's apex is higher than i's, else TWO (a swap keeps the heights)."""
+    triple put back from (i, j, k) to (j, i, k).  ValueError unless
+    matrix-after swapped the pair: its x order is order-before on 1..n
+    with i and j transposed, and its case ONE when j's apex is higher
+    than i's, else TWO (a swap keeps the heights).  The groups are then
+    present, as _read_certificate reads them beside every case."""
     i, j = cert.i, cert.j
     A = apexes(cert.matrix_after)
     if A.n != cert.n or x_order(A) != cert.order_after:
@@ -849,8 +846,6 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
     if yi == yj or cert.case != _case(yi, yj).value:
         raise ValueError("case %s is not that of the apex heights of lines "
                          "%d and %d in matrix-after" % (_opt(cert.case), i, j))
-    if cert.data is None:
-        raise ValueError("a landed swap needs its groups")
     L2 = _induce(A.xs, A.ys, A.n)
     before = dict(L2.assignment)
     for k in cert.data.red:
@@ -880,7 +875,7 @@ def parse_certificate(text: str) -> MutationCertificate:
     what certificate_to_text writes for the certificate read from it, with
     a landed swap's vertex facts recomputed from the fields before and
     after it (_landed_fields)."""
-    cert = _read_certificate(_Reader(text))
+    cert = _read_certificate(text)
     if cert.matrix_after is not None:
         _vertex_facts(cert, *_landed_fields(cert))
     _check_written(text, certificate_to_text(cert))

@@ -13,9 +13,10 @@ A plan holds its steps as the certificates themselves: each carries
 the swapped pair, the matrix after the swap and the x order after it.
 The final field and the SUMMARY counts are derived from them.  A plan
 file has one writer, plan_to_text, and one reader, parse_plan, which
-runs the plan again from its initial matrix and target (so reading a
-plan costs what running it costs) and accepts only the exact bytes
-plan_to_text writes for that run.
+takes the source, initial matrix and target by their keys, runs the
+plan again from them (so reading a plan costs what running it costs)
+and accepts only the exact bytes plan_to_text writes for that run; the
+layout is checked by that comparison alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .arrange import apexes, x_order
 from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
                      diagonal, induce)
 from .mutate import (_KINDS, _VERDICTS, _check_written, _matrix_lines,
-                     _Reader, certificate_to_text, certify)
+                     _read_matrix, _value, certificate_to_text, certify)
 
 _SUMMARY_KEYS = tuple(word.lower() for word in _KINDS + _VERDICTS)
 
@@ -135,22 +136,21 @@ def plan_to_text(plan: Plan, source: str = "matrix") -> str:
 
 def parse_plan(text: str) -> tuple:
     """Inverse of plan_to_text: (plan, source).  It refuses a text whose
-    last line is not END-PLAN, then reads the source, the initial matrix
-    and the target, runs plan_to_order on them (keeping the partial plan
-    of a PlanError), and raises ValueError, naming the first differing
-    line and its step, unless text is exactly what plan_to_text writes
-    for that plan.  A strict-mode partial plan that
+    first line is not PLAN or whose last line is not END-PLAN, then takes
+    the source, the initial matrix and the target each from the first
+    line that carries its key, runs plan_to_order on them (keeping the
+    partial plan of a PlanError), and raises ValueError, naming the
+    first differing line and its step, unless text is exactly what
+    plan_to_text writes for that plan.  A strict-mode partial plan that
     stopped on a REFUTED step reads back only if the default mode writes
     the same text."""
-    if not text.endswith("\nEND-PLAN\n"):
-        raise ValueError("plan text does not end with the line END-PLAN")
-    rd = _Reader(text)
-    rd.expect("PLAN")
-    rd.value("n")
-    source = rd.value("source")
-    rd.value("matrix")
-    initial = rd.matrix()
-    target = tuple(int(t) for t in rd.value("target").split())
+    if not (text.startswith("PLAN\n") and text.endswith("\nEND-PLAN\n")):
+        raise ValueError("a plan text must start with the line PLAN and "
+                         "end with the line END-PLAN")
+    lines = text.splitlines()
+    source = _value(lines, "source")
+    initial = _read_matrix(lines, "matrix")
+    target = tuple(int(t) for t in _value(lines, "target").split())
     try:
         plan = plan_to_order(initial, target)
     except PlanError as e:

@@ -154,6 +154,9 @@ def test_swap_requires_left_line_first(five):
         swap(five, 4, 3)
     with pytest.raises(NotAdjacent):
         swap(five, 2, 4)
+    for i, j in ((0, 3), (1, five.n + 1), (3, 3)):
+        with pytest.raises(NotAdjacent, match=r"bad pair \(%d, %d\)" % (i, j)):
+            swap(five, i, j)
 
 
 def test_swap_empty_red_is_field_preserving(diag6):

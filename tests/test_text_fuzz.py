@@ -170,11 +170,10 @@ def test_certificate_n_must_fit_the_wf_rows():
 
 
 def test_stopped_certificate_needs_a_reason():
-    text = certificate_to_text(certify(blue_obstruction_matrix(), 1, 2))
-    reason = next(ln for ln in text.splitlines() if ln.startswith("reason: "))
-    assert "matrix-after: -\n" in text
+    reason = next(ln for ln in BLUE.splitlines() if ln.startswith("reason: "))
+    assert "matrix-after: -\n" in BLUE
     with pytest.raises(ValueError, match="neither"):
-        parse_certificate(text.replace(reason, "reason: -"))
+        parse_certificate(BLUE.replace(reason, "reason: -"))
 
 
 def test_rewrite_mismatch_names_the_line():
@@ -324,25 +323,42 @@ def test_plan_steps_must_chain():
 FIVE = (GOLDEN / "mutate_five_3_4.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("edits", [
+NOT_ADJACENT = certificate_to_text(certify(five_line_matrix(), 2, 4))
+
+
+@pytest.mark.parametrize("text, edits", [
     # No failures, so every check passes: VERIFIED.
-    [("k3-fail: 4 3 1 | 5 2 4", None), ("k4-fail: 3 4 1 | 5 2 4", None),
-     ("k3-fail-count: 1", "k3-fail-count: 0"),
-     ("k4-fail-count: 1", "k4-fail-count: 0"),
-     ("k3-forward-midpoints: fail", "k3-forward-midpoints: pass"),
-     ("k4-backward-midpoints: fail", "k4-backward-midpoints: pass"),
-     ("verdict: REFUTED", "verdict: VERIFIED")],
+    (FIVE, [("k3-fail: 4 3 1 | 5 2 4", None), ("k4-fail: 3 4 1 | 5 2 4", None),
+            ("k3-fail-count: 1", "k3-fail-count: 0"),
+            ("k4-fail-count: 1", "k4-fail-count: 0"),
+            ("k3-forward-midpoints: fail", "k3-forward-midpoints: pass"),
+            ("k4-backward-midpoints: fail", "k4-backward-midpoints: pass"),
+            ("verdict: REFUTED", "verdict: VERIFIED")]),
     # A witness pair whose second member is not a tableau.
-    [("4 3 1 | 5 2 4 : none", "4 3 1 | 5 2 4 : search : 5 2 1 + 4 3 4")],
+    (FIVE, [
+        ("4 3 1 | 5 2 4 : none", "4 3 1 | 5 2 4 : search : 5 2 1 + 4 3 4")]),
     # No diff, and the flipped vertex its own image: k2 still passes.
-    [("1 3 4 : 4 3 1 -> 3 4 1", None), ("count: 1", "count: 0"),
-     ("4 3 1 -> 3 4 1", "4 3 1 -> 4 3 1")],
+    (FIVE, [("1 3 4 : 4 3 1 -> 3 4 1", None), ("count: 1", "count: 0"),
+            ("4 3 1 -> 3 4 1", "4 3 1 -> 4 3 1")]),
+    # Stopped swaps: certify sets the case together with the groups, and
+    # writes order-before as the x order with i left of j, next to it
+    # once the pair has groups.
+    (NOT_ADJACENT, [("case: -", "case: ONE")]),
+    (BLUE, [("case: ONE", "case: -")]),
+    (BLUE, [("order-before: 1 2 3", "order-before: 1 2 2")]),
+    (NOT_ADJACENT, [("order-before: 2 1 3 4 5", "order-before: 4 1 3 2 5")]),
+    (BLUE, [("order-before: 1 2 3", "order-before: 1 3 2")]),
+    (BLUE, [("order-before: 1 2 3", "order-before: -")]),
 ], ids=["verified-without-failures", "witness-not-a-tableau",
-        "images-without-diff"])
-def test_forged_certificate_facts_raise_value_error(edits):
+        "images-without-diff", "case-without-groups", "groups-without-case",
+        "order-not-a-permutation", "order-with-j-left-of-i",
+        "order-with-the-pair-apart", "order-empty-beside-groups"])
+def test_forged_certificate_facts_raise_value_error(text, edits):
     # Each edit keeps every derived line consistent with the facts as
-    # written; the reader recomputes those facts from matrix-after.
-    forged = edit_lines(FIVE, edits)
+    # written; the reader recomputes those facts from matrix-after, and
+    # checks a stopped certificate's case and order-before against its
+    # groups and pair.
+    forged = edit_lines(text, edits)
     with pytest.raises(ValueError):
         parse_certificate(forged)
 
