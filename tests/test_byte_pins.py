@@ -6,7 +6,8 @@ the same text, every ordered pair of 60 seeded matrices, rational or
 with small int entries so that ties, tied apex x coordinates and
 boundary apexes occur, and the command line's output and exit code on
 the 141 inputs of acceptance criterion 3 and on those 60 matrices,
-including the region picture of every adjacent pair.  A
+including the region picture of every adjacent pair, the certificate
+of every ordered pair and the plan to the diagonal order.  A
 change of any byte changes the hash; re-record only after an intended
 output change.
 """
@@ -17,8 +18,8 @@ import hashlib
 import random
 from fractions import Fraction
 
-from conftest import (diag6_matrix, five_line_matrix, random_generic_matrix,
-                      write_matrix)
+from conftest import (diag6_matrix, five_line_matrix, pair_matrix,
+                      random_generic_matrix, write_matrix)
 from tropmf import (WeightMatrix, apexes, block_diagonal_weights,
                     certificate_to_text, certify, plan_block_to_diagonal)
 from tropmf.cli import cli_main
@@ -80,7 +81,8 @@ def criterion_3_matrices():
 
 def cli_digest(tmp_path, capsys, runs, matrices) -> str:
     """SHA-256 of the exit code, stdout and stderr of every command line
-    runs(M) gives for each matrix M, with M read from a file."""
+    runs(M) gives for each matrix M, with M read from a file; the file's
+    directory, which a plan names in its source line, is hashed as <tmp>."""
     h = hashlib.sha256()
     for k, M in enumerate(matrices):
         path = write_matrix(tmp_path, "m%d.wm" % k, M)
@@ -88,8 +90,8 @@ def cli_digest(tmp_path, capsys, runs, matrices) -> str:
             code = cli_main(argv + ["-m", path])
             captured = capsys.readouterr()
             h.update(b"%d\n" % code)
-            h.update(captured.out.encode())
-            h.update(captured.err.encode())
+            for stream in (captured.out, captured.err):
+                h.update(stream.replace(str(tmp_path), "<tmp>").encode())
     return h.hexdigest()
 
 
@@ -110,6 +112,25 @@ def test_field_commands_on_seeded_matrices_are_byte_stable(tmp_path, capsys):
     runs = commands("check-covectors", "induce", "weights")
     assert cli_digest(tmp_path, capsys, runs, seeded_matrices()) == (
         "c3fc27c4721282c35bd76245892f7b26b055881fa6f08ee472e23d4c84922444")
+
+
+def swap_runs(M):
+    """mutate on every ordered pair, then plan -m to the diagonal order,
+    in the default and the strict mode."""
+    return [["mutate", "-i", str(i), "-j", str(j)]
+            for i in range(1, M.n + 1) for j in range(1, M.n + 1)
+            if i != j] + [["plan"], ["plan", "--strict"]]
+
+
+def test_swap_commands_on_seeded_matrices_are_byte_stable(tmp_path, capsys):
+    # VERIFIED, REFUTED and INAPPLICABLE certificates, with exit codes 0,
+    # 1 and 2, and plans that end or stop on a TieError, a TiedX or a
+    # stopped step.  The last matrix's plan is one REFUTED step: exit 1,
+    # and exit 2 in the strict mode.
+    matrices = list(seeded_matrices()) + [pair_matrix(
+        [(2, 6), (0, 0), (1, 2), (-1, -5), (-2, 1)])]
+    assert cli_digest(tmp_path, capsys, swap_runs, matrices) == (
+        "ba169cf2a0e0fe6c0f6c1c8760e9e05a867f9f0810f4db484ef21d842cd397a6")
 
 
 def region_runs(M):
