@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mfcore import (_PLACEMENTS, MatchingField, Triple, WeightMatrix,
-                     _apex_ints, check_triple, triples)
+                     check_triple, triples)
 
 Point = tuple[Fraction, Fraction]
 
@@ -99,9 +99,9 @@ class Covector:
 
 
 def apexes(M: WeightMatrix) -> Arrangement:
-    """Arrangement with line p at (m2p - m1p, m3p - m1p), held as the
-    apex ints of mfcore._apex_ints, the ones induce decides on."""
-    return Arrangement(*_apex_ints(M), M)
+    """Arrangement with line p at (m2p - m1p, m3p - m1p), held as M's
+    apex ints, the ones induce decides on."""
+    return Arrangement(*M.apex_ints, M)
 
 
 def _sector(u, v, index: int) -> int:

@@ -262,6 +262,9 @@ def _cmd_plan(args) -> int:
     if not (args.block or args.matrix):
         print("plan needs -m FILE or --block N L", file=sys.stderr)
         return 2
+    if args.block and args.matrix:
+        print("plan takes -m FILE or --block N L, not both", file=sys.stderr)
+        return 2
     try:
         if args.block:
             n, ell = args.block
@@ -275,8 +278,9 @@ def _cmd_plan(args) -> int:
     except (planner.EndpointMismatch, planner.PlanError) as e:
         print(str(e), file=sys.stderr)
         return 1 if isinstance(e, planner.EndpointMismatch) else 2
-    _emit(planner.plan_to_text(plan, source=source), args.output)
-    return 1 if plan.summary()["refuted"] else 0
+    summary = plan.summary()
+    _emit(planner.plan_to_text(plan, source, summary), args.output)
+    return 1 if summary["refuted"] else 0
 
 
 def _parse_pair(text: str):

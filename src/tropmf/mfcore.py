@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 Triple = tuple[int, int, int]
@@ -46,13 +47,31 @@ class TieError(ValueError):
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """A 3 x n matrix of exact rationals."""
+    """A 3 x n matrix of exact rationals.  Its apex ints and its text are
+    computed on first use and kept: the rows are tuples, so neither can
+    go stale."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def apex_ints(self) -> tuple:
+        """(xs, ys, D): the lcm D of the entries' denominators and the
+        apex ints xs = r2 - r1 and ys = r3 - r1 of the rows r times D."""
+        D = math.lcm(*[x.denominator for row in self.rows for x in row])
+        r1, r2, r3 = ([x.numerator * (D // x.denominator) for x in r]
+                      for r in self.rows)
+        return (tuple(b - a for a, b in zip(r1, r2)),
+                tuple(c - a for a, c in zip(r1, r3)), D)
+
+    @cached_property
+    def text(self) -> str:
+        """A "3 n" header line, then the three rows of rationals."""
+        return "\n".join(["3 %d" % self.n] + [" ".join(map(str, row))
+                                              for row in self.rows]) + "\n"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "WeightMatrix":
@@ -121,15 +140,6 @@ def check_triple(triple: Triple, n: int) -> Triple:
 _PLACEMENTS = tuple(itertools.permutations(range(3)))
 
 
-def _apex_ints(M: WeightMatrix) -> tuple:
-    """(xs, ys, D): the lcm D of the entries' denominators and the apex
-    ints xs = r2 - r1 and ys = r3 - r1 of M's rows r times D."""
-    D = math.lcm(*[x.denominator for row in M.rows for x in row])
-    r1, r2, r3 = ([x.numerator * (D // x.denominator) for x in r] for r in M.rows)
-    return (tuple(b - a for a, b in zip(r1, r2)),
-            tuple(c - a for a, c in zip(r1, r3)), D)
-
-
 def _minima(xs, ys, Ts) -> Iterator:
     """(T, least xs[c2] + ys[c3], its placement (c1, c2, c3)) for each
     triple T of Ts; the placement is None when the least weight is tied."""
@@ -160,7 +170,7 @@ def normalize(M: WeightMatrix) -> WeightMatrix:
 
 def genericity(M: WeightMatrix) -> GenericityReport:
     """Report whether every triple has a unique minimum-weight placement."""
-    xs, ys, _ = _apex_ints(M)
+    xs, ys, _ = M.apex_ints
     offending = tuple(T for T, _, tab in _minima(xs, ys, triples(M.n))
                       if tab is None)
     return GenericityReport(ok=not offending, offending=offending)
@@ -169,7 +179,7 @@ def genericity(M: WeightMatrix) -> GenericityReport:
 def induce(M: WeightMatrix) -> MatchingField:
     """The matching field induced by M (TieError on the first tied
     triple in lex order), decided by _induce on M's apex ints."""
-    xs, ys, _ = _apex_ints(M)
+    xs, ys, _ = M.apex_ints
     return _induce(xs, ys, M.n)
 
 
@@ -186,7 +196,7 @@ def _induce(xs, ys, n: int) -> MatchingField:
 
 def plucker_weights(M: WeightMatrix) -> dict:
     """Minimum placement weight of every triple (ties allowed)."""
-    xs, ys, D = _apex_ints(M)
+    xs, ys, D = M.apex_ints
     return {T: Fraction(w, D) + sum(M.rows[0][c - 1] for c in T)
             for T, w, _ in _minima(xs, ys, triples(M.n))}
 
@@ -252,10 +262,7 @@ def mf_diff(A: MatchingField, B: MatchingField) -> list:
 
 def weight_matrix_to_text(M: WeightMatrix) -> str:
     """Serialize: a "3 n" header line, then the three rows of rationals."""
-    lines = ["3 %d" % M.n]
-    for row in M.rows:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return M.text
 
 
 def _rational(token: str) -> Fraction:

@@ -67,12 +67,13 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .arrange import Arrangement, TiedX, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
                      _induce, _minima, induce, mf_diff,
-                     weight_matrix_from_text, weight_matrix_to_text)
+                     weight_matrix_from_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
@@ -113,7 +114,8 @@ class MutationData:
         (c) yellow or green is non-empty,
         (d) red and purple together hold at least two lines,
 
-    with overall their conjunction."""
+    with overall their conjunction; blue-olive, w and f are computed
+    once."""
 
     n: int
     i: int
@@ -132,18 +134,18 @@ class MutationData:
     d = property(lambda self: len(self.group_red) + len(self.group_three) >= 2)
     overall = property(lambda self: self.a and self.b and self.c and self.d)
 
-    @property
+    @cached_property
     def blue_olive(self) -> tuple:
         grouped = self.group_red | self.group_two | self.group_three
         return tuple(c for c in range(1, self.n + 1)
                      if c not in grouped and c not in (self.i, self.j))
 
-    @property
+    @cached_property
     def w(self) -> tuple:
         row = tuple((c == self.i) - (c == self.j) for c in range(1, self.n + 1))
         return row, tuple(-x for x in row), (0,) * self.n
 
-    @property
+    @cached_property
     def f(self) -> tuple:
         cols = range(1, self.n + 1)
         return (tuple(int(c in self.group_two) for c in cols),
@@ -200,12 +202,11 @@ class MutationCertificate:
     @property
     def epsilon(self) -> Fraction | None:
         """The landing offset: swap raises entry (2, i) and keeps column
-        j, so it is line i's apex x minus line j's in
-        apexes(matrix_after)."""
+        j, so it is line i's apex x minus line j's in matrix_after."""
         if self.matrix_after is None:
             return None
-        A = apexes(self.matrix_after)
-        return A.apex(self.i)[0] - A.apex(self.j)[0]
+        xs, _, D = self.matrix_after.apex_ints
+        return Fraction(xs[self.i - 1] - xs[self.j - 1], D)
 
     @property
     def order_after(self) -> tuple | None:
@@ -246,26 +247,37 @@ class MutationCertificate:
 
     @property
     def verdict(self) -> str:
-        """INAPPLICABLE without a swapped matrix or for a MUTATION whose
-        star condition fails, else VERIFIED when k1-k4 pass, or REFUTED."""
-        if self.matrix_after is None or (
-                self.kind == "MUTATION" and not self.data.overall):
-            return "INAPPLICABLE"
-        return ("VERIFIED" if self.k1 and self.k2 and self.k3 and self.k4
-                else "REFUTED")
+        return self._judge()[1]
 
     @property
     def reason(self) -> str | None:
+        return self._judge()[2]
+
+    def _judge(self) -> tuple:
+        """(k2, verdict, reason), each evaluated once.  The verdict is
+        INAPPLICABLE without a swapped matrix (the reason is then the
+        stop) or for a MUTATION whose star condition fails (the reason
+        says so), else VERIFIED when k1-k4 pass, or REFUTED."""
+        k2 = self.k2
         if self.matrix_after is None:
-            return self.stop
-        return _STAR_FAILS if self.verdict == "INAPPLICABLE" else None
+            return k2, "INAPPLICABLE", self.stop
+        if self.kind == "MUTATION" and not self.data.overall:
+            return k2, "INAPPLICABLE", _STAR_FAILS
+        return k2, ("VERIFIED" if self.k1 and k2 and self.k3 and self.k4
+                    else "REFUTED"), None
 
 
 def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationData:
-    """Mutation data from a finished region classification."""
-    return MutationData(n=A.n, i=i, j=j, group_red=R.group(Region.RED),
-                        group_two=R.group(Region.GREEN, Region.YELLOW),
-                        group_three=R.group(Region.PURPLE))
+    """Mutation data from a finished region classification, grouped in
+    one pass over its colours."""
+    red, two, three = set(), set(), set()
+    groups = {Region.RED: red, Region.GREEN: two, Region.YELLOW: two,
+              Region.PURPLE: three}
+    for k, region in R.colors.items():
+        if region in groups:
+            groups[region].add(k)
+    return MutationData(n=A.n, i=i, j=j, group_red=frozenset(red),
+                        group_two=frozenset(two), group_three=frozenset(three))
 
 
 def star(A: Arrangement, i: int, j: int) -> MutationData:
@@ -305,9 +317,10 @@ def _landing_gap(A: Arrangement, order: tuple, j: int) -> int:
 
 
 def _triples_through(i: int, n: int):
-    """The C(n-1, 2) triples of columns 1..n that contain i."""
+    """The C(n-1, 2) sorted triples of columns 1..n that contain i."""
     others = [c for c in range(1, n + 1) if c != i]
-    return (tuple(sorted((i, a, b))) for a, b in itertools.combinations(others, 2))
+    return ((i, a, b) if i < a else (a, i, b) if i < b else (a, b, i)
+            for a, b in itertools.combinations(others, 2))
 
 
 def _offset_interval(xs, ys, i: int, expected: MatchingField,
@@ -328,18 +341,19 @@ def _offset_interval(xs, ys, i: int, expected: MatchingField,
     b_k < b_i + a_k - a_i < b_j; case TWO: b_k < a_k + b_j - a_i < b_j).
     _recheck still checks the landed matrix."""
     hi = gap
-    for T in _triples_through(i, len(xs)):
-        e = expected[T]
-        we = xs[e[1] - 1] + ys[e[2] - 1]
-        for t in itertools.permutations(T):
-            if t == e:
+    xs, ys = (0, *xs), (0, *ys)   # indexed by column
+    for T in _triples_through(i, len(xs) - 1):
+        _, e1, e2 = expected.assignment[T]
+        we, e_has_i = xs[e1] + ys[e2], e1 == i
+        for _, t1, t2 in itertools.permutations(T):
+            if t1 == e1 and t2 == e2:
                 continue
-            d = xs[t[1] - 1] + ys[t[2] - 1] - we
-            if (t[1] == i) == (e[1] == i):
+            d = xs[t1] + ys[t2] - we
+            if (t1 == i) == e_has_i:
                 if d <= 0:
                     return 0
-            elif e[1] == i:
-                hi = min(hi, d)
+            elif e_has_i and d < hi:
+                hi = d
     return hi
 
 
@@ -421,8 +435,9 @@ def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
     """The tableaux of P with f-value -1, 0 and +1, as three lists in P's
     order (sorted for a VertexSet); SlabViolation on any other value."""
     groups = {-1: [], 0: [], 1: []}
+    f1, f2, f3 = f
     for t in P:
-        value = f[0][t[0] - 1] + f[1][t[1] - 1] + f[2][t[2] - 1]
+        value = f1[t[0] - 1] + f2[t[1] - 1] + f3[t[2] - 1]
         if value not in groups:
             raise SlabViolation("vertex %r pairs to %s" % (t, value))
         groups[value].append(t)
@@ -578,7 +593,7 @@ def _check_pair(n: int, i: int, j: int):
 
 
 def matrix_digest(M: WeightMatrix) -> str:
-    return hashlib.sha256(weight_matrix_to_text(M).encode()).hexdigest()
+    return hashlib.sha256(M.text.encode()).hexdigest()
 
 
 def certify(M: WeightMatrix, i: int, j: int, *,
@@ -629,12 +644,7 @@ def _opt(value) -> str:
 
 
 def _ints(seq) -> str:
-    seq = list(seq)
-    return " ".join(str(x) for x in seq) if seq else "-"
-
-
-def _tab(t: Tableau | None) -> str:
-    return "*" if t is None else "%d %d %d" % t
+    return " ".join(map(str, seq)) or "-"
 
 
 _VERDICTS = ("VERIFIED", "REFUTED", "INAPPLICABLE")
@@ -651,11 +661,12 @@ def _matrix_lines(M: WeightMatrix | None, key: str) -> list:
     if M is None:
         return ["%s: -" % key]
     lines = ["%s:" % key]
-    lines.extend("  " + ln for ln in weight_matrix_to_text(M).splitlines())
+    lines.extend("  " + ln for ln in M.text.splitlines())
     return lines
 
 
 def certificate_to_text(c: MutationCertificate) -> str:
+    k2, verdict, reason = c._judge()
     out = ["CERTIFICATE",
            "version: 1",
            "digest: %s" % c.digest,
@@ -663,8 +674,8 @@ def certificate_to_text(c: MutationCertificate) -> str:
            "pair: %d %d" % (c.i, c.j),
            "case: %s" % _opt(c.case),
            "kind: %s" % _opt(c.kind),
-           "verdict: %s" % c.verdict,
-           "reason: %s" % _opt(c.reason),
+           "verdict: %s" % verdict,
+           "reason: %s" % _opt(reason),
            "STAR"]
     s = c.data
     out.append("present: %s" % _bool(s is not None))
@@ -688,33 +699,31 @@ def certificate_to_text(c: MutationCertificate) -> str:
         out.append("group-3: %s" % _ints(sorted(c.data.group_three)))
         for key, rows in (("w", c.data.w), ("f", c.data.f)):
             out.append("%s:" % key)
-            out.extend("  " + " ".join(str(x) for x in row) for row in rows)
+            out.extend("  " + " ".join(map(str, row)) for row in rows)
     out.append("DIFF")
     out.append("count: %d" % len(c.diff))
     for T, before, after in c.diff:
         out.append("%d %d %d : %d %d %d -> %d %d %d" % (T + before + after))
     out.append("IMAGES")
     out.append("count: %d" % len(c.images))
-    for src, dst in c.images:
-        out.append("%s -> %s" % (_tab(src), _tab(dst)))
+    out.extend("%d %d %d -> *" % src if dst is None
+               else "%d %d %d -> %d %d %d" % (src + dst) for src, dst in c.images)
     out.append("CHECKS")
     out.append("k1-slab: %s" % _FLAG_WORDS[c.k1])
-    out.append("k2-vertex-image: %s" % _FLAG_WORDS[c.k2])
+    out.append("k2-vertex-image: %s" % _FLAG_WORDS[k2])
     for k, way, flag, failures in (("k3", "forward", c.k3, c.k3_failures),
                                    ("k4", "backward", c.k4, c.k4_failures)):
         out.append("%s-%s-midpoints: %s" % (k, way, _FLAG_WORDS[flag]))
         out.append("%s-fail-count: %d" % (k, len(failures)))
-        out.extend("%s-fail: %s | %s" % (k, _tab(u), _tab(v)) for u, v in failures)
+        out.extend("%s-fail: %d %d %d | %d %d %d" % ((k,) + u + v)
+                   for u, v in failures)
     out.append("WITNESSES")
     out.append("present: %s" % _bool(c.witnesses is not None))
     if c.witnesses is not None:
         out.append("count: %d" % len(c.witnesses))
-        for e in c.witnesses:
-            if e.kind == "none":
-                out.append("%s | %s : none" % (_tab(e.u), _tab(e.v)))
-            else:
-                out.append("%s | %s : %s : %s + %s"
-                           % (_tab(e.u), _tab(e.v), e.kind, _tab(e.t), _tab(e.t2)))
+        out.extend("%d %d %d | %d %d %d : none" % (e.u + e.v) if e.kind == "none"
+                   else "%d %d %d | %d %d %d : %s : %d %d %d + %d %d %d"
+                   % (e.u + e.v + (e.kind,) + e.t + e.t2) for e in c.witnesses)
     out.append("END")
     return "\n".join(out) + "\n"
 

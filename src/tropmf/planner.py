@@ -120,7 +120,10 @@ def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
 # ---------------------------------------------------------------------------
 # plan text format
 
-def plan_to_text(plan: Plan, source: str = "matrix") -> str:
+def plan_to_text(plan: Plan, source: str = "matrix",
+                 summary: dict | None = None) -> str:
+    """The plan file; summary is plan.summary(), for a caller that
+    already holds it."""
     out = ["PLAN", "n: %d" % plan.initial.n, "source: %s" % source]
     out.extend(_matrix_lines(plan.initial, "matrix"))
     out.append("target: %s" % " ".join(str(x) for x in plan.target))
@@ -129,7 +132,9 @@ def plan_to_text(plan: Plan, source: str = "matrix") -> str:
         out.append("STEP %d" % idx)
         out.append(certificate_to_text(cert).rstrip("\n"))
     out.append("SUMMARY")
-    out.extend("%s: %d" % item for item in plan.summary().items())
+    if summary is None:
+        summary = plan.summary()
+    out.extend("%s: %d" % item for item in summary.items())
     out.append("END-PLAN")
     return "\n".join(out) + "\n"
 

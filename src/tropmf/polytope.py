@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import lp
 from .mfcore import MatchingField, Tableau
@@ -68,7 +69,8 @@ def tableau_of(p: LatticePoint) -> Tableau | None:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """The 0/1 points of a polytope on n columns, as tableaux."""
+    """The 0/1 points of a polytope on n columns, as tableaux; iterating
+    gives them in sorted order, sorted once."""
 
     n: int
     points: frozenset
@@ -80,8 +82,12 @@ class VertexSet:
                 raise BadIndex("%r is not a tableau on %d columns"
                                % (tab, self.n))
 
+    @cached_property
+    def _sorted(self) -> tuple:
+        return tuple(sorted(self.points))
+
     def __iter__(self):
-        return iter(sorted(self.points))
+        return iter(self._sorted)
 
     def __len__(self):
         return len(self.points)

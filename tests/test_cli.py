@@ -173,6 +173,14 @@ def test_plan_without_a_source_exit_2(capsys):
     assert err == "plan needs -m FILE or --block N L\n"
 
 
+def test_plan_with_both_sources_exit_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "diag6.wm", diag6_matrix())
+    code, out, err = run_cli(capsys, "plan", "--block", "4", "1", "-m", path)
+    assert code == 2
+    assert out == ""
+    assert err == "plan takes -m FILE or --block N L, not both\n"
+
+
 def test_plan_stopped_step_exit_2(tmp_path, capsys):
     path = write_matrix(tmp_path, "blue.wm", blue_obstruction_matrix())
     code, out, err = run_cli(capsys, "plan", "-m", path)

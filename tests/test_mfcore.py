@@ -242,6 +242,19 @@ def test_weight_matrix_roundtrip():
     assert weight_matrix_to_text(weight_matrix_from_text(text)) == text
 
 
+def test_cached_apex_ints_and_text_stay_with_their_rows(five):
+    """A copy with one entry replaced computes its own apex ints and text,
+    equal to those of a fresh matrix of the same rows."""
+    cached = (five.apex_ints, five.text)
+    M = five.with_entry(3, 2, Fraction(5, 3))
+    fresh = WeightMatrix.from_rows(M.rows)
+    assert (M.apex_ints, M.text) == (fresh.apex_ints, fresh.text)
+    assert M.apex_ints != cached[0] and M.text != cached[1]
+    assert (five.apex_ints, five.text) == cached
+    assert fresh.text == "3 5\n0 0 0 0 0\n-2 -3 0 2 4\n-12 5/3 0 4 8\n"
+    assert fresh.apex_ints == ((-6, -9, 0, 6, 12), (-36, 5, 0, 12, 24), 3)
+
+
 def test_matching_field_roundtrip(five):
     L = induce(five)
     text = matching_field_to_text(L)

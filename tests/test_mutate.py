@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (blue_obstruction_matrix, closer_threshold_matrix,
                       diag6_matrix, five_line_matrix, golden_texts,
-                      shear_matrix)
+                      random_generic_matrix, shear_matrix)
 from test_byte_pins import seeded_matrices
 from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
                     NotSwappable, PatternMismatch, Region, RegionAssignment,
@@ -21,7 +21,7 @@ from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
                     tropical_map, vertex_of, vertices, witness_table, x_order)
 from tropmf import arrange, lp, mutate, regions
 from tropmf.mutate import _landing_gap
-from tropmf.polytope import lattice_point, pair as inner
+from tropmf.polytope import add, lattice_point, pair as inner, scale
 
 
 def five_setup():
@@ -568,6 +568,52 @@ def test_shear_is_linear_injective_invertible():
         assert back == p
         images.append(img)
     assert len(set(images)) == len(V)
+
+
+def verified_mutations(count: int, seed: int):
+    """(M, certificate) of every VERIFIED MUTATION adjacent swap of count
+    seeded generic matrices with n = 4, 5 and entries in [-9, 9]."""
+    rng = random.Random(seed)
+    for k in range(count):
+        M = random_generic_matrix(rng, 4 + k % 2, -9, 9)
+        try:
+            order = x_order(apexes(M))
+        except TiedX:
+            continue
+        for i, j in zip(order, order[1:]):
+            cert = certify(M, i, j)
+            if cert.verdict == "VERIFIED" and cert.kind == "MUTATION":
+                yield M, cert
+
+
+def test_tropical_map_carries_hull_onto_hull():
+    """Metamorphic check of VERIFIED: the map sends every point q of
+    conv(V) into conv(V2), and its inverse q' + min(0, <q', f>) w (an
+    inverse as <w, f> = 0) sends conv(V2) into conv(V), decided by the
+    LP membership oracle on exact convex combinations of three vertices,
+    one of them of f-value -1 so that the shear is exercised."""
+    draw = random.Random(3)
+    cases = list(verified_mutations(400, 11))
+    assert len(cases) >= 5
+    sheared = 0
+    for M, cert in cases:
+        D = cert.data
+        V, V2 = vertices(induce(M)), vertices(induce(cert.matrix_after))
+        for source, target, inverse in ((V, V2, False), (V2, V, True)):
+            points = [vertex_of(t, M.n) for t in source]
+            negative = [p for p in points if inner(p, D.f) == -1]
+            for _ in range(3):
+                chosen = [draw.choice(negative)] + draw.sample(points, 2)
+                weights = [draw.randint(1, 5) for _ in chosen]
+                q = scale(0, chosen[0])
+                for p, w in zip(chosen, weights):
+                    q = add(q, scale(Fraction(w, sum(weights)), p))
+                value = inner(q, D.f)
+                sheared += value < 0
+                image = (add(q, scale(min(0, value), D.w)) if inverse
+                         else tropical_map(q, D))
+                assert member(image, target), (M, cert.i, cert.j, q)
+    assert sheared > len(cases)
 
 
 @st.composite

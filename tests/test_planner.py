@@ -4,9 +4,10 @@ import pytest
 
 from conftest import (blue_obstruction_matrix, golden_texts, pair_matrix,
                       tied_start_matrix)
-from tropmf import (MatchingField, Plan, PlanError, TieError, apexes,
-                    block_diagonal, block_diagonal_weights, certify, diagonal,
-                    induce, plan_block_to_diagonal, plan_to_order, x_order)
+from tropmf import (MatchingField, Plan, PlanError, TieError, WeightMatrix,
+                    apexes, block_diagonal, block_diagonal_weights, certify,
+                    diagonal, induce, plan_block_to_diagonal, plan_to_order,
+                    x_order)
 from tropmf import planner
 from tropmf.planner import parse_plan, plan_to_text
 
@@ -133,6 +134,24 @@ def test_strict_mode_aborts_on_refuted_step():
     with pytest.raises(PlanError) as err:
         plan_to_order(H, target, strict=True)
     assert len(err.value.partial.steps) == 1
+
+
+def test_plan_computes_each_matrix_fact_once(monkeypatch):
+    """The (6, 2) plan and its text compute the apex ints and the text of
+    each of its 9 matrices once: a step's matrix after is the next step's
+    input, and its digest and matrix-after lines share one text."""
+    counts = dict.fromkeys(("apex_ints", "text"), 0)
+    for name in counts:
+        prop = vars(WeightMatrix)[name]
+
+        def counted(M, compute=prop.func, name=name):
+            counts[name] += 1
+            return compute(M)
+        monkeypatch.setattr(prop, "func", counted)
+    plan = plan_block_to_diagonal(6, 2)
+    plan_to_text(plan)
+    assert len(plan.steps) == 8
+    assert counts == {"apex_ints": 9, "text": 9}
 
 
 def test_plan_text_roundtrip_and_stability():
