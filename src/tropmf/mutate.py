@@ -270,14 +270,12 @@ class MutationCertificate:
 def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationData:
     """Mutation data from a finished region classification, grouped in
     one pass over its colours."""
-    red, two, three = set(), set(), set()
-    groups = {Region.RED: red, Region.GREEN: two, Region.YELLOW: two,
-              Region.PURPLE: three}
+    g = {region: set() for region in Region}
     for k, region in R.colors.items():
-        if region in groups:
-            groups[region].add(k)
-    return MutationData(n=A.n, i=i, j=j, group_red=frozenset(red),
-                        group_two=frozenset(two), group_three=frozenset(three))
+        g[region].add(k)
+    return MutationData(n=A.n, i=i, j=j, group_red=frozenset(g[Region.RED]),
+                        group_two=frozenset(g[Region.GREEN] | g[Region.YELLOW]),
+                        group_three=frozenset(g[Region.PURPLE]))
 
 
 def star(A: Arrangement, i: int, j: int) -> MutationData:

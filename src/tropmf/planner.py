@@ -132,8 +132,7 @@ def plan_to_text(plan: Plan, source: str = "matrix",
         out.append("STEP %d" % idx)
         out.append(certificate_to_text(cert).rstrip("\n"))
     out.append("SUMMARY")
-    if summary is None:
-        summary = plan.summary()
+    summary = plan.summary() if summary is None else summary
     out.extend("%s: %d" % item for item in summary.items())
     out.append("END-PLAN")
     return "\n".join(out) + "\n"

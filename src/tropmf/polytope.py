@@ -83,8 +83,10 @@ class VertexSet:
                                % (tab, self.n))
 
     @cached_property
-    def _sorted(self) -> tuple:
-        return tuple(sorted(self.points))
+    def _sorted(self) -> list:
+        # A list, not a tuple: a freed tuple of under 20 items is kept
+        # for reuse, so one per vertex set would raise the peak memory.
+        return sorted(self.points)
 
     def __iter__(self):
         return iter(self._sorted)
