@@ -47,9 +47,8 @@ class TieError(ValueError):
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """A 3 x n matrix of exact rationals.  Its apex ints and its text are
-    computed on first use and kept: the rows are tuples, so neither can
-    go stale."""
+    """A 3 x n matrix of exact rationals; its apex ints and text are
+    computed once, on first use (its rows are tuples: nothing goes stale)."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 

@@ -27,7 +27,8 @@ offset is the largest gap/2^k inside it.  The accepted matrix differs
 from M only in column i, so every triple without i keeps its tableau,
 and the re-check recomputes the triples through i from scratch, plus
 x_order; that equals a full induce of the accepted matrix.  Placement
-weights are read off the caller's arrangement, as its apex ints.
+weights are read off apex ints, which a matrix computes once: the
+landed matrix's serve the re-check, epsilon and the next plan step.
 certify works in one pass: one induce per matrix (none when the caller
 hands it the field), one classification (regions and their groups) on
 certify's x order, the swap search on that state, and one f-value split
@@ -50,7 +51,8 @@ A certificate stores each fact once.  Its kind, verdict, landing offset,
 x order after the swap, the reason once a swap has landed, k1-k4, the
 star lists and flags a-d and (w, f) are derived from the regions,
 groups, swapped matrix, diff, images, failure lists and witnesses it
-records.  Its text has one writer, certificate_to_text, and one reader,
+records; the writer evaluates k2, the verdict and the reason once.
+Its text has one writer, certificate_to_text, and one reader,
 parse_certificate, which accepts only the exact bytes the writer gives
 back for what it read.  The layout lives in the writer alone: the
 reader takes each fact from the first line that carries its key, reads
@@ -254,10 +256,9 @@ class MutationCertificate:
         return self._judge()[2]
 
     def _judge(self) -> tuple:
-        """(k2, verdict, reason), each evaluated once.  The verdict is
-        INAPPLICABLE without a swapped matrix (the reason is then the
-        stop) or for a MUTATION whose star condition fails (the reason
-        says so), else VERIFIED when k1-k4 pass, or REFUTED."""
+        """(k2, verdict, reason), each evaluated once: INAPPLICABLE without
+        a swapped matrix (reason: the stop) or for a MUTATION whose star
+        condition fails, else VERIFIED when k1-k4 pass, or REFUTED."""
         k2 = self.k2
         if self.matrix_after is None:
             return k2, "INAPPLICABLE", self.stop

@@ -122,8 +122,7 @@ def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
 
 def plan_to_text(plan: Plan, source: str = "matrix",
                  summary: dict | None = None) -> str:
-    """The plan file; summary is plan.summary(), for a caller that
-    already holds it."""
+    """The plan file; summary is plan.summary() when the caller holds it."""
     out = ["PLAN", "n: %d" % plan.initial.n, "source: %s" % source]
     out.extend(_matrix_lines(plan.initial, "matrix"))
     out.append("target: %s" % " ".join(str(x) for x in plan.target))

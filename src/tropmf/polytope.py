@@ -84,8 +84,7 @@ class VertexSet:
 
     @cached_property
     def _sorted(self) -> list:
-        # A list, not a tuple: a freed tuple of under 20 items is kept
-        # for reuse, so one per vertex set would raise the peak memory.
+        # a list: CPython keeps freed tuples of < 20 items for reuse
         return sorted(self.points)
 
     def __iter__(self):
