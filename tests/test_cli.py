@@ -304,3 +304,13 @@ def test_render_rejects_bad_arguments(tmp_path, capsys, extra):
     assert code == 2
     assert err.startswith("ValueError: ")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("i, j", [(3, 3), (0, 1), (1, 6)])
+def test_pair_commands_reject_a_bad_pair(tmp_path, capsys, i, j):
+    path = write_matrix(tmp_path, "five.wm", five_line_matrix())
+    for argv in (["star", "-i", str(i), "-j", str(j)],
+                 ["mutate", "-i", str(i), "-j", str(j)],
+                 ["render", "--pair", "%d,%d" % (i, j)]):
+        assert run_cli(capsys, *argv, "-m", path) == (
+            2, "", "ValueError: bad pair (%d, %d) for 5 columns\n" % (i, j))
