@@ -17,11 +17,10 @@ from fractions import Fraction
 from . import mfcore, planner, polytope
 from .arrange import Arrangement, apexes, induce_geometric, x_order
 from .mfcore import TieError, WeightMatrix
-from .mutate import (NotSwappable, PatternMismatch, _check_pair,
-                     _landing_gap, build_wf, certificate_to_text, certify,
-                     swap)
-from .regions import (Boundary, NotAdjacent, Region, classify,
-                      region_halfplanes)
+from .mutate import (NotSwappable, PatternMismatch, _landing_gap, build_wf,
+                     certificate_to_text, certify, swap)
+from .regions import (Boundary, NotAdjacent, Region, _check_pair, _left_first,
+                      classify, region_halfplanes)
 
 # Every typed input error of the package (TieError, BadSize, NotAdjacent,
 # TiedX, NotSwappable, ...) is a ValueError.
@@ -36,12 +35,12 @@ class RenderOptions:
     yscale: Fraction = Fraction(1)
 
 
-def _dec(x, places: int = 4) -> str:
-    """Exact fixed-point decimal string of a rational (display only)."""
-    scaled = round(x * 10 ** places)
+def _dec(x) -> str:
+    """Exact 4-place fixed-point decimal string of a rational (display only)."""
+    scaled = round(x * 10 ** 4)
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10 ** places)
-    return "%s%d.%s" % (sign, whole, str(frac).zfill(places))
+    whole, frac = divmod(abs(scaled), 10 ** 4)
+    return "%s%d.%04d" % (sign, whole, frac)
 
 
 def _clip(polygon, halfplane):
@@ -90,10 +89,8 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
     pts = [line.apex for line in A.lines]
     target_apex = None
     if opts.pair is not None:
-        i, j = opts.pair
-        _check_pair(A.n, i, j)
-        if A.xs[i - 1] > A.xs[j - 1]:
-            i, j = j, i
+        _check_pair(A.n, *opts.pair, ValueError)
+        i, j = _left_first(A, *opts.pair)
         try:
             _, eps = swap(A.source, i, j)
         except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
@@ -213,8 +210,9 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_check_covectors(args) -> int:
-    A = apexes(_load_matrix(args.matrix))
-    algebraic = mfcore._induce(A.xs, A.ys, A.n)
+    M = _load_matrix(args.matrix)
+    A = apexes(M)
+    algebraic = mfcore.induce(M)
     geometric = induce_geometric(A)
     total = agree = 0
     lines = []
@@ -233,10 +231,8 @@ def _cmd_check_covectors(args) -> int:
 def _cmd_star(args) -> int:
     M = _load_matrix(args.matrix)
     A = apexes(M)
-    i, j = args.i, args.j
-    _check_pair(M.n, i, j)
-    if A.xs[i - 1] > A.xs[j - 1]:
-        i, j = j, i
+    _check_pair(M.n, args.i, args.j, ValueError)
+    i, j = _left_first(A, args.i, args.j)
     R = classify(A, i, j)
     S = build_wf(A, i, j, R)
     lines = ["pair: %d %d" % (i, j), "case: %s" % R.case.value]

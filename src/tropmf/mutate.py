@@ -58,9 +58,12 @@ back for what it read.  The layout lives in the writer alone: the
 reader takes each fact from the first line that carries its key, reads
 no derived line, and leaves where every line stands to that re-write.
 For a landed swap it recomputes the diff, images, witnesses and
-batteries with certify's own _vertex_facts; a stopped certificate keeps
-its witness lines, and its case and order-before must have the shape
-certify gives them.
+batteries with certify's own _vertex_facts.  A stopped certificate's
+witness lines must be the table _witnesses writes on the u's, v's and
+witnesses they name: certify's table is the product of V's sorted f = -1
+and f = +1 tableaux, and a pair the search tries before the one it picks
+is missing from V, so from the named ones too.  Its case and
+order-before must have the shape certify gives them.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
 from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      _case, _check_lines, _classify, classify)
+                      _case, _check_pair, _classify, _left_first, classify)
 
 
 _STAR_FAILS = "star condition fails for a two-sided swap"
@@ -213,11 +216,8 @@ class MutationCertificate:
     @property
     def order_after(self) -> tuple | None:
         """order_before with i and j transposed, as _swap_core re-checked."""
-        if self.matrix_after is None:
-            return None
-        i, j = self.i, self.j
-        return tuple(j if c == i else i if c == j else c
-                     for c in self.order_before)
+        return (None if self.matrix_after is None
+                else _transposed(self.order_before, self.i, self.j))
 
     @property
     def k1(self) -> bool | None:
@@ -366,6 +366,11 @@ def _recheck(A2: Arrangement, i: int, expected: MatchingField) -> bool:
                _minima(A2.xs, A2.ys, _triples_through(i, A2.n)))
 
 
+def _transposed(order: tuple, i: int, j: int) -> tuple:
+    """The x order with lines i and j transposed."""
+    return tuple(j if c == i else i if c == j else c for c in order)
+
+
 def swap(M: WeightMatrix, i: int, j: int):
     """Move line i's apex horizontally to just past line j's.
 
@@ -385,7 +390,7 @@ def swap(M: WeightMatrix, i: int, j: int):
     NotAdjacent, as in classify.
     """
     A = apexes(M)
-    _check_lines(A, i, j)
+    _check_pair(A.n, i, j)
     L = induce(M)
     order = x_order(A)
     if not A.xs[i - 1] < A.xs[j - 1]:
@@ -403,8 +408,7 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
     gap // hi (k >= 1, as hi <= gap)."""
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, order, j)
-    pi = order.index(i)
-    target = order[:pi] + (j, i) + order[pi + 2:]
+    target = _transposed(order, i, j)
     xs = A.xs[:i - 1] + (A.xs[j - 1],) + A.xs[i:]   # line i onto j's x
     hi = _offset_interval(xs, A.ys, i, expected, gap)
     if hi <= 0:
@@ -585,12 +589,6 @@ def _vertex_facts(cert: MutationCertificate, L: MatchingField,
         cert.k4_failures = _battery(_witnesses(*_f_split(V2, D.f), D), V)
 
 
-def _check_pair(n: int, i: int, j: int):
-    """Raise ValueError unless i and j are two distinct columns of 1..n."""
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("bad pair (%d, %d) for %d columns" % (i, j, n))
-
-
 def matrix_digest(M: WeightMatrix) -> str:
     return hashlib.sha256(M.text.encode()).hexdigest()
 
@@ -611,16 +609,14 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     induce.  Each stop is raised only by its stage: the landing offset
     lies in a tie-free open interval.
     """
-    _check_pair(M.n, i, j)
+    _check_pair(M.n, i, j, ValueError)
     cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j)
     L2 = None
     try:
         L = induce(M) if field is None else field
         A = apexes(M)
         order = x_order(A)
-        if A.xs[i - 1] > A.xs[j - 1]:
-            i, j = j, i
-            cert.i, cert.j = i, j
+        cert.i, cert.j = i, j = _left_first(A, i, j)
         cert.order_before = order
         R = _classify(A, order, i, j)
         cert.case = R.case.value
@@ -662,6 +658,13 @@ def _matrix_lines(M: WeightMatrix | None, key: str) -> list:
     lines = ["%s:" % key]
     lines.extend("  " + ln for ln in M.text.splitlines())
     return lines
+
+
+def _witness_line(e: WitnessEntry) -> str:
+    if e.kind == "none":
+        return "%d %d %d | %d %d %d : none" % (e.u + e.v)
+    return ("%d %d %d | %d %d %d : %s : %d %d %d + %d %d %d"
+            % (e.u + e.v + (e.kind,) + e.t + e.t2))
 
 
 def certificate_to_text(c: MutationCertificate) -> str:
@@ -720,20 +723,9 @@ def certificate_to_text(c: MutationCertificate) -> str:
     out.append("present: %s" % _bool(c.witnesses is not None))
     if c.witnesses is not None:
         out.append("count: %d" % len(c.witnesses))
-        out.extend("%d %d %d | %d %d %d : none" % (e.u + e.v) if e.kind == "none"
-                   else "%d %d %d | %d %d %d : %s : %d %d %d + %d %d %d"
-                   % (e.u + e.v + (e.kind,) + e.t + e.t2) for e in c.witnesses)
+        out.extend(map(_witness_line, c.witnesses))
     out.append("END")
     return "\n".join(out) + "\n"
-
-
-def _parse_tab(text: str) -> Tableau | None:
-    if text == "*":
-        return None
-    out = tuple(map(int, text.split()))
-    if len(out) != 3:
-        raise ValueError("expected three columns, got %r" % text)
-    return out
 
 
 def _parse_ints(text: str) -> tuple:
@@ -742,24 +734,30 @@ def _parse_ints(text: str) -> tuple:
     return tuple(map(int, text.split()))
 
 
-def _read_witness(ln: str, D: MutationData) -> WitnessEntry:
-    """One WITNESSES line; ValueError unless _witnesses could write it for
-    D: u, v and the witness pair are tableaux on 1..n of f-values -1, +1
-    and 0, and _witnesses gives the entry back when the pair is all of
-    f-value 0."""
-    pairs, _, rest = ln.partition(" : ")
-    u, _, v = pairs.partition(" | ")
-    kind, _, wit = rest.partition(" : ")   # a none entry has no pair
-    t, _, t2 = (wit or "* + *").partition(" + ")
-    e = WitnessEntry(*map(_parse_tab, (u, v)), kind, *map(_parse_tab, (t, t2)))
-    zero = [x for x in (e.t, e.t2) if x is not None]
-    if not (all(x and len(set(x)) == 3 and 0 < min(x) <= max(x) <= D.n
-                for x in [e.u, e.v] + zero)
-            and _f_split([e.u, e.v] + zero, D.f) == ([e.u], zero, [e.v])
-            and list(_witnesses([e.u], zero, [e.v], D)) == [e]):
-        raise ValueError("witness line %r is not one the witness search "
-                         "writes" % ln)
-    return e
+def _table_from_lines(lines: list, D: MutationData) -> list:
+    """The table _witnesses writes for D on the sorted distinct u's, v's
+    and witnesses that lines name, tableaux on 1..n of f-values -1, +1
+    and 0; ValueError unless it writes lines back.  At most one entry
+    more than lines is built."""
+    us, vs, pairs = set(), set(), set()
+    for ln in lines:
+        ints = [int(t) for t in ln.split() if t.lstrip("-").isdigit()]
+        tabs = [tuple(ints[k:k + 3]) for k in range(0, len(ints), 3)]
+        us.update(tabs[:1])
+        vs.update(tabs[1:2])
+        pairs.update(tabs[2:])
+    neg, zero, pos = sorted(us), sorted(pairs), sorted(vs)
+    if not (all(len(set(t)) == 3 and 0 < min(t) <= max(t) <= D.n
+                for t in neg + zero + pos)
+            and _f_split(neg + zero + pos, D.f) == (neg, zero, pos)):
+        raise ValueError("witness lines must name u's, v's and witnesses "
+                         "on 1..%d of f-values -1, +1 and 0" % D.n)
+    table = list(itertools.islice(_witnesses(neg, zero, pos, D),
+                                  len(lines) + 1))
+    if list(map(_witness_line, table)) != lines:
+        raise ValueError("witness lines are not the table the witness "
+                         "search writes")
+    return table
 
 
 def _value(lines: list, key: str) -> str:
@@ -785,7 +783,7 @@ def _read_matrix(lines: list, key: str) -> WeightMatrix:
 
 def _read_certificate(text: str) -> MutationCertificate:
     """The digest, n, pair, case, stop reason, order-before, matrix-after,
-    groups and witness lines (by _read_witness) of a certificate text,
+    groups and witness table (by _table_from_lines) of a certificate text,
     each from the first line that carries its key; the w rows are read
     only for their width.  Where the lines stand, and every other line,
     is left to parse_certificate's re-write.
@@ -799,7 +797,7 @@ def _read_certificate(text: str) -> MutationCertificate:
     lines = text.splitlines()
     n = int(_value(lines, "n"))
     i, j = (int(t) for t in _value(lines, "pair").split())
-    _check_pair(n, i, j)
+    _check_pair(n, i, j, ValueError)
     case = _value(lines, "case")
     if case not in _CASES:
         raise ValueError("unknown case %r" % case)
@@ -827,8 +825,8 @@ def _read_certificate(text: str) -> MutationCertificate:
         cert.data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
                                  group_three=g3)
         count = int(_value(_after(lines, "WITNESSES", 2), "count"))
-        cert.witnesses = [_read_witness(ln, cert.data)
-                          for ln in _after(lines, "WITNESSES", 2 + count)[2:]]
+        cert.witnesses = _table_from_lines(
+            _after(lines, "WITNESSES", 2 + count)[2:], cert.data)
     if (order or cert.data) and not (
             len(order) == n and sorted(order) == list(range(1, n + 1)) and
             0 < order.index(j) - order.index(i) <= (1 if cert.data else n)):

@@ -87,10 +87,15 @@ def _ladders(ai, bi, aj, bj) -> tuple:
     return case, left, right
 
 
-def _check_lines(A: Arrangement, i: int, j: int):
-    """NotAdjacent unless i and j are two distinct lines of A."""
-    if i == j or not (1 <= i <= A.n and 1 <= j <= A.n):
-        raise NotAdjacent("bad pair (%d, %d)" % (i, j))
+def _check_pair(n: int, i: int, j: int, error=NotAdjacent):
+    """Raise error unless i and j are two distinct columns of 1..n."""
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise error("bad pair (%d, %d) for %d columns" % (i, j, n))
+
+
+def _left_first(A: Arrangement, i: int, j: int) -> tuple:
+    """The pair (i, j) ordered by apex x, the left line first."""
+    return (j, i) if A.xs[i - 1] > A.xs[j - 1] else (i, j)
 
 
 def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
@@ -101,7 +106,7 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
     them: the adjacency check sorts the apexes with x_order, which raises
     TiedX on any equal x, and confirms that i and j are consecutive.
     """
-    _check_lines(A, i, j)
+    _check_pair(A.n, i, j)
     return _classify(A, x_order(A), i, j)
 
 
@@ -142,7 +147,7 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
     the earlier rungs of its ladder negated and its own rung, so an apex
     that classify colours lies in exactly one region.
     """
-    _check_lines(A, i, j)
+    _check_pair(A.n, i, j)
     (ai, bi), (aj, bj) = A.apex(i), A.apex(j)
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import (GOLDEN, blue_obstruction_matrix, five_line_matrix,
                       golden_texts)
+from test_byte_pins import seeded_matrices
 from tropmf import (MatchingField, WeightMatrix, certificate_to_text, certify,
-                    matching_field_from_text, matching_field_to_text,
+                    matching_field_from_text, matching_field_to_text, mutate,
                     parse_certificate, parse_plan, plan_block_to_diagonal,
                     plan_to_text, weight_matrix_from_text,
                     weight_matrix_to_text)
@@ -157,8 +158,9 @@ def test_pair_outside_the_columns_raises_value_error():
     edited = edit_lines(CERTIFICATE, (
         ("pair: 3 4", "pair: 8 9"),
         ("order-before: 2 1 3 4 5", "order-before: 2 1 4 3 5")))
-    with pytest.raises(ValueError, match="bad pair"):
+    with pytest.raises(ValueError, match="bad pair") as refused:
         parse_certificate(edited)
+    assert type(refused.value) is ValueError
 
 
 def test_certificate_n_must_fit_the_wf_rows():
@@ -392,6 +394,72 @@ def test_stopped_certificate_witness_must_be_one_the_search_writes(value):
     assert parse_certificate(STOPPED) is not None
     with pytest.raises(ValueError, match="witness"):
         parse_certificate(STOPPED.replace(line, value))
+
+
+def stopped_witness_tables():
+    """The texts of the stopped certificates of every ordered pair of the
+    seeded matrices whose witness table has at least two lines, each
+    with the index of its first witness line."""
+    for M in seeded_matrices():
+        for i, j in itertools.permutations(range(1, M.n + 1), 2):
+            cert = certify(M, i, j)
+            if cert.matrix_after is None and len(cert.witnesses or ()) >= 2:
+                lines = certificate_to_text(cert).splitlines()
+                yield lines, lines.index("WITNESSES") + 3
+
+
+def test_stopped_witness_table_must_be_the_one_the_search_writes():
+    # Each line on its own is one the search writes, so only the table
+    # as a whole shows a duplicated or an exchanged line.
+    def text(lines):
+        return "\n".join(lines) + "\n"
+
+    tables = list(stopped_witness_tables())
+    assert len(tables) == 48
+    for lines, at in tables:
+        count = "count: %d" % (len(lines) - at - 1)
+        assert lines[at - 1] == count
+        parse_certificate(text(lines))
+        duplicated = (lines[:at - 1] + ["count: %d" % (len(lines) - at)]
+                      + lines[at:at + 1] + lines[at:])
+        exchanged = lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2:]
+        for edited in (duplicated, exchanged):
+            with pytest.raises(ValueError, match="witness"):
+                parse_certificate(text(edited))
+
+
+def test_stopped_witness_table_is_built_no_longer_than_its_lines(monkeypatch):
+    # Lines that each name a new u or a new v name every u and v of the
+    # table, so the product the reader recomputes is longer than they are
+    # (quadratically, for text written to that end); the reader builds
+    # one entry past the lines and refuses.
+    built = []
+
+    def counted(*args):
+        for entry in witnesses(*args):
+            built.append(entry)
+            yield entry
+
+    witnesses = mutate._witnesses
+    monkeypatch.setattr(mutate, "_witnesses", counted)
+    cases = 0
+    for lines, at in stopped_witness_tables():
+        table = lines[at:-1]
+        kept, seen = [], set()
+        for ln in table:
+            u, v = ln.split(" : ")[0].split(" | ")
+            if ("u", u) not in seen or ("v", v) not in seen:
+                kept.append(ln)
+                seen |= {("u", u), ("v", v)}
+        if len(kept) == len(table):
+            continue
+        cases += 1
+        built.clear()
+        edited = lines[:at - 1] + ["count: %d" % len(kept)] + kept + ["END"]
+        with pytest.raises(ValueError, match="witness"):
+            parse_certificate("\n".join(edited) + "\n")
+        assert len(built) == len(kept) + 1
+    assert cases == 14
 
 
 @pytest.mark.parametrize("read, text", [(parse_certificate, CERTIFICATE),
