@@ -274,9 +274,8 @@ def _cmd_plan(args) -> int:
     except (planner.EndpointMismatch, planner.PlanError) as e:
         print(str(e), file=sys.stderr)
         return 1 if isinstance(e, planner.EndpointMismatch) else 2
-    summary = plan.summary()
-    _emit(planner.plan_to_text(plan, source, summary), args.output)
-    return 1 if summary["refuted"] else 0
+    _emit(planner.plan_to_text(plan, source), args.output)
+    return 1 if plan.summary()["refuted"] else 0
 
 
 def _parse_pair(text: str):

@@ -51,7 +51,7 @@ A certificate stores each fact once.  Its kind, verdict, landing offset,
 x order after the swap, the reason once a swap has landed, k1-k4, the
 star lists and flags a-d and (w, f) are derived from the regions,
 groups, swapped matrix, diff, images, failure lists and witnesses it
-records; the writer evaluates k2, the verdict and the reason once.
+records; it is frozen, and computes k2, the verdict and the reason once.
 Its text has one writer, certificate_to_text, and one reader,
 parse_certificate, which accepts only the exact bytes the writer gives
 back for what it read.  The layout lives in the writer alone: the
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -167,11 +167,11 @@ class WitnessEntry(NamedTuple):
     t2: Tableau | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MutationCertificate:
-    """The facts certify found for one swap; the kind, the landing
-    offset, the x order after the swap, k1-k4 (None where certify
-    stopped before the check), the verdict and the reason are derived."""
+    """One swap's facts, as certify found them, built once and frozen; the
+    kind, the landing offset, the x order after the swap and k1-k4 (None
+    where certify stopped short) are derived; k2, verdict and reason once."""
 
     digest: str
     n: int
@@ -224,7 +224,7 @@ class MutationCertificate:
         """Every tableau pairs with a build_wf f to -1, 0 or 1."""
         return None if self.data is None else True
 
-    @property
+    @cached_property
     def k2(self) -> bool | None:
         """The images are the vertex set with the diff applied, as
         multisets: each source and each image once, each DIFF before a
@@ -247,25 +247,24 @@ class MutationCertificate:
     def k4(self) -> bool | None:
         return None if self.matrix_after is None else not self.k4_failures
 
-    @property
+    @cached_property
     def verdict(self) -> str:
-        return self._judge()[1]
+        """INAPPLICABLE without a swapped matrix or with a reason, else
+        VERIFIED when k1-k4 pass, or REFUTED."""
+        if self.matrix_after is None or self.reason is not None:
+            return "INAPPLICABLE"
+        return ("VERIFIED" if self.k1 and self.k2 and self.k3 and self.k4
+                else "REFUTED")
 
-    @property
+    @cached_property
     def reason(self) -> str | None:
-        return self._judge()[2]
-
-    def _judge(self) -> tuple:
-        """(k2, verdict, reason), each evaluated once: INAPPLICABLE without
-        a swapped matrix (reason: the stop) or for a MUTATION whose star
-        condition fails, else VERIFIED when k1-k4 pass, or REFUTED."""
-        k2 = self.k2
+        """The stop without a swapped matrix, the star message for a
+        MUTATION whose star condition fails, else None."""
         if self.matrix_after is None:
-            return k2, "INAPPLICABLE", self.stop
+            return self.stop
         if self.kind == "MUTATION" and not self.data.overall:
-            return k2, "INAPPLICABLE", _STAR_FAILS
-        return k2, ("VERIFIED" if self.k1 and k2 and self.k3 and self.k4
-                    else "REFUTED"), None
+            return _STAR_FAILS
+        return None
 
 
 def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationData:
@@ -573,20 +572,21 @@ def _battery(entries, P: VertexSet) -> list:
             and not _midpoint_in_hull(e.u, e.v, P)]
 
 
-def _vertex_facts(cert: MutationCertificate, L: MatchingField,
-                  L2: MatchingField | None) -> None:
-    """Fill cert's witnesses from the field L before the swap and, once it
-    landed on L2, its diff, images and batteries (for certify and reader)."""
-    D = cert.data
+def _vertex_facts(D: MutationData, L: MatchingField,
+                  L2: MatchingField | None) -> dict:
+    """The witnesses from the field L before the swap and, once it landed
+    on L2, the diff, images and batteries, as certificate fields (for
+    certify and the reader)."""
     V = vertices(L)
     neg, zero, pos = _f_split(V, D.f)
-    cert.witnesses = list(_witnesses(neg, zero, pos, D))
-    if L2 is not None:
-        V2 = vertices(L2)
-        cert.diff = mf_diff(L, L2)
-        cert.images = _images(V, neg, cert.i, cert.j)
-        cert.k3_failures = _battery(cert.witnesses, V2)
-        cert.k4_failures = _battery(_witnesses(*_f_split(V2, D.f), D), V)
+    witnesses = list(_witnesses(neg, zero, pos, D))
+    if L2 is None:
+        return {"witnesses": witnesses}
+    V2 = vertices(L2)
+    return {"witnesses": witnesses, "diff": mf_diff(L, L2),
+            "images": _images(V, neg, D.i, D.j),
+            "k3_failures": _battery(witnesses, V2),
+            "k4_failures": _battery(_witnesses(*_f_split(V2, D.f), D), V)}
 
 
 def matrix_digest(M: WeightMatrix) -> str:
@@ -610,25 +610,25 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     lies in a tie-free open interval.
     """
     _check_pair(M.n, i, j, ValueError)
-    cert = MutationCertificate(digest=matrix_digest(M), n=M.n, i=i, j=j)
-    L2 = None
+    stop = case = D = M2 = L2 = None
+    order = ()
     try:
         L = induce(M) if field is None else field
         A = apexes(M)
         order = x_order(A)
-        cert.i, cert.j = i, j = _left_first(A, i, j)
-        cert.order_before = order
+        i, j = _left_first(A, i, j)
         R = _classify(A, order, i, j)
-        cert.case = R.case.value
-        cert.data = build_wf(A, i, j, R)
-        cert.matrix_after, _, L2 = _swap_core(M, L, A, order, R, i, j)
+        case = R.case.value
+        D = build_wf(A, i, j, R)
+        M2, _, L2 = _swap_core(M, L, A, order, R, i, j)
     except TieError as e:
-        cert.stop = "not generic: %s" % e
+        stop = "not generic: %s" % e
     except (TiedX, NotAdjacent, Boundary, NotSwappable, PatternMismatch) as e:
-        cert.stop = str(e)
-    if cert.data is not None:
-        _vertex_facts(cert, L, L2)
-    return cert
+        stop = str(e)
+    return MutationCertificate(
+        digest=matrix_digest(M), n=M.n, i=i, j=j, stop=stop, case=case,
+        matrix_after=M2, order_before=order, data=D,
+        **({} if D is None else _vertex_facts(D, L, L2)))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +668,6 @@ def _witness_line(e: WitnessEntry) -> str:
 
 
 def certificate_to_text(c: MutationCertificate) -> str:
-    k2, verdict, reason = c._judge()
     out = ["CERTIFICATE",
            "version: 1",
            "digest: %s" % c.digest,
@@ -676,8 +675,8 @@ def certificate_to_text(c: MutationCertificate) -> str:
            "pair: %d %d" % (c.i, c.j),
            "case: %s" % _opt(c.case),
            "kind: %s" % _opt(c.kind),
-           "verdict: %s" % verdict,
-           "reason: %s" % _opt(reason),
+           "verdict: %s" % c.verdict,
+           "reason: %s" % _opt(c.reason),
            "STAR"]
     s = c.data
     out.append("present: %s" % _bool(s is not None))
@@ -712,7 +711,7 @@ def certificate_to_text(c: MutationCertificate) -> str:
                else "%d %d %d -> %d %d %d" % (src + dst) for src, dst in c.images)
     out.append("CHECKS")
     out.append("k1-slab: %s" % _FLAG_WORDS[c.k1])
-    out.append("k2-vertex-image: %s" % _FLAG_WORDS[k2])
+    out.append("k2-vertex-image: %s" % _FLAG_WORDS[c.k2])
     for k, way, flag, failures in (("k3", "forward", c.k3, c.k3_failures),
                                    ("k4", "backward", c.k4, c.k4_failures)):
         out.append("%s-%s-midpoints: %s" % (k, way, _FLAG_WORDS[flag]))
@@ -802,17 +801,15 @@ def _read_certificate(text: str) -> MutationCertificate:
     if case not in _CASES:
         raise ValueError("unknown case %r" % case)
     order = _parse_ints(_value(lines, "order-before"))
-    cert = MutationCertificate(digest=_value(lines, "digest"), n=n, i=i, j=j,
-                               case=None if case == "-" else case,
-                               order_before=order)
     reason = _value(lines, "reason")
+    matrix_after = stop = data = witnesses = None
     if _value(lines, "matrix-after") != "-":
-        cert.matrix_after = _read_matrix(lines, "matrix-after")
+        matrix_after = _read_matrix(lines, "matrix-after")
     elif reason != "-":
-        cert.stop = reason
+        stop = reason
     else:
         raise ValueError("certificate has neither a matrix-after nor a reason")
-    if cert.case is not None:
+    if case != "-":
         g1, g2, g3 = (frozenset(_parse_ints(_value(lines, "group-%d" % k)))
                       for k in (1, 2, 3))
         union = g1 | g2 | g3
@@ -822,18 +819,21 @@ def _read_certificate(text: str) -> MutationCertificate:
                              "without %d and %d" % (n, i, j))
         if any(len(row.split()) != n for row in _after(lines, "w:", 3)):
             raise ValueError("w and f rows must have %d entries" % n)
-        cert.data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
-                                 group_three=g3)
+        data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
+                            group_three=g3)
         count = int(_value(_after(lines, "WITNESSES", 2), "count"))
-        cert.witnesses = _table_from_lines(
-            _after(lines, "WITNESSES", 2 + count)[2:], cert.data)
-    if (order or cert.data) and not (
+        witnesses = _table_from_lines(
+            _after(lines, "WITNESSES", 2 + count)[2:], data)
+    if (order or data) and not (
             len(order) == n and sorted(order) == list(range(1, n + 1)) and
-            0 < order.index(j) - order.index(i) <= (1 if cert.data else n)):
+            0 < order.index(j) - order.index(i) <= (1 if data else n)):
         raise ValueError("order-before must be empty or a permutation of "
                          "1..%d with %d left of %d, next to it when the "
                          "groups are present" % (n, i, j))
-    return cert
+    return MutationCertificate(digest=_value(lines, "digest"), n=n, i=i, j=j,
+                               stop=stop, case=None if case == "-" else case,
+                               matrix_after=matrix_after, order_before=order,
+                               data=data, witnesses=witnesses)
 
 
 def _landed_fields(cert: MutationCertificate) -> tuple:
@@ -852,6 +852,7 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
     if yi == yj or cert.case != _case(yi, yj).value:
         raise ValueError("case %s is not that of the apex heights of lines "
                          "%d and %d in matrix-after" % (_opt(cert.case), i, j))
+    # not induce: perfbench traces it, and fails if reading moves a count
     L2 = _induce(A.xs, A.ys, A.n)
     before = dict(L2.assignment)
     for k in cert.data.red:
@@ -883,6 +884,6 @@ def parse_certificate(text: str) -> MutationCertificate:
     after it (_landed_fields)."""
     cert = _read_certificate(text)
     if cert.matrix_after is not None:
-        _vertex_facts(cert, *_landed_fields(cert))
+        cert = replace(cert, **_vertex_facts(cert.data, *_landed_fields(cert)))
     _check_written(text, certificate_to_text(cert))
     return cert

@@ -120,9 +120,9 @@ def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
 # ---------------------------------------------------------------------------
 # plan text format
 
-def plan_to_text(plan: Plan, source: str = "matrix",
-                 summary: dict | None = None) -> str:
-    """The plan file; summary is plan.summary() when the caller holds it."""
+def plan_to_text(plan: Plan, source: str = "matrix") -> str:
+    """The plan file: source, initial matrix and target, each step's
+    certificate and the SUMMARY counts of the steps' cached verdicts."""
     out = ["PLAN", "n: %d" % plan.initial.n, "source: %s" % source]
     out.extend(_matrix_lines(plan.initial, "matrix"))
     out.append("target: %s" % " ".join(str(x) for x in plan.target))
@@ -131,8 +131,7 @@ def plan_to_text(plan: Plan, source: str = "matrix",
         out.append("STEP %d" % idx)
         out.append(certificate_to_text(cert).rstrip("\n"))
     out.append("SUMMARY")
-    summary = plan.summary() if summary is None else summary
-    out.extend("%s: %d" % item for item in summary.items())
+    out.extend("%s: %d" % item for item in plan.summary().items())
     out.append("END-PLAN")
     return "\n".join(out) + "\n"
 

@@ -37,7 +37,7 @@ class Case(enum.Enum):
 
 
 class NotAdjacent(ValueError):
-    """The pair is not adjacent (or not ordered left to right)."""
+    """Not two distinct lines, not adjacent, or not ordered left to right."""
 
 
 class Boundary(ValueError):

@@ -1,13 +1,15 @@
 """Plans: chained certified swaps from one x order to another."""
 
+import dataclasses
+
 import pytest
 
 from conftest import (blue_obstruction_matrix, golden_texts, pair_matrix,
                       tied_start_matrix)
-from tropmf import (MatchingField, Plan, PlanError, TieError, WeightMatrix,
-                    apexes, block_diagonal, block_diagonal_weights, certify,
-                    diagonal, induce, plan_block_to_diagonal, plan_to_order,
-                    x_order)
+from tropmf import (MatchingField, MutationCertificate, Plan, PlanError,
+                    TieError, WeightMatrix, apexes, block_diagonal,
+                    block_diagonal_weights, certify, diagonal, induce,
+                    plan_block_to_diagonal, plan_to_order, x_order)
 from tropmf import planner
 from tropmf.planner import parse_plan, plan_to_text
 
@@ -152,6 +154,27 @@ def test_plan_computes_each_matrix_fact_once(monkeypatch):
     plan_to_text(plan)
     assert len(plan.steps) == 8
     assert counts == {"apex_ints": 9, "text": 9}
+
+
+def test_plan_derives_each_verdict_once(monkeypatch):
+    """The (6, 2) plan's text and SUMMARY counts, which tropmf plan writes
+    and reads for its exit code, compute the k2 flag, the verdict and the
+    reason of each of its 8 certificates once; a certificate is frozen."""
+    counts = dict.fromkeys(("k2", "verdict", "reason"), 0)
+    for name in counts:
+        prop = vars(MutationCertificate)[name]
+
+        def counted(cert, compute=prop.func, name=name):
+            counts[name] += 1
+            return compute(cert)
+        monkeypatch.setattr(prop, "func", counted)
+    plan = plan_block_to_diagonal(6, 2)
+    plan_to_text(plan)
+    plan.summary()
+    assert len(plan.steps) == 8
+    assert counts == {"k2": 8, "verdict": 8, "reason": 8}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.steps[0].diff = []
 
 
 def test_plan_text_roundtrip_and_stability():
