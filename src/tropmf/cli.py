@@ -44,7 +44,9 @@ def _dec(x) -> str:
 
 
 def _clip(polygon, halfplane):
-    """Sutherland-Hodgman step: keep p*x + q*y <= c, exact arithmetic."""
+    """Sutherland-Hodgman step, exact: keep p*x + q*y <= c.  The points
+    of a convex polygon of positive area stay distinct: kept vertices
+    and points strictly inside its edges."""
     p, q, c = halfplane
     out = []
     values = [p * x + q * y - c for x, y in polygon]
@@ -55,13 +57,7 @@ def _clip(polygon, halfplane):
         if (fa < 0 < fb) or (fb < 0 < fa):
             t = fa / (fa - fb)
             out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    deduped = []
-    for pt in out:
-        if not deduped or deduped[-1] != pt:
-            deduped.append(pt)
-    if len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    return deduped
+    return out
 
 
 def _area2(polygon) -> Fraction:

@@ -58,12 +58,11 @@ back for what it read.  The layout lives in the writer alone: the
 reader takes each fact from the first line that carries its key, reads
 no derived line, and leaves where every line stands to that re-write.
 For a landed swap it recomputes the diff, images, witnesses and
-batteries with certify's own _vertex_facts.  A stopped certificate's
-witness lines must be the table _witnesses writes on the u's, v's and
-witnesses they name: certify's table is the product of V's sorted f = -1
-and f = +1 tableaux, and a pair the search tries before the one it picks
-is missing from V, so from the named ones too.  Its case and
-order-before must have the shape certify gives them.
+batteries with certify's own _vertex_facts, and only the re-write checks
+its witness lines.  A stopped one's must be the table _witnesses writes
+on the u's, v's and witnesses they name (certify's is the product of V's
+sorted f = -1 and f = +1 tableaux, and each pair the search passes over
+is missing from V).  The case and order-before must have certify's shape.
 """
 
 from __future__ import annotations
@@ -782,10 +781,9 @@ def _read_matrix(lines: list, key: str) -> WeightMatrix:
 
 def _read_certificate(text: str) -> MutationCertificate:
     """The digest, n, pair, case, stop reason, order-before, matrix-after,
-    groups and witness table (by _table_from_lines) of a certificate text,
-    each from the first line that carries its key; the w rows are read
-    only for their width.  Where the lines stand, and every other line,
-    is left to parse_certificate's re-write.
+    groups and, without a matrix-after, witness table (_table_from_lines)
+    of a certificate text, each by its key's first line; the w rows only
+    for their width.  The rest is left to parse_certificate's re-write.
 
     certify sets the case and the groups together, so the groups are
     read exactly when the case is ONE or TWO: a group-less ONE or TWO
@@ -821,9 +819,10 @@ def _read_certificate(text: str) -> MutationCertificate:
             raise ValueError("w and f rows must have %d entries" % n)
         data = MutationData(n=n, i=i, j=j, group_red=g1, group_two=g2,
                             group_three=g3)
-        count = int(_value(_after(lines, "WITNESSES", 2), "count"))
-        witnesses = _table_from_lines(
-            _after(lines, "WITNESSES", 2 + count)[2:], data)
+        if matrix_after is None:
+            count = int(_value(_after(lines, "WITNESSES", 2), "count"))
+            witnesses = _table_from_lines(
+                _after(lines, "WITNESSES", 2 + count)[2:], data)
     if (order or data) and not (
             len(order) == n and sorted(order) == list(range(1, n + 1)) and
             0 < order.index(j) - order.index(i) <= (1 if data else n)):
@@ -879,9 +878,9 @@ def _check_written(text: str, written: str) -> None:
 
 def parse_certificate(text: str) -> MutationCertificate:
     """Inverse of certificate_to_text: ValueError unless text is exactly
-    what certificate_to_text writes for the certificate read from it, with
-    a landed swap's vertex facts recomputed from the fields before and
-    after it (_landed_fields)."""
+    what certificate_to_text writes for the certificate read from it.  A
+    landed swap's vertex facts, its witness lines too, are recomputed from
+    the fields before and after it (_landed_fields), not read."""
     cert = _read_certificate(text)
     if cert.matrix_after is not None:
         cert = replace(cert, **_vertex_facts(cert.data, *_landed_fields(cert)))

@@ -1,15 +1,17 @@
 """Command line behaviour: outputs, exit codes, file round-trips, SVG."""
 
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (blue_obstruction_matrix, diag6_matrix,
                       five_line_matrix, three_line_matrix, tied_start_matrix,
                       write_matrix)
 from tropmf import (WeightMatrix, apexes, induce, matching_field_from_text,
                     parse_certificate)
-from tropmf.cli import RenderOptions, cli_main, render
+from tropmf.cli import RenderOptions, _area2, _clip, cli_main, render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -181,6 +183,12 @@ def test_plan_with_both_sources_exit_2(tmp_path, capsys):
     assert err == "plan takes -m FILE or --block N L, not both\n"
 
 
+@pytest.mark.parametrize("n, ell", [("2", "1"), ("5", "6")])
+def test_plan_block_out_of_range_exit_2(capsys, n, ell):
+    assert run_cli(capsys, "plan", "--block", n, ell) == (
+        2, "", "BadSize: need n >= 3 and 0 <= ell <= n\n")
+
+
 def test_plan_stopped_step_exit_2(tmp_path, capsys):
     path = write_matrix(tmp_path, "blue.wm", blue_obstruction_matrix())
     code, out, err = run_cli(capsys, "plan", "-m", path)
@@ -306,6 +314,12 @@ def test_render_rejects_bad_arguments(tmp_path, capsys, extra):
     assert not out_path.exists()
 
 
+def test_render_rejects_a_single_line_pair(tmp_path, capsys):
+    path = write_matrix(tmp_path, "five.wm", five_line_matrix())
+    assert run_cli(capsys, "render", "-m", path, "--pair", "3") == (
+        2, "", "ValueError: expected a pair like 3,4\n")
+
+
 @pytest.mark.parametrize("i, j", [(3, 3), (0, 1), (1, 6)])
 def test_pair_commands_reject_a_bad_pair(tmp_path, capsys, i, j):
     path = write_matrix(tmp_path, "five.wm", five_line_matrix())
@@ -314,3 +328,42 @@ def test_pair_commands_reject_a_bad_pair(tmp_path, capsys, i, j):
                  ["render", "--pair", "%d,%d" % (i, j)]):
         assert run_cli(capsys, *argv, "-m", path) == (
             2, "", "ValueError: bad pair (%d, %d) for 5 columns\n" % (i, j))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+def convex_hull(points):
+    """Andrew's monotone chain: the hull's corners, counter-clockwise,
+    with no three in a row collinear."""
+    def turns_left(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) > (b[1] - a[1]) * (c[0] - a[0])
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and not turns_left(out[-2], out[-1], p):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+    pts = sorted(set(points))
+    return half(pts) + half(pts[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=3, max_size=8),
+       st.booleans(), st.data())
+def test_clip_of_a_positive_area_polygon_has_distinct_points(points, flip,
+                                                             data):
+    # render relies on this and does not de-duplicate: a convex polygon of
+    # positive area gives its kept corners and points inside its edges.
+    poly = convex_hull(points)[::-1 if flip else 1]
+    assume(len(poly) >= 3)
+    for _ in range(3):
+        p, q = data.draw(st.tuples(RATIONALS, RATIONALS).filter(any))
+        c = data.draw(st.one_of(RATIONALS, st.sampled_from(
+            [p * x + q * y for x, y in poly])))
+        poly = _clip(poly, (p, q, c))
+        assert len(set(poly)) == len(poly)
+        if len(poly) < 3 or _area2(poly) == 0:
+            break

@@ -1,6 +1,7 @@
 """Weight matrices, induced fields, block-diagonal constructions, diffs."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -331,3 +332,22 @@ def test_matching_field_rejects_keys_outside_triples(extra):
 def test_matching_field_rejects_duplicate_triple():
     with pytest.raises(ValueError, match="duplicate"):
         matching_field_from_text("1 2 3 : 1 2 3\n1 2 3 : 3 2 1\n")
+
+
+def test_matching_field_rejects_missing_triple_and_foreign_tableau():
+    text = matching_field_to_text(diagonal(4))
+    with pytest.raises(ValueError,
+                       match=re.escape("missing triple (1, 3, 4)")):
+        matching_field_from_text(text.replace("1 3 4 : 1 3 4\n", ""))
+    with pytest.raises(ValueError, match=re.escape(
+            "tableau (1, 3, 2) is not a permutation of (1, 3, 4)")):
+        matching_field_from_text(text.replace("1 3 4 : 1 3 4",
+                                              "1 3 4 : 1 3 2"))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 0, 0], [1, 2, 3]], "a weight matrix has exactly 3 rows"),
+    ([[0, 0, 0], [1, 2, 3], [4, 5]], "rows must have equal length >= 2")])
+def test_from_rows_rejects_bad_shapes(rows, message):
+    with pytest.raises(BadSize, match=message):
+        WeightMatrix.from_rows(rows)

@@ -17,8 +17,9 @@ from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
                     SlabViolation, TieError, TiedX, VertexSet, WeightMatrix,
                     apexes, build_wf, certificate_to_text, certify, classify,
                     expected_flip, genericity, induce, member, mf_diff,
-                    midpoint, parse_certificate, star, swap, tableau_of,
-                    tropical_map, vertex_of, vertices, witness_table, x_order)
+                    midpoint, parse_certificate, plan_block_to_diagonal,
+                    star, swap, tableau_of, tropical_map, vertex_of,
+                    vertices, witness_table, x_order)
 from tropmf import arrange, lp, mutate, regions
 from tropmf.mutate import _landing_gap
 from tropmf.polytope import add, lattice_point, pair as inner, scale
@@ -790,6 +791,32 @@ def test_certificate_rejects_exponent_tokens(five, key, offset):
     message = "written back" if key in ("epsilon", "w", "f") else "exponent"
     with pytest.raises(ValueError, match=message):
         parse_certificate("\n".join(lines) + "\n")
+
+
+def test_reader_builds_a_landed_witness_table_once(monkeypatch):
+    """A landed certificate's witness lines are checked by the re-write
+    against the table _vertex_facts recomputes, and not rebuilt from the
+    lines first: 728 entries over the 36 landed steps, not 1,092."""
+    texts = [certificate_to_text(cert) for n, ell in ((6, 2), (7, 3), (8, 4))
+             for cert in plan_block_to_diagonal(n, ell).steps]
+    assert len(texts) == 36
+    assert all("matrix-after: -" not in text for text in texts)
+    built = [0]
+
+    def counted(*args, witnesses=mutate._witnesses):
+        for entry in witnesses(*args):
+            built[0] += 1
+            yield entry
+    monkeypatch.setattr(mutate, "_witnesses", counted)
+    for text in texts:
+        parse_certificate(text)
+    assert built[0] == 728
+    # A duplicated first witness line is refused at the copy.
+    lines = next(text for text in texts
+                 if "\ncount: 0\n" not in text).splitlines(keepends=True)
+    at = lines.index("WITNESSES\n") + 2
+    with pytest.raises(ValueError, match="line %d reads " % (at + 2)):
+        parse_certificate("".join(lines[:at + 1] + lines[at:]))
 
 
 def test_certificate_text_sections(five):

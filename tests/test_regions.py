@@ -110,6 +110,11 @@ def test_not_adjacent_and_misordered(five):
                 fn(A, i, j)
 
 
+def test_region_halfplanes_refuse_a_right_to_left_pair(five):
+    with pytest.raises(NotAdjacent, match="line 4 is not left of line 3"):
+        region_halfplanes(apexes(five), 4, 3)
+
+
 def test_boundary_refusal():
     # k exactly on the anti-diagonal through i's apex
     with pytest.raises(Boundary):
