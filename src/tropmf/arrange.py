@@ -42,14 +42,6 @@ class NotFound(ValueError):
     """No cell with pairwise distinct sector types was found."""
 
 
-class TiedX(ValueError):
-    """Two apexes share an x coordinate, so the left-right order is undefined."""
-
-    def __init__(self, i: int, j: int):
-        self.pair = (i, j)
-        super().__init__("lines %d and %d have equal apex x" % (i, j))
-
-
 @dataclass(frozen=True)
 class TropicalLine:
     index: int
@@ -195,12 +187,8 @@ def induce_geometric(A: Arrangement) -> MatchingField:
 
 
 def x_order(A: Arrangement) -> tuple:
-    """Line indices sorted by apex x (A's ints), left to right."""
-    keyed = sorted(zip(A.xs, range(1, A.n + 1)))
-    for (xa, ia), (xb, ib) in zip(keyed, keyed[1:]):
-        if xa == xb:
-            raise TiedX(ia, ib)
-    return tuple(idx for _, idx in keyed)
+    """Line indices sorted by apex x, left to right: A.source.x_order."""
+    return A.source.x_order
 
 
 def adjacent(A: Arrangement, i: int, j: int) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mfcore, planner, polytope
-from .arrange import Arrangement, apexes, induce_geometric, x_order
+from .arrange import Arrangement, apexes, induce_geometric
 from .mfcore import TieError, WeightMatrix
 from .mutate import (NotSwappable, PatternMismatch, _landing_gap, build_wf,
                      certificate_to_text, certify, swap)
@@ -91,7 +91,7 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
             _, eps = swap(A.source, i, j)
         except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
                 Boundary):
-            eps = Fraction(_landing_gap(A, x_order(A), j), 2 * A.D)
+            eps = Fraction(_landing_gap(A, j), 2 * A.D)
         target_apex = (A.apex(j)[0] + eps, A.apex(i)[1])
         pts.append(target_apex)
     else:

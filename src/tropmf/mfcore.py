@@ -45,10 +45,18 @@ class TieError(ValueError):
         super().__init__("tie at triple %d %d %d" % triple)
 
 
+class TiedX(ValueError):
+    """Two apexes share an x coordinate, so the left-right order is undefined."""
+
+    def __init__(self, i: int, j: int):
+        self.pair = (i, j)
+        super().__init__("lines %d and %d have equal apex x" % (i, j))
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
-    """A 3 x n matrix of exact rationals; its apex ints and text are
-    computed once, on first use (its rows are tuples: nothing goes stale)."""
+    """A 3 x n matrix of exact rationals; its apex ints, x order and text
+    are computed once, on first use (rows are tuples: none goes stale)."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 
@@ -65,6 +73,16 @@ class WeightMatrix:
                       for r in self.rows)
         return (tuple(b - a for a, b in zip(r1, r2)),
                 tuple(c - a for a, c in zip(r1, r3)), D)
+
+    @cached_property
+    def x_order(self) -> tuple:
+        """Column indices sorted by apex x, left to right; TiedX on two
+        equal xs."""
+        keyed = sorted(zip(self.apex_ints[0], range(1, self.n + 1)))
+        for (xa, ia), (xb, ib) in zip(keyed, keyed[1:]):
+            if xa == xb:
+                raise TiedX(ia, ib)
+        return tuple(idx for _, idx in keyed)
 
     @cached_property
     def text(self) -> str:

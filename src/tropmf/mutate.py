@@ -26,13 +26,12 @@ changes by exactly the red-region flips.  That holds on an open interval
 offset is the largest gap/2^k inside it.  The accepted matrix differs
 from M only in column i, so every triple without i keeps its tableau,
 and the re-check recomputes the triples through i from scratch, plus
-x_order; that equals a full induce of the accepted matrix.  Placement
-weights are read off apex ints, which a matrix computes once: the
-landed matrix's serve the re-check, epsilon and the next plan step.
-certify works in one pass: one induce per matrix (none when the caller
-hands it the field), one classification (regions and their groups) on
-certify's x order, the swap search on that state, and one f-value split
-per vertex set.
+the x order; that equals a full induce of the accepted matrix.  A
+matrix computes its apex ints and x order once: the landed matrix's
+serve the re-check, epsilon and the next plan step.  certify works in
+one pass: one induce per matrix (none when the caller hands it the
+field), one classification (regions and their groups), the swap search
+on that state, and one f-value split per vertex set.
 
 The k2 images and k3/k4 batteries are decided on tableaux.  A vertex
 with f-value -1 is the only sheared one, and its image is (i, j, t3)
@@ -57,12 +56,13 @@ parse_certificate, which accepts only the exact bytes the writer gives
 back for what it read.  The layout lives in the writer alone: the
 reader takes each fact from the first line that carries its key, reads
 no derived line, and leaves where every line stands to that re-write.
-For a landed swap it recomputes the diff, images, witnesses and
-batteries with certify's own _vertex_facts, and only the re-write checks
-its witness lines.  A stopped one's must be the table _witnesses writes
-on the u's, v's and witnesses they name (certify's is the product of V's
-sorted f = -1 and f = +1 tableaux, and each pair the search passes over
-is missing from V).  The case and order-before must have certify's shape.
+For a landed swap whose matrix-after holds the red flips it recomputes
+the diff, images, witnesses and batteries with certify's own
+_vertex_facts; only the re-write checks its witness lines.  A stopped
+one's must be the table _witnesses writes on the u's, v's and witnesses
+they name (certify's is the product of V's sorted f = -1 and f = +1
+tableaux, and each pair the search passes over is missing from V).  The
+case and order-before must have certify's shape.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .arrange import Arrangement, TiedX, apexes, x_order
-from .mfcore import (MatchingField, Tableau, TieError, WeightMatrix,
+from .arrange import Arrangement, apexes, x_order
+from .mfcore import (MatchingField, Tableau, TiedX, TieError, WeightMatrix,
                      _induce, _minima, induce, mf_diff,
                      weight_matrix_from_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
@@ -83,7 +83,7 @@ from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
 from .polytope import member  # noqa: F401  unused; perfbench traces this name
 from .regions import (Boundary, NotAdjacent, Region, RegionAssignment,
-                      _case, _check_pair, _classify, _left_first, classify)
+                      _case, _check_pair, _left_first, classify)
 
 
 _STAR_FAILS = "star condition fails for a two-sided swap"
@@ -304,13 +304,12 @@ def expected_flip(L: MatchingField, i: int, j: int, R: RegionAssignment) -> Matc
     return MatchingField(L.n, assignment)
 
 
-def _landing_gap(A: Arrangement, order: tuple, j: int) -> int:
+def _landing_gap(A: Arrangement, j: int) -> int:
     """Room right of line j's apex for line i to land in, on A's int scale:
     the x distance to the next apex in x order, or D when j is rightmost."""
-    pos = order.index(j)
-    if pos + 1 < A.n:
-        return A.xs[order[pos + 1] - 1] - A.xs[j - 1]
-    return A.D
+    order = x_order(A)
+    pos = order.index(j) + 1
+    return A.xs[order[pos] - 1] - A.xs[j - 1] if pos < A.n else A.D
 
 
 def _triples_through(i: int, n: int):
@@ -390,23 +389,22 @@ def swap(M: WeightMatrix, i: int, j: int):
     A = apexes(M)
     _check_pair(A.n, i, j)
     L = induce(M)
-    order = x_order(A)
+    x_order(A)   # TiedX before the left-right check
     if not A.xs[i - 1] < A.xs[j - 1]:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    return _swap_core(M, L, A, order, _classify(A, order, i, j), i, j)[:2]
+    return _swap_core(L, A, classify(A, i, j))[:2]
 
 
-def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
-               order: tuple, R: RegionAssignment, i: int, j: int):
-    """swap's search on the caller's state for the adjacent pair (i left
-    of j); L must be induce(M).  Returns (M2, eps, L2); the field L2 (the
-    red-flip prediction) and the transposed x order are both re-checked
-    on apexes(M2), the field by _recheck.  gap and hi are ints on A's
-    scale D, and the largest gap/2^k below hi has k = bit length of
-    gap // hi (k >= 1, as hi <= gap)."""
+def _swap_core(L: MatchingField, A: Arrangement, R: RegionAssignment):
+    """swap's search on the caller's state: L = induce(M), the apexes A
+    of M = A.source and the regions R of the pair (i left of j).  Returns
+    (M2, eps, L2); the field L2 (the red-flip prediction) and M2's x
+    order, M's with i and j transposed, are re-checked, the field by
+    _recheck.  gap and hi are ints on A's scale D, and the largest
+    gap/2^k below hi has k = bit length of gap // hi (k >= 1: hi <= gap)."""
+    M, i, j = A.source, R.i, R.j
     expected = expected_flip(L, i, j, R)
-    gap = _landing_gap(A, order, j)
-    target = _transposed(order, i, j)
+    gap = _landing_gap(A, j)
     xs = A.xs[:i - 1] + (A.xs[j - 1],) + A.xs[i:]   # line i onto j's x
     hi = _offset_interval(xs, A.ys, i, expected, gap)
     if hi <= 0:
@@ -415,7 +413,8 @@ def _swap_core(M: WeightMatrix, L: MatchingField, A: Arrangement,
     eps = Fraction(gap, A.D << (gap // hi).bit_length())
     M2 = M.with_entry(2, i, M.entry(1, i) + A.apex(j)[0] + eps)
     A2 = apexes(M2)
-    if not (_recheck(A2, i, expected) and x_order(A2) == target):
+    if not (_recheck(A2, i, expected)
+            and x_order(A2) == _transposed(x_order(A), i, j)):
         raise AssertionError("offset %s for lines %d and %d fails "
                              "the field re-check" % (eps, i, j))
     return M2, eps, expected
@@ -599,14 +598,14 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     The pair is reoriented so i is the left line.  Early failures
     (genericity, adjacency, boundary apexes, unswappable pairs) yield
     INAPPLICABLE certificates carrying whatever was computed by then.
-    Each fact is derived once: induce per matrix (a TieError is the
-    genericity verdict), one classification on the x order already
-    sorted, for the regions and their groups, and, after the swap
-    attempt, one f-value split per vertex set in _vertex_facts.  A caller
-    that holds induce(M) passes it as field (plan_to_order passes the
-    field the previous step's re-check proved), and certify makes no
-    induce.  Each stop is raised only by its stage: the landing offset
-    lies in a tie-free open interval.
+    Each fact is derived once: induce and the x order per matrix (a
+    TieError is the genericity verdict), one classification, for the
+    regions and their groups, and, after the swap attempt, one f-value
+    split per vertex set in _vertex_facts.  A caller that holds
+    induce(M) passes it as field (plan_to_order passes the field the
+    previous step's re-check proved), and certify makes no induce.  Each
+    stop is raised only by its stage: the landing offset lies in a
+    tie-free open interval.
     """
     _check_pair(M.n, i, j, ValueError)
     stop = case = D = M2 = L2 = None
@@ -616,10 +615,10 @@ def certify(M: WeightMatrix, i: int, j: int, *,
         A = apexes(M)
         order = x_order(A)
         i, j = _left_first(A, i, j)
-        R = _classify(A, order, i, j)
+        R = classify(A, i, j)
         case = R.case.value
         D = build_wf(A, i, j, R)
-        M2, _, L2 = _swap_core(M, L, A, order, R, i, j)
+        M2, _, L2 = _swap_core(L, A, R)
     except TieError as e:
         stop = "not generic: %s" % e
     except (TiedX, NotAdjacent, Boundary, NotSwappable, PatternMismatch) as e:
@@ -840,8 +839,9 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
     triple put back from (i, j, k) to (j, i, k).  ValueError unless
     matrix-after swapped the pair: its x order is order-before on 1..n
     with i and j transposed, and its case ONE when j's apex is higher
-    than i's, else TWO (a swap keeps the heights).  The groups are then
-    present, as _read_certificate reads them beside every case."""
+    than i's, else TWO (a swap keeps the heights), and L2 holds (i, j, k)
+    on every red triple.  The groups are then present, as
+    _read_certificate reads them beside every case."""
     i, j = cert.i, cert.j
     A = apexes(cert.matrix_after)
     if A.n != cert.n or x_order(A) != cert.order_after:
@@ -855,7 +855,11 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
     L2 = _induce(A.xs, A.ys, A.n)
     before = dict(L2.assignment)
     for k in cert.data.red:
-        before[tuple(sorted((i, j, k)))] = (j, i, k)
+        T = tuple(sorted((i, j, k)))
+        if L2[T] != (i, j, k):
+            raise ValueError("matrix-after does not place %d over %d on "
+                             "red triple %d %d %d" % (i, j, *T))
+        before[T] = (j, i, k)
     return MatchingField(A.n, before), L2
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrange import apexes, x_order
 from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
                      diagonal, induce)
 from .mutate import (_KINDS, _VERDICTS, _check_written, _matrix_lines,
@@ -78,11 +77,12 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
     tied placements raises TiedX or TieError before any certify call.
     The start's field is induced once; each step's certify gets the
     field it was proved to land on (the one before, with the step's diff
-    applied), so a plan makes no other induce."""
+    applied), so a plan makes no other induce; each matrix sorts its x
+    order once, the start here and a landed one in its step's re-check."""
     target = tuple(target)
     if sorted(target) != list(range(1, M.n + 1)):
         raise ValueError("target must be a permutation of 1..%d" % M.n)
-    order = x_order(apexes(M))
+    order = M.x_order
     L = induce(M)   # a non-generic start raises TieError here, before any step
     plan = Plan(initial=M, target=target, steps=[])
     current = M

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arrange import Arrangement, x_order
+from .arrange import Arrangement, adjacent
 
 
 class Region(enum.Enum):
@@ -100,21 +100,14 @@ def _left_first(A: Arrangement, i: int, j: int) -> tuple:
 
 def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
     """Region of every line other than i and j, read off the ladders of
-    _ladders on the apexes.
+    _ladders on A's int apexes; an apex on a rung's line raises Boundary.
 
     No other apex can share an x coordinate with i or j, or lie between
-    them: the adjacency check sorts the apexes with x_order, which raises
-    TiedX on any equal x, and confirms that i and j are consecutive.
+    them: adjacent reads the source matrix's x order, which raises TiedX
+    on any equal x, and confirms that i and j are consecutive.
     """
     _check_pair(A.n, i, j)
-    return _classify(A, x_order(A), i, j)
-
-
-def _classify(A: Arrangement, order: tuple, i: int, j: int) -> RegionAssignment:
-    """classify for two distinct columns i, j, on the caller's x order
-    of A's apexes (x_order(A)), comparing A's int apexes.  An apex on a
-    rung's line raises Boundary."""
-    if abs(order.index(i) - order.index(j)) != 1:
+    if not adjacent(A, i, j):
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
     xs, ys = A.xs, A.ys
     ai, bi, aj, bj = xs[i - 1], ys[i - 1], xs[j - 1], ys[j - 1]

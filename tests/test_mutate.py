@@ -20,7 +20,7 @@ from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
                     midpoint, parse_certificate, plan_block_to_diagonal,
                     star, swap, tableau_of, tropical_map, vertex_of,
                     vertices, witness_table, x_order)
-from tropmf import arrange, lp, mutate, regions
+from tropmf import lp, mutate
 from tropmf.mutate import _landing_gap
 from tropmf.polytope import add, lattice_point, pair as inner, scale
 
@@ -303,7 +303,7 @@ def test_offset_interval_is_exact_acceptance_set(rows):
             expected = expected_flip(L, i, j, classify(A, i, j))
         except (Boundary, PatternMismatch):
             continue
-        gap_int = _landing_gap(A, order, j)
+        gap_int = _landing_gap(A, j)
         gap = Fraction(gap_int, A.D)
         m2i = M.entry(1, i) + A.apex(j)[0]
         M0 = M.with_entry(2, i, m2i)
@@ -1011,16 +1011,21 @@ def test_images_equal_tropical_map_on_drawn_fields(M, data):
 
 
 def test_certify_sorts_apexes_once_per_matrix(monkeypatch, five):
-    # One x_order for M in certify and one in the swap's re-check of M2;
-    # the classification reads certify's order instead of sorting again.
-    calls = []
+    # A matrix sorts its apex xs once and keeps the order: certify sorts M
+    # and, in the swap's re-check, M2, and the classification and the
+    # landing gap read M's.  A plan step's landed matrix is the next
+    # step's input, so the 8-step (6, 2) plan sorts each of its 9
+    # matrices once (17 sorts when each step sorted its input again).
+    prop = vars(WeightMatrix)["x_order"]
+    sorts = []
 
-    def counted(A):
-        calls.append(A)
-        return x_order(A)
-
-    for module in (arrange, mutate, regions):
-        if hasattr(module, "x_order"):
-            monkeypatch.setattr(module, "x_order", counted)
+    def counted(M, compute=prop.func):
+        sorts.append(M)
+        return compute(M)
+    monkeypatch.setattr(prop, "func", counted)
     certify(five, 3, 4)
-    assert len(calls) == 2
+    assert len(sorts) == 2
+    sorts.clear()
+    plan = plan_block_to_diagonal(6, 2)
+    assert len(plan.steps) == 8
+    assert len(sorts) == 9

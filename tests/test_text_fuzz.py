@@ -7,6 +7,7 @@ reader raises only ValueError on arbitrary text, and drawn matrices and
 fields survive their writer followed by their reader.
 """
 
+import dataclasses
 import itertools
 import re
 
@@ -18,7 +19,8 @@ from conftest import (GOLDEN, blue_obstruction_matrix, five_line_matrix,
                       golden_texts)
 from test_byte_pins import seeded_matrices
 from tropmf import (MatchingField, WeightMatrix, certificate_to_text, certify,
-                    matching_field_from_text, matching_field_to_text, mutate,
+                    induce, matching_field_from_text, matching_field_to_text,
+                    mutate,
                     parse_certificate, parse_plan, plan_block_to_diagonal,
                     plan_to_text, weight_matrix_from_text,
                     weight_matrix_to_text)
@@ -150,6 +152,25 @@ def test_matrix_after_must_swap_the_pair():
         ("order-after: 2 1 4 3 5", "order-after: 2 1 3 4 5")))
     with pytest.raises(ValueError, match="3 and 4 transposed"):
         parse_certificate(edited)
+
+
+def test_matrix_after_must_carry_the_red_flips():
+    # A matrix-after with the swap's x order 2 1 4 3 5 and case ONE whose
+    # field places 4 over 1 over 3 on the red triple {1, 3, 4}; with every
+    # derived line written from its fields, the text parsed as REFUTED
+    # with the DIFF line below, which certify never writes, as its
+    # re-check proves (3, 4, 1) there.
+    cert = certify(five_line_matrix(), 3, 4)
+    M2 = WeightMatrix.from_rows([[0] * 5, [-5, -7, 7, 2, 9],
+                                 [10, -6, -2, 1, 6]])
+    L2 = induce(M2)
+    L = MatchingField(5, {**L2.assignment, (1, 3, 4): (4, 3, 1)})
+    forged = certificate_to_text(dataclasses.replace(
+        cert, matrix_after=M2, **mutate._vertex_facts(cert.data, L, L2)))
+    assert cert.data.red == (1,) and M2.x_order == cert.order_after
+    assert "1 3 4 : 4 3 1 -> 4 1 3\n" in forged
+    with pytest.raises(ValueError, match="red triple 1 3 4"):
+        parse_certificate(forged)
 
 
 def test_pair_outside_the_columns_raises_value_error():

@@ -110,6 +110,22 @@ def test_traced_mutate_proves_each_failure_without_lp(tmp_path):
     assert metrics["mfcore.induce.calls"] == (1, "count")
 
 
+def test_traced_certify_counts_its_classification(tmp_path):
+    """certify classifies through the traced name regions.classify, once
+    per certificate that reaches the regions: 6 on the (5, 2) block plan
+    and 1 on the five-line mutate.  Its induce counts stay 2 and 1."""
+    out = tmp_path / "out.txt"
+    matrix = tmp_path / "five.txt"
+    matrix.write_text(weight_matrix_to_text(five_line_matrix()))
+    for argv, calls, induces in (
+            (["plan", "--block", "5", "2"], 6, 2),
+            (["mutate", "-m", str(matrix), "-i", "3", "-j", "4"], 1, 1)):
+        _, spans = traced_cli(argv + ["-o", str(out)])
+        metrics = load_tracing().layer_metrics(spans)
+        assert metrics["regions.classify.calls"] == (calls, "count")
+        assert metrics["mfcore.induce.calls"] == (induces, "count")
+
+
 def test_reading_certificates_records_no_span():
     """perfbench's traced pass checks outputs with parse_certificate while
     the tracer is installed, and fails when a count moves between
