@@ -31,7 +31,7 @@ matrix computes its apex ints and x order once: the landed matrix's
 serve the re-check, epsilon and the next plan step.  certify works in
 one pass: one induce per matrix (none when the caller hands it the
 field), one classification (regions and their groups), the swap search
-on that state, and one f-value split per vertex set.
+on that state, and one f-value split, of the vertex set before it.
 
 The k2 images and k3/k4 batteries are decided on tableaux.  A vertex
 with f-value -1 is the only sheared one, and its image is (i, j, t3)
@@ -40,29 +40,29 @@ and v is the centre of the cube of tuples t with t[r] in {u[r], v[r]},
 and lies in a vertex hull iff the hull's cube vertices hold an antipodal
 pair or (three differing rows) a whole parity class.  A witness pair in
 the hull is a "yes" with weights 2 and 2 (the swap rewrites only (j, i,
-k), of f-value -1, so both sets share their f-value-0 witnesses); other
-pairs get the cube rule: a "yes" comes with its combination, int weights
-out of 4, substituted back and checked in ints, a "no" with an integer
-separating functional built from the present cube vertices, checked on
-the midpoint and on every vertex.  No LP is solved.
+k) into (i, j, k), both of f-value -1, so the sets share all others);
+other pairs get the cube rule: a "yes" comes with its combination, int
+weights out of 4, substituted back and checked in ints, a "no" with an
+integer separating functional built from the present cube vertices,
+checked on the midpoint and on every vertex.  No LP is solved.
 
 A certificate stores each fact once.  Its kind, verdict, landing offset,
-x order after the swap, the reason once a swap has landed, k1-k4, the
-star lists and flags a-d and (w, f) are derived from the regions,
-groups, swapped matrix, diff, images, failure lists and witnesses it
-records; it is frozen, and computes k2, the verdict and the reason once.
-Its text has one writer, certificate_to_text, and one reader,
-parse_certificate, which accepts only the exact bytes the writer gives
-back for what it read.  The layout lives in the writer alone: the
+x order after the swap, diff (the red flips), the reason once a swap
+has landed, k1-k4, the star lists and flags a-d and (w, f) are derived
+from the regions, groups, swapped matrix, images, failure lists and
+witnesses it records; it is frozen, and computes k2, the verdict and
+the reason once.  Its text has one writer, certificate_to_text, and one
+reader, parse_certificate, which accepts only the exact bytes the writer
+gives back for what it read.  The layout lives in the writer alone: the
 reader takes each fact from the first line that carries its key, reads
 no derived line, and leaves where every line stands to that re-write.
 For a landed swap whose matrix-after holds the red flips it recomputes
-the diff, images, witnesses and batteries with certify's own
-_vertex_facts; only the re-write checks its witness lines.  A stopped
-one's must be the table _witnesses writes on the u's, v's and witnesses
-they name (certify's is the product of V's sorted f = -1 and f = +1
-tableaux, and each pair the search passes over is missing from V).  The
-case and order-before must have certify's shape.
+the images, witnesses and batteries with certify's own _vertex_facts;
+only the re-write checks its witness lines.  A stopped one's must be
+the table _witnesses writes on the u's, v's and witnesses they name
+(certify's is the product of V's sorted f = -1 and f = +1 tableaux, and
+each pair the search passes over is missing from V).  The case and
+order-before must have certify's shape.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ from typing import NamedTuple
 
 from .arrange import Arrangement, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TiedX, TieError, WeightMatrix,
-                     _induce, _minima, induce, mf_diff,
-                     weight_matrix_from_text)
+                     _induce, _minima, induce, weight_matrix_from_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
 from .polytope import (LatticePoint, VertexSet, add, lattice_point, pair,
                        scale, vertices)
@@ -169,7 +168,7 @@ class WitnessEntry(NamedTuple):
 @dataclass(frozen=True)
 class MutationCertificate:
     """One swap's facts, as certify found them, built once and frozen; the
-    kind, the landing offset, the x order after the swap and k1-k4 (None
+    kind, landing offset, x order after the swap, diff and k1-k4 (None
     where certify stopped short) are derived; k2, verdict and reason once."""
 
     digest: str
@@ -181,7 +180,6 @@ class MutationCertificate:
     matrix_after: WeightMatrix | None = None
     order_before: tuple = ()
     data: MutationData | None = None
-    diff: list = field(default_factory=list)
     images: list = field(default_factory=list)
     k3_failures: list = field(default_factory=list)
     k4_failures: list = field(default_factory=list)
@@ -219,24 +217,28 @@ class MutationCertificate:
                 else _transposed(self.order_before, self.i, self.j))
 
     @property
+    def diff(self) -> list:
+        """The red flips (T, (j, i, k), (i, j, k)), T sorted, by increasing
+        k (T's lex order); empty before the swap lands."""
+        i, j = self.i, self.j
+        return [] if self.matrix_after is None else [
+            (tuple(sorted((i, j, k))), (j, i, k), (i, j, k))
+            for k in self.data.red]
+
+    @property
     def k1(self) -> bool | None:
         """Every tableau pairs with a build_wf f to -1, 0 or 1."""
         return None if self.data is None else True
 
     @cached_property
     def k2(self) -> bool | None:
-        """The images are the vertex set with the diff applied, as
-        multisets: each source and each image once, each DIFF before a
-        source, and the images the sources with every before replaced by
-        its after.  Exact, as a tableau is a permutation of its triple."""
+        """The images that move are exactly the diff's (before, after)
+        pairs, in order: as every before is a vertex (expected_flip and
+        _landed_fields see to it), the vertex set with the diff applied."""
         if self.matrix_after is None:
             return None
-        sources = {t for t, _ in self.images}
-        images = {image for _, image in self.images}
-        kept = sources.difference(before for _, before, _ in self.diff)
-        return (len(self.images) == len(sources) == len(images)
-                == len(kept) + len(self.diff)
-                and images == kept.union(after for _, _, after in self.diff))
+        return ([(t, image) for t, image in self.images if image != t]
+                == [(before, after) for _, before, after in self.diff])
 
     @property
     def k3(self) -> bool | None:
@@ -297,10 +299,9 @@ def expected_flip(L: MatchingField, i: int, j: int, R: RegionAssignment) -> Matc
     assignment = dict(L.assignment)
     for k in sorted(R.group(Region.RED)):
         T = tuple(sorted((i, j, k)))
-        tab = assignment[T]
-        if not (tab[0] == j and tab[1] == i):
+        if assignment[T] != (j, i, k):
             raise PatternMismatch(k)
-        assignment[T] = (i, j, tab[2])
+        assignment[T] = (i, j, k)
     return MatchingField(L.n, assignment)
 
 
@@ -573,18 +574,18 @@ def _battery(entries, P: VertexSet) -> list:
 def _vertex_facts(D: MutationData, L: MatchingField,
                   L2: MatchingField | None) -> dict:
     """The witnesses from the field L before the swap and, once it landed
-    on L2, the diff, images and batteries, as certificate fields (for
-    certify and the reader)."""
+    on L2 (L with the diff), the images and batteries, as certificate
+    fields (for certify and the reader).  V2 shares V's f = 0 and +1
+    lists, so k4 takes the afters as u's: any other u is in V too."""
     V = vertices(L)
     neg, zero, pos = _f_split(V, D.f)
     witnesses = list(_witnesses(neg, zero, pos, D))
     if L2 is None:
         return {"witnesses": witnesses}
-    V2 = vertices(L2)
-    return {"witnesses": witnesses, "diff": mf_diff(L, L2),
-            "images": _images(V, neg, D.i, D.j),
-            "k3_failures": _battery(witnesses, V2),
-            "k4_failures": _battery(_witnesses(*_f_split(V2, D.f), D), V)}
+    afters = [(D.i, D.j, k) for k in D.red]
+    return {"witnesses": witnesses, "images": _images(V, neg, D.i, D.j),
+            "k3_failures": _battery(witnesses, vertices(L2)),
+            "k4_failures": _battery(_witnesses(afters, zero, pos, D), V)}
 
 
 def matrix_digest(M: WeightMatrix) -> str:
@@ -601,9 +602,9 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     Each fact is derived once: induce and the x order per matrix (a
     TieError is the genericity verdict), one classification, for the
     regions and their groups, and, after the swap attempt, one f-value
-    split per vertex set in _vertex_facts.  A caller that holds
-    induce(M) passes it as field (plan_to_order passes the field the
-    previous step's re-check proved), and certify makes no induce.  Each
+    split in _vertex_facts.  A caller that holds induce(M) passes it as
+    field (plan_to_order passes the field the previous step's re-check
+    proved), and certify makes no induce.  Each
     stop is raised only by its stage: the landing offset lies in a
     tie-free open interval.
     """
@@ -835,13 +836,12 @@ def _read_certificate(text: str) -> MutationCertificate:
 
 
 def _landed_fields(cert: MutationCertificate) -> tuple:
-    """(L, L2): the field L2 matrix-after induces, and L, L2 with each red
-    triple put back from (i, j, k) to (j, i, k).  ValueError unless
-    matrix-after swapped the pair: its x order is order-before on 1..n
-    with i and j transposed, and its case ONE when j's apex is higher
-    than i's, else TWO (a swap keeps the heights), and L2 holds (i, j, k)
-    on every red triple.  The groups are then present, as
-    _read_certificate reads them beside every case."""
+    """(L, L2): the field L2 matrix-after induces, and L, L2 with each diff
+    after put back to its before.  ValueError unless matrix-after swapped
+    the pair: its x order is order-before on 1..n with i and j transposed,
+    its case ONE when j's apex is higher than i's, else TWO (a swap keeps
+    the heights), and L2 holds every after.  The groups are then present,
+    as _read_certificate reads them beside every case."""
     i, j = cert.i, cert.j
     A = apexes(cert.matrix_after)
     if A.n != cert.n or x_order(A) != cert.order_after:
@@ -853,14 +853,13 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
                          "%d and %d in matrix-after" % (_opt(cert.case), i, j))
     # not induce: perfbench traces it, and fails if reading moves a count
     L2 = _induce(A.xs, A.ys, A.n)
-    before = dict(L2.assignment)
-    for k in cert.data.red:
-        T = tuple(sorted((i, j, k)))
-        if L2[T] != (i, j, k):
+    unflipped = dict(L2.assignment)
+    for T, before, after in cert.diff:
+        if L2[T] != after:
             raise ValueError("matrix-after does not place %d over %d on "
                              "red triple %d %d %d" % (i, j, *T))
-        before[T] = (j, i, k)
-    return MatchingField(A.n, before), L2
+        unflipped[T] = before
+    return MatchingField(A.n, unflipped), L2
 
 
 def _check_written(text: str, written: str) -> None:

@@ -13,6 +13,7 @@ from tropmf import (Covector, NotFound, OnBoundary, TiedX, TropicalLine,
                     WeightMatrix, adjacent, apexes, cell111, covector_at,
                     genericity, induce, induce_geometric, triples, type_at,
                     x_order)
+from tropmf import arrange
 
 
 def placement_weight(M, tab):
@@ -132,6 +133,21 @@ def test_cell111_fixtures(fig_three, diag6, five):
     A5 = apexes(five)
     _, cov5 = cell111(A5, (1, 3, 4))
     assert cov5.singletons() == (4, 3, 1)
+
+
+def on_boundary(u, v, index):
+    raise OnBoundary(index)
+
+
+@pytest.mark.parametrize("sector", [lambda u, v, index: 0, on_boundary])
+def test_cell111_refuses_a_sample_point_that_fails_the_sector_recheck(
+        monkeypatch, five, sector):
+    # The re-check reads the sector types with _sector, not with the
+    # closed form that chose the point; a _sector that disagrees, or
+    # puts the point on a line, refuses it.
+    monkeypatch.setattr(arrange, "_sector", sector)
+    with pytest.raises(NotFound, match=r"is not in the cell of \(4, 3, 1\)"):
+        cell111(apexes(five), (1, 3, 4))
 
 
 def test_cell111_sample_point_is_interior(five):

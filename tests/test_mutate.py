@@ -980,6 +980,67 @@ def test_midpoint_batteries_equal_lp(M, flip):
                 if not member(midpoint(vertex_of(u, M.n), vertex_of(v, M.n)), Q)]
 
 
+@settings(max_examples=30, deadline=None)
+@given(certify_matrices(), st.booleans())
+@example(five_line_matrix(), False)
+@example(closer_threshold_matrix(), True)
+@example(WeightMatrix.from_rows([[0] * 5, [0, 1, -1, 2, -2],
+                                 [0, 2, -5, 6, 1]]), False)
+def test_k4_equals_the_battery_on_the_whole_swapped_split(M, flip):
+    # k4 takes only the afters (i, j, k) as u's; the reference runs the
+    # battery on every (f = -1, f = +1) pair of the swapped vertex set.
+    for V, V2, cert in generic_certificates(M, flip):
+        D = cert.data
+        assert cert.k4_failures == mutate._battery(
+            mutate._witnesses(*mutate._f_split(V2, D.f), D), V)
+
+
+def landed_certificates():
+    """Every landed certificate of the ordered pairs of the seeded
+    matrices and of the steps of three block plans."""
+    for M in seeded_matrices():
+        for i, j in itertools.permutations(range(1, M.n + 1), 2):
+            cert = certify(M, i, j)
+            if cert.matrix_after is not None:
+                yield cert
+    for n, ell in ((6, 2), (7, 3), (8, 4)):
+        yield from plan_block_to_diagonal(n, ell).steps
+
+
+def test_moved_images_are_the_diff_and_swapped_negatives_its_afters():
+    # What k2 and k4 read off the diff: the map moves exactly the red
+    # (j, i, k) to (i, j, k), and the swapped vertex set's f = -1
+    # tableaux are exactly those afters.
+    landed = 0
+    for cert in landed_certificates():
+        landed += 1
+        assert [(t, image) for t, image in cert.images if image != t] == [
+            (before, after) for _, before, after in cert.diff]
+        V2 = vertices(induce(cert.matrix_after))
+        assert mutate._f_split(V2, cert.data.f)[0] == [
+            after for _, _, after in cert.diff]
+    assert landed > 100
+
+
+def test_landed_certify_splits_once_and_diffs_no_fields(monkeypatch, five):
+    # The diff is derived from the red group, and the swapped vertex set
+    # shares the f = 0 and f = +1 lists of the one before the swap.
+    calls = {"_f_split": 0, "mf_diff": 0}
+
+    def counting(name, compute):
+        def counted(*args):
+            calls[name] += 1
+            return compute(*args)
+        return counted
+    monkeypatch.setattr(mutate, "_f_split",
+                        counting("_f_split", mutate._f_split))
+    monkeypatch.setattr(mutate, "mf_diff", counting("mf_diff", mf_diff),
+                        raising=False)
+    cert = certify(five, 3, 4)
+    assert cert.matrix_after is not None and cert.diff
+    assert calls == {"_f_split": 1, "mf_diff": 0}
+
+
 def mapped_tableaux(P, D):
     return [(t, tableau_of(tropical_map(vertex_of(t, P.n), D))) for t in P]
 

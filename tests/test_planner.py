@@ -1,9 +1,13 @@
 """Plans: chained certified swaps from one x order to another."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tropmf
 from conftest import (blue_obstruction_matrix, golden_texts, pair_matrix,
                       tied_start_matrix)
 from tropmf import (MatchingField, MutationCertificate, Plan, PlanError,
@@ -11,6 +15,7 @@ from tropmf import (MatchingField, MutationCertificate, Plan, PlanError,
                     block_diagonal_weights, certify, diagonal, induce,
                     plan_block_to_diagonal, plan_to_order, x_order)
 from tropmf import planner
+from tropmf.cli import cli_main
 from tropmf.planner import parse_plan, plan_to_text
 
 
@@ -232,3 +237,27 @@ def test_plan_refuses_non_generic_start_before_any_step(monkeypatch):
     monkeypatch.setattr(planner, "certify", no_certify)
     with pytest.raises(TieError, match="tie at triple 1 2 4"):
         plan_to_order(tied_start_matrix(), (4, 3, 2, 1))
+
+
+def test_block_plan_refuses_a_final_field_that_is_not_diagonal(
+        monkeypatch, capsys):
+    # The plan lands on the diagonal field; held against another field,
+    # plan_block_to_diagonal raises and tropmf plan --block exits 1.
+    monkeypatch.setattr(planner, "diagonal",
+                        lambda n: block_diagonal(n, 2))
+    with pytest.raises(planner.EndpointMismatch, match="diagonal field"):
+        plan_block_to_diagonal(5, 2)
+    assert cli_main(["plan", "--block", "5", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "final field differs from the diagonal field\n"
+
+
+def test_module_entry_point_runs_a_block_plan():
+    src = os.path.dirname(os.path.dirname(tropmf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "tropmf.cli", "plan",
+                          "--block", "5", "2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "END-PLAN"

@@ -189,3 +189,10 @@ def test_member_with_no_live_points():
     V = vertices(diagonal(4))
     q = lattice_point([[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
     assert not member(q, V)
+
+
+@pytest.mark.parametrize("rows", [[[1], [2]], [[1], [2], [3], [4]],
+                                  [[1, 2], [3], [4, 5]]])
+def test_lattice_point_rejects_other_shapes(rows):
+    with pytest.raises(ShapeMismatch, match="3 equal-length rows"):
+        lattice_point(rows)

@@ -157,9 +157,8 @@ def test_matrix_after_must_swap_the_pair():
 def test_matrix_after_must_carry_the_red_flips():
     # A matrix-after with the swap's x order 2 1 4 3 5 and case ONE whose
     # field places 4 over 1 over 3 on the red triple {1, 3, 4}; with every
-    # derived line written from its fields, the text parsed as REFUTED
-    # with the DIFF line below, which certify never writes, as its
-    # re-check proves (3, 4, 1) there.
+    # derived line written from its fields, the DIFF line below states the
+    # red flip to (3, 4, 1), which that field does not hold.
     cert = certify(five_line_matrix(), 3, 4)
     M2 = WeightMatrix.from_rows([[0] * 5, [-5, -7, 7, 2, 9],
                                  [10, -6, -2, 1, 6]])
@@ -168,7 +167,7 @@ def test_matrix_after_must_carry_the_red_flips():
     forged = certificate_to_text(dataclasses.replace(
         cert, matrix_after=M2, **mutate._vertex_facts(cert.data, L, L2)))
     assert cert.data.red == (1,) and M2.x_order == cert.order_after
-    assert "1 3 4 : 4 3 1 -> 4 1 3\n" in forged
+    assert "1 3 4 : 4 3 1 -> 3 4 1\n" in forged
     with pytest.raises(ValueError, match="red triple 1 3 4"):
         parse_certificate(forged)
 
