@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import mfcore, planner, polytope
+from . import mfcore, planner
 from .arrange import Arrangement, apexes, induce_geometric
 from .mfcore import TieError, WeightMatrix
 from .mutate import (NotSwappable, PatternMismatch, _landing_gap, build_wf,

@@ -68,9 +68,9 @@ class WeightMatrix:
     def apex_ints(self) -> tuple:
         """(xs, ys, D): the lcm D of the entries' denominators and the
         apex ints xs = r2 - r1 and ys = r3 - r1 of the rows r times D."""
-        D = math.lcm(*[x.denominator for row in self.rows for x in row])
-        r1, r2, r3 = ([x.numerator * (D // x.denominator) for x in r]
-                      for r in self.rows)
+        ratios = [[x.as_integer_ratio() for x in row] for row in self.rows]
+        D = math.lcm(*{q for row in ratios for _, q in row})
+        r1, r2, r3 = ([p * (D // q) for p, q in row] for row in ratios)
         return (tuple(b - a for a, b in zip(r1, r2)),
                 tuple(c - a for a, c in zip(r1, r3)), D)
 

@@ -31,7 +31,10 @@ matrix computes its apex ints and x order once: the landed matrix's
 serve the re-check, epsilon and the next plan step.  certify works in
 one pass: one induce per matrix (none when the caller hands it the
 field), one classification (regions and their groups), the swap search
-on that state, and one f-value split, of the vertex set before it.
+on that state, and one f-value split, of the vertex set before it.  In
+a plan, the steps share one _Carry, which hands each landed field and
+its vertex set to the next step and keeps the triples through each
+moved line, so a plan builds each of these once.
 
 The k2 images and k3/k4 batteries are decided on tableaux.  A vertex
 with f-value -1 is the only sheared one, and its image is (i, j, t3)
@@ -53,7 +56,10 @@ from the regions, groups, swapped matrix, images, failure lists and
 witnesses it records; it is frozen, and computes k2, the verdict and
 the reason once.  Its text has one writer, certificate_to_text, and one
 reader, parse_certificate, which accepts only the exact bytes the writer
-gives back for what it read.  The layout lives in the writer alone: the
+gives back for what it read.  The writer puts each fixed-shape block
+down with one format and each tableau as its entry in a _TableauText,
+which formats a tableau on first use; plan_to_text hands one table to
+all the steps of a plan.  The layout lives in the writer alone: the
 reader takes each fact from the first line that carries its key, reads
 no derived line, and leaves where every line stands to that re-write.
 For a landed swap whose matrix-after holds the red flips it recomputes
@@ -207,8 +213,7 @@ class MutationCertificate:
         j, so it is line i's apex x minus line j's in matrix_after."""
         if self.matrix_after is None:
             return None
-        xs, _, D = self.matrix_after.apex_ints
-        return Fraction(xs[self.i - 1] - xs[self.j - 1], D)
+        return _epsilon(self.matrix_after, self.i, self.j)
 
     @property
     def order_after(self) -> tuple | None:
@@ -269,14 +274,10 @@ class MutationCertificate:
 
 
 def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationData:
-    """Mutation data from a finished region classification, grouped in
-    one pass over its colours."""
-    g = {region: set() for region in Region}
-    for k, region in R.colors.items():
-        g[region].add(k)
-    return MutationData(n=A.n, i=i, j=j, group_red=frozenset(g[Region.RED]),
-                        group_two=frozenset(g[Region.GREEN] | g[Region.YELLOW]),
-                        group_three=frozenset(g[Region.PURPLE]))
+    """Mutation data from a finished region classification."""
+    return MutationData(n=A.n, i=i, j=j, group_red=R.group(Region.RED),
+                        group_two=R.group(Region.GREEN, Region.YELLOW),
+                        group_three=R.group(Region.PURPLE))
 
 
 def star(A: Arrangement, i: int, j: int) -> MutationData:
@@ -313,20 +314,28 @@ def _landing_gap(A: Arrangement, j: int) -> int:
     return A.xs[order[pos] - 1] - A.xs[j - 1] if pos < A.n else A.D
 
 
-def _triples_through(i: int, n: int):
-    """The C(n-1, 2) sorted triples of columns 1..n that contain i."""
+def _triples_through(i: int, n: int) -> list:
+    """The C(n-1, 2) sorted triples T of columns 1..n that contain i, each
+    as (T, a, b) with a < b its other two columns: the table the landing
+    search and its re-check read."""
     others = [c for c in range(1, n + 1) if c != i]
-    return ((i, a, b) if i < a else (a, i, b) if i < b else (a, b, i)
-            for a, b in itertools.combinations(others, 2))
+    return [((i, a, b) if i < a else (a, i, b) if i < b else (a, b, i), a, b)
+            for a, b in itertools.combinations(others, 2)]
 
 
-def _offset_interval(xs, ys, i: int, expected: MatchingField,
-                     gap: int) -> int:
+def _offset_interval(xs, ys, i: int, expected: MatchingField, gap: int,
+                     through: list) -> int:
     """hi such that the offsets eps in (0, gap) for which moving line i's
     apex x from xs[i - 1] to xs[i - 1] + eps gives every triple through i
     its expected tableau as the unique minimum are the open interval
     (0, hi), empty when hi <= 0.  xs, ys, gap and hi are apex ints on one
     scale, and the weight differences d of xs[c2] + ys[c3] are too.
+    through is _triples_through(i, n).
+
+    Of the six placements of {i, a, b}, (b, i, a) and (a, i, b) have i in
+    row 2 and gain eps; the other four keep their weights.  The expected
+    tableau e must beat the other placement of its own kind at eps = 0,
+    and, when it has i in row 2, stay below the other four: eps < d.
 
     No bound lies above 0 when xs is A.xs with line i moved right onto
     line j's x (by a_j - a_i > 0) and expected is expected_flip, as in
@@ -338,35 +347,67 @@ def _offset_interval(xs, ys, i: int, expected: MatchingField,
     b_k < b_i + a_k - a_i < b_j; case TWO: b_k < a_k + b_j - a_i < b_j).
     _recheck still checks the landed matrix."""
     hi = gap
-    xs, ys = (0, *xs), (0, *ys)   # indexed by column
-    for T in _triples_through(i, len(xs) - 1):
-        _, e1, e2 = expected.assignment[T]
-        we, e_has_i = xs[e1] + ys[e2], e1 == i
-        for _, t1, t2 in itertools.permutations(T):
-            if t1 == e1 and t2 == e2:
-                continue
-            d = xs[t1] + ys[t2] - we
-            if (t1 == i) == e_has_i:
-                if d <= 0:
-                    return 0
-            elif e_has_i and d < hi:
+    xi, yi = xs[i - 1], ys[i - 1]
+    tableaux = expected.assignment
+    for T, a, b in through:
+        _, e2, e3 = tableaux[T]
+        xa, ya, xb, yb = xs[a - 1], ys[a - 1], xs[b - 1], ys[b - 1]
+        ws = (xa + yi, xa + yb, xb + yi, xb + ya)   # i not in row 2
+        if e2 == i:
+            if ys[(a if e3 == b else b) - 1] <= ys[e3 - 1]:
+                return 0
+            d = min(ws) - xi - ys[e3 - 1]
+            if d < hi:
                 hi = d
+        else:
+            we = xs[e2 - 1] + ys[e3 - 1]
+            if min(ws) < we or ws.count(we) > 1:
+                return 0
     return hi
 
 
-def _recheck(A2: Arrangement, i: int, expected: MatchingField) -> bool:
+def _recheck(A2: Arrangement, i: int, expected: MatchingField,
+             through: list) -> bool:
     """Whether every triple through i has its expected tableau as the
     unique minimum on the apex ints of A2.  When A2's source differs
     from M only in column i and expected equals induce(M) on the triples
     without i, this is exactly induce(A2.source) == expected: those
-    triples keep all six weights."""
-    return all(tab == expected[T] for T, _, tab in
-               _minima(A2.xs, A2.ys, _triples_through(i, A2.n)))
+    triples keep all six weights.  through is as in _offset_interval."""
+    tableaux = expected.assignment
+    return all(tab == tableaux[T] for T, _, tab in
+               _minima(A2.xs, A2.ys, (T for T, _, _ in through)))
 
 
 def _transposed(order: tuple, i: int, j: int) -> tuple:
     """The x order with lines i and j transposed."""
     return tuple(j if c == i else i if c == j else c for c in order)
+
+
+def _epsilon(M2: WeightMatrix, i: int, j: int) -> Fraction:
+    """The landing offset of a swap that raised entry (2, i) of M into
+    M2 and kept column j: line i's apex x minus line j's in M2."""
+    xs, _, D = M2.apex_ints
+    return Fraction(xs[i - 1] - xs[j - 1], D)
+
+
+class _Carry:
+    """What a plan hands from one certify to the next, and drops when it
+    ends: the field the last landed swap's re-check proved (induce of
+    the matrix after it), with its vertex set, and the triples through
+    each moved line, built once per line (a plan's matrices share n).
+    A certify called on its own gets a new one."""
+
+    __slots__ = ("field", "vertex_set", "_through")
+
+    def __init__(self):
+        self.field = self.vertex_set = None
+        self._through = {}
+
+    def triples_through(self, i: int, n: int) -> list:
+        """_triples_through(i, n), built on the first call for line i."""
+        if i not in self._through:
+            self._through[i] = _triples_through(i, n)
+        return self._through[i]
 
 
 def swap(M: WeightMatrix, i: int, j: int):
@@ -393,32 +434,41 @@ def swap(M: WeightMatrix, i: int, j: int):
     x_order(A)   # TiedX before the left-right check
     if not A.xs[i - 1] < A.xs[j - 1]:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    return _swap_core(L, A, classify(A, i, j))[:2]
+    M2 = _swap_core(L, A, classify(A, i, j), _triples_through(i, A.n))[0]
+    return M2, _epsilon(M2, i, j)
 
 
-def _swap_core(L: MatchingField, A: Arrangement, R: RegionAssignment):
+def _swap_core(L: MatchingField, A: Arrangement, R: RegionAssignment,
+               through: list):
     """swap's search on the caller's state: L = induce(M), the apexes A
-    of M = A.source and the regions R of the pair (i left of j).  Returns
-    (M2, eps, L2); the field L2 (the red-flip prediction) and M2's x
-    order, M's with i and j transposed, are re-checked, the field by
-    _recheck.  gap and hi are ints on A's scale D, and the largest
-    gap/2^k below hi has k = bit length of gap // hi (k >= 1: hi <= gap)."""
+    of M = A.source, the regions R of the pair (i left of j) and the
+    table through = _triples_through(i, n).  Returns (M2, L2); the field
+    L2 (the red-flip prediction) and M2's x order, M's with i and j
+    transposed, are re-checked, the field by _recheck.  gap and hi are
+    ints on A's scale D, and the largest gap/2^k below hi has k = bit
+    length of gap // hi (k >= 1: hi <= gap).  M2's entry (2, i), line
+    i's new apex x over row 1, is built as one Fraction:
+    m1i + (xs[j] * 2^k + gap) / (D * 2^k)."""
     M, i, j = A.source, R.i, R.j
     expected = expected_flip(L, i, j, R)
     gap = _landing_gap(A, j)
     xs = A.xs[:i - 1] + (A.xs[j - 1],) + A.xs[i:]   # line i onto j's x
-    hi = _offset_interval(xs, A.ys, i, expected, gap)
+    hi = _offset_interval(xs, A.ys, i, expected, gap, through)
     if hi <= 0:
         raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
                            "lines %d and %d" % (Fraction(gap, A.D), i, j))
-    eps = Fraction(gap, A.D << (gap // hi).bit_length())
-    M2 = M.with_entry(2, i, M.entry(1, i) + A.apex(j)[0] + eps)
+    k = (gap // hi).bit_length()
+    E, m1i, row2 = A.D << k, M.rows[0][i - 1], M.rows[1]
+    p, q = m1i.numerator, m1i.denominator
+    moved = Fraction(p * E + ((A.xs[j - 1] << k) + gap) * q, q * E)
+    M2 = WeightMatrix((M.rows[0], row2[:i - 1] + (moved,) + row2[i:],
+                       M.rows[2]))
     A2 = apexes(M2)
-    if not (_recheck(A2, i, expected)
+    if not (_recheck(A2, i, expected, through)
             and x_order(A2) == _transposed(x_order(A), i, j)):
         raise AssertionError("offset %s for lines %d and %d fails "
-                             "the field re-check" % (eps, i, j))
-    return M2, eps, expected
+                             "the field re-check" % (Fraction(gap, E), i, j))
+    return M2, expected
 
 
 def _cube(u: Tableau, v: Tableau):
@@ -435,14 +485,19 @@ def _cube(u: Tableau, v: Tableau):
 def _f_split(P: VertexSet, f: LatticePoint) -> tuple:
     """The tableaux of P with f-value -1, 0 and +1, as three lists in P's
     order (sorted for a VertexSet); SlabViolation on any other value."""
-    groups = {-1: [], 0: [], 1: []}
-    f1, f2, f3 = f
+    neg, zero, pos = [], [], []
+    f1, f2, f3 = ((0, *row) for row in f)   # padded: a column indexes them
     for t in P:
-        value = f1[t[0] - 1] + f2[t[1] - 1] + f3[t[2] - 1]
-        if value not in groups:
+        value = f1[t[0]] + f2[t[1]] + f3[t[2]]
+        if value == 0:
+            zero.append(t)
+        elif value == -1:
+            neg.append(t)
+        elif value == 1:
+            pos.append(t)
+        else:
             raise SlabViolation("vertex %r pairs to %s" % (t, value))
-        groups[value].append(t)
-    return groups[-1], groups[0], groups[1]
+    return neg, zero, pos
 
 
 def witness_table(P: VertexSet, D: MutationData) -> list:
@@ -571,20 +626,26 @@ def _battery(entries, P: VertexSet) -> list:
             and not _midpoint_in_hull(e.u, e.v, P)]
 
 
-def _vertex_facts(D: MutationData, L: MatchingField,
-                  L2: MatchingField | None) -> dict:
+def _vertex_facts(D: MutationData, L: MatchingField, L2: MatchingField | None,
+                  carry: _Carry | None = None) -> dict:
     """The witnesses from the field L before the swap and, once it landed
     on L2 (L with the diff), the images and batteries, as certificate
     fields (for certify and the reader).  V2 shares V's f = 0 and +1
-    lists, so k4 takes the afters as u's: any other u is in V too."""
-    V = vertices(L)
+    lists, so k4 takes the afters as u's: any other u is in V too.  A
+    swap without red lines proves L again, and V is L2's vertex set too.
+    L's vertex set is taken from the carry when it holds L, and L2's is
+    left there beside L2, for the next step of a plan."""
+    carry = _Carry() if carry is None else carry
+    V = carry.vertex_set if carry.field is L else vertices(L)
     neg, zero, pos = _f_split(V, D.f)
     witnesses = list(_witnesses(neg, zero, pos, D))
     if L2 is None:
         return {"witnesses": witnesses}
+    V2 = vertices(L2) if D.group_red else V
+    carry.field, carry.vertex_set = L2, V2
     afters = [(D.i, D.j, k) for k in D.red]
     return {"witnesses": witnesses, "images": _images(V, neg, D.i, D.j),
-            "k3_failures": _battery(witnesses, vertices(L2)),
+            "k3_failures": _battery(witnesses, V2),
             "k4_failures": _battery(_witnesses(afters, zero, pos, D), V)}
 
 
@@ -593,7 +654,8 @@ def matrix_digest(M: WeightMatrix) -> str:
 
 
 def certify(M: WeightMatrix, i: int, j: int, *,
-            field: MatchingField | None = None) -> MutationCertificate:
+            field: MatchingField | None = None,
+            carry: _Carry | None = None) -> MutationCertificate:
     """Run the whole pipeline for one adjacent pair and record everything.
 
     The pair is reoriented so i is the left line.  Early failures
@@ -603,12 +665,16 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     TieError is the genericity verdict), one classification, for the
     regions and their groups, and, after the swap attempt, one f-value
     split in _vertex_facts.  A caller that holds induce(M) passes it as
-    field (plan_to_order passes the field the previous step's re-check
-    proved), and certify makes no induce.  Each
-    stop is raised only by its stage: the landing offset lies in a
-    tie-free open interval.
+    field, and certify makes no induce.  plan_to_order also passes one
+    _Carry to all its steps: certify takes from it the vertex set of
+    field, when it holds that field, and the triples through line i,
+    and leaves there the field its own re-check proves with that field's
+    vertex set, which the plan passes to the next step; so a plan builds
+    each field's vertex set once.  Each stop is raised only by its
+    stage: the landing offset lies in a tie-free open interval.
     """
     _check_pair(M.n, i, j, ValueError)
+    carry = _Carry() if carry is None else carry
     stop = case = D = M2 = L2 = None
     order = ()
     try:
@@ -619,7 +685,7 @@ def certify(M: WeightMatrix, i: int, j: int, *,
         R = classify(A, i, j)
         case = R.case.value
         D = build_wf(A, i, j, R)
-        M2, _, L2 = _swap_core(L, A, R)
+        M2, L2 = _swap_core(L, A, R, carry.triples_through(i, A.n))
     except TieError as e:
         stop = "not generic: %s" % e
     except (TiedX, NotAdjacent, Boundary, NotSwappable, PatternMismatch) as e:
@@ -627,7 +693,7 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     return MutationCertificate(
         digest=matrix_digest(M), n=M.n, i=i, j=j, stop=stop, case=case,
         matrix_after=M2, order_before=order, data=D,
-        **({} if D is None else _vertex_facts(D, L, L2)))
+        **({} if D is None else _vertex_facts(D, L, L2, carry)))
 
 
 # ---------------------------------------------------------------------------
@@ -651,79 +717,86 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _matrix_lines(M: WeightMatrix | None, key: str) -> list:
+def _matrix_block(M: WeightMatrix | None, key: str) -> str:
+    """The line "key:" and M's text indented by two spaces, or "key: -"."""
     if M is None:
-        return ["%s: -" % key]
-    lines = ["%s:" % key]
-    lines.extend("  " + ln for ln in M.text.splitlines())
-    return lines
+        return "%s: -" % key
+    return "%s:\n  %s" % (key, M.text[:-1].replace("\n", "\n  "))
 
 
-def _witness_line(e: WitnessEntry) -> str:
+class _TableauText(dict):
+    """The text "a b c" of each tableau (a, b, c), formatted on first use.
+    plan_to_text hands one to every step's certificate_to_text, so a plan
+    formats each of its tableaux once."""
+
+    def __missing__(self, t: Tableau) -> str:
+        text = self[t] = "%d %d %d" % t
+        return text
+
+
+def _witness_line(e: WitnessEntry, tabs: _TableauText) -> str:
     if e.kind == "none":
-        return "%d %d %d | %d %d %d : none" % (e.u + e.v)
-    return ("%d %d %d | %d %d %d : %s : %d %d %d + %d %d %d"
-            % (e.u + e.v + (e.kind,) + e.t + e.t2))
+        return "%s | %s : none" % (tabs[e.u], tabs[e.v])
+    return "%s | %s : %s : %s + %s" % (tabs[e.u], tabs[e.v], e.kind,
+                                       tabs[e.t], tabs[e.t2])
 
 
-def certificate_to_text(c: MutationCertificate) -> str:
-    out = ["CERTIFICATE",
-           "version: 1",
-           "digest: %s" % c.digest,
-           "n: %d" % c.n,
-           "pair: %d %d" % (c.i, c.j),
-           "case: %s" % _opt(c.case),
-           "kind: %s" % _opt(c.kind),
-           "verdict: %s" % c.verdict,
-           "reason: %s" % _opt(c.reason),
-           "STAR"]
+# The fixed-shape blocks of a certificate text, each written with one
+# format; the lines of its lists go between them.
+_HEAD = ("CERTIFICATE\nversion: 1\ndigest: %s\nn: %d\npair: %d %d\n"
+         "case: %s\nkind: %s\nverdict: %s\nreason: %s\nSTAR\npresent: %s")
+_STAR = ("a: %s\nb: %s\nc: %s\nd: %s\noverall: %s\nred: %s\n"
+         "blue-olive: %s\nyellow-green: %s\nred-purple: %s")
+_SWAP = ("SWAP\nepsilon: %s\norder-before: %s\norder-after: %s\n%s\n"
+         "WF\npresent: %s")
+_WF = ("group-1: %s\ngroup-2: %s\ngroup-3: %s\nw:\n  %s\n  %s\n  %s\n"
+       "f:\n  %s\n  %s\n  %s")
+_BATTERY = "%s-%s-midpoints: %s\n%s-fail-count: %d"
+
+
+def certificate_to_text(c: MutationCertificate,
+                        tabs: _TableauText | None = None) -> str:
+    """The certificate's text.  Each tableau is written as its entry in
+    tabs, a _TableauText that plan_to_text shares across the steps of a
+    plan; on its own a certificate gets a new one."""
+    if tabs is None:
+        tabs = _TableauText()
     s = c.data
-    out.append("present: %s" % _bool(s is not None))
+    out = [_HEAD % (c.digest, c.n, c.i, c.j, _opt(c.case), _opt(c.kind),
+                    c.verdict, _opt(c.reason), _bool(s is not None))]
     if s is not None:
-        out += ["%s: %s" % (k, _bool(getattr(s, k)))
-                for k in ("a", "b", "c", "d", "overall")]
-        out += ["red: %s" % _ints(s.red),
-                "blue-olive: %s" % _ints(s.blue_olive),
-                "yellow-green: %s" % _ints(s.yellow_green),
-                "red-purple: %s" % _ints(s.red_purple)]
-    out.append("SWAP")
-    out.append("epsilon: %s" % _opt(c.epsilon))
-    out.append("order-before: %s" % _ints(c.order_before))
-    out.append("order-after: %s" % _ints(c.order_after or ()))
-    out.extend(_matrix_lines(c.matrix_after, "matrix-after"))
-    out.append("WF")
-    out.append("present: %s" % _bool(c.data is not None))
-    if c.data is not None:
-        out.append("group-1: %s" % _ints(sorted(c.data.group_red)))
-        out.append("group-2: %s" % _ints(sorted(c.data.group_two)))
-        out.append("group-3: %s" % _ints(sorted(c.data.group_three)))
-        for key, rows in (("w", c.data.w), ("f", c.data.f)):
-            out.append("%s:" % key)
-            out.extend("  " + " ".join(map(str, row)) for row in rows)
-    out.append("DIFF")
-    out.append("count: %d" % len(c.diff))
-    for T, before, after in c.diff:
-        out.append("%d %d %d : %d %d %d -> %d %d %d" % (T + before + after))
-    out.append("IMAGES")
-    out.append("count: %d" % len(c.images))
-    out.extend("%d %d %d -> *" % src if dst is None
-               else "%d %d %d -> %d %d %d" % (src + dst) for src, dst in c.images)
-    out.append("CHECKS")
-    out.append("k1-slab: %s" % _FLAG_WORDS[c.k1])
-    out.append("k2-vertex-image: %s" % _FLAG_WORDS[c.k2])
+        red, two = _ints(s.red), _ints(s.yellow_green)
+        out.append(_STAR % (_bool(s.a), _bool(s.b), _bool(s.c), _bool(s.d),
+                            _bool(s.overall), red, _ints(s.blue_olive), two,
+                            _ints(s.red_purple)))
+    out.append(_SWAP % (_opt(c.epsilon), _ints(c.order_before),
+                        _ints(c.order_after or ()),
+                        _matrix_block(c.matrix_after, "matrix-after"),
+                        _bool(s is not None)))
+    if s is not None:
+        row = " ".join(["%d"] * c.n)
+        out.append(_WF % (red, two, _ints(sorted(s.group_three)),
+                          *[row % r for r in s.w + s.f]))
+    diff = c.diff
+    out.append("DIFF\ncount: %d" % len(diff))
+    out.extend(["%s : %s -> %s" % (tabs[T], tabs[before], tabs[after])
+                for T, before, after in diff])
+    out.append("IMAGES\ncount: %d" % len(c.images))
+    out.extend([tabs[src] + " -> *" if dst is None
+                else tabs[src] + " -> " + tabs[dst] for src, dst in c.images])
+    out.append("CHECKS\nk1-slab: %s\nk2-vertex-image: %s"
+               % (_FLAG_WORDS[c.k1], _FLAG_WORDS[c.k2]))
     for k, way, flag, failures in (("k3", "forward", c.k3, c.k3_failures),
                                    ("k4", "backward", c.k4, c.k4_failures)):
-        out.append("%s-%s-midpoints: %s" % (k, way, _FLAG_WORDS[flag]))
-        out.append("%s-fail-count: %d" % (k, len(failures)))
-        out.extend("%s-fail: %d %d %d | %d %d %d" % ((k,) + u + v)
-                   for u, v in failures)
-    out.append("WITNESSES")
-    out.append("present: %s" % _bool(c.witnesses is not None))
+        out.append(_BATTERY % (k, way, _FLAG_WORDS[flag], k, len(failures)))
+        out.extend(["%s-fail: %s | %s" % (k, tabs[u], tabs[v])
+                    for u, v in failures])
+    out.append("WITNESSES\npresent: %s" % _bool(c.witnesses is not None))
     if c.witnesses is not None:
         out.append("count: %d" % len(c.witnesses))
-        out.extend(map(_witness_line, c.witnesses))
-    out.append("END")
-    return "\n".join(out) + "\n"
+        out.extend([_witness_line(e, tabs) for e in c.witnesses])
+    out.append("END\n")
+    return "\n".join(out)
 
 
 def _parse_ints(text: str) -> tuple:
@@ -752,7 +825,8 @@ def _table_from_lines(lines: list, D: MutationData) -> list:
                          "on 1..%d of f-values -1, +1 and 0" % D.n)
     table = list(itertools.islice(_witnesses(neg, zero, pos, D),
                                   len(lines) + 1))
-    if list(map(_witness_line, table)) != lines:
+    tabs = _TableauText()
+    if [_witness_line(e, tabs) for e in table] != lines:
         raise ValueError("witness lines are not the table the witness "
                          "search writes")
     return table
@@ -775,7 +849,7 @@ def _after(lines: list, literal: str, count: int) -> list:
 
 
 def _read_matrix(lines: list, key: str) -> WeightMatrix:
-    """The indented "3 n" block that _matrix_lines writes under key."""
+    """The indented "3 n" block that _matrix_block writes under key."""
     return weight_matrix_from_text("\n".join(_after(lines, key + ":", 4)))
 
 

@@ -11,7 +11,12 @@ always stops it, with the partial plan attached.
 
 A plan holds its steps as the certificates themselves: each carries
 the swapped pair, the matrix after the swap and the x order after it.
-The final field and the SUMMARY counts are derived from them.  A plan
+The final field and the SUMMARY counts are derived from them.  While it
+runs, the plan loop hands each step, in a mutate._Carry, the field the
+step before it proved and that field's vertex set; while it writes,
+plan_to_text hands every step's certificate_to_text one
+mutate._TableauText, so each tableau is formatted once per plan.  Both
+live only as long as the call; neither is kept in Plan.steps.  A plan
 file has one writer, plan_to_text, and one reader, parse_plan, which
 takes the source, initial matrix and target by their keys, runs the
 plan again from them (so reading a plan costs what running it costs)
@@ -25,8 +30,9 @@ from dataclasses import dataclass
 
 from .mfcore import (MatchingField, WeightMatrix, block_diagonal_weights,
                      diagonal, induce)
-from .mutate import (_KINDS, _VERDICTS, _check_written, _matrix_lines,
-                     _read_matrix, _value, certificate_to_text, certify)
+from .mutate import (_KINDS, _VERDICTS, _Carry, _check_written,
+                     _matrix_block, _read_matrix, _TableauText, _value,
+                     certificate_to_text, certify)
 
 _SUMMARY_KEYS = tuple(word.lower() for word in _KINDS + _VERDICTS)
 
@@ -75,31 +81,30 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
     """Swap the leftmost inverted adjacent pair until the x order matches
     the target permutation.  A start M with tied apex x coordinates or
     tied placements raises TiedX or TieError before any certify call.
-    The start's field is induced once; each step's certify gets the
-    field it was proved to land on (the one before, with the step's diff
-    applied), so a plan makes no other induce; each matrix sorts its x
-    order once, the start here and a landed one in its step's re-check."""
+    The start's field is induced once; each step's certify gets, in a
+    carry the plan drops when it ends, the field the step before it
+    proved (the one before, with the red flips applied) and that field's
+    vertex set, so a plan makes no other induce and builds each field's
+    vertex set once; each matrix sorts its x order once, the start here
+    and a landed one in its step's re-check."""
     target = tuple(target)
     if sorted(target) != list(range(1, M.n + 1)):
         raise ValueError("target must be a permutation of 1..%d" % M.n)
     order = M.x_order
     L = induce(M)   # a non-generic start raises TieError here, before any step
     plan = Plan(initial=M, target=target, steps=[])
-    current = M
+    current, carry = M, _Carry()
     while True:
         t = _leftmost_inversion(order, target)
         if t is None:
             break
         i, j = order[t], order[t + 1]
-        cert = certify(current, i, j, field=L)
+        cert = certify(current, i, j, field=L, carry=carry)
         if cert.matrix_after is None:
             raise PlanError("step %d (%d, %d): %s"
                             % (len(plan.steps) + 1, i, j, cert.reason), plan)
         plan.steps.append(cert)
-        current = cert.matrix_after
-        order = cert.order_after
-        L = MatchingField(L.n, {**L.assignment,
-                                **{T: after for T, _, after in cert.diff}})
+        current, order, L = cert.matrix_after, cert.order_after, carry.field
         if strict and cert.verdict == "REFUTED":
             raise PlanError("step %d (%d, %d) refuted"
                             % (len(plan.steps), i, j), plan)
@@ -122,18 +127,20 @@ def plan_block_to_diagonal(n: int, ell: int, strict: bool = False) -> Plan:
 
 def plan_to_text(plan: Plan, source: str = "matrix") -> str:
     """The plan file: source, initial matrix and target, each step's
-    certificate and the SUMMARY counts of the steps' cached verdicts."""
-    out = ["PLAN", "n: %d" % plan.initial.n, "source: %s" % source]
-    out.extend(_matrix_lines(plan.initial, "matrix"))
-    out.append("target: %s" % " ".join(str(x) for x in plan.target))
-    out.append("steps: %d" % len(plan.steps))
+    certificate and the SUMMARY counts of the steps' cached verdicts.
+    The steps share one _TableauText, so each tableau is formatted once
+    per plan; the table lives as long as this call."""
+    tabs = _TableauText()
+    out = ["PLAN\nn: %d\nsource: %s\n%s\ntarget: %s\nsteps: %d\n"
+           % (plan.initial.n, source, _matrix_block(plan.initial, "matrix"),
+              " ".join(map(str, plan.target)), len(plan.steps))]
     for idx, cert in enumerate(plan.steps, start=1):
-        out.append("STEP %d" % idx)
-        out.append(certificate_to_text(cert).rstrip("\n"))
-    out.append("SUMMARY")
-    out.extend("%s: %d" % item for item in plan.summary().items())
-    out.append("END-PLAN")
-    return "\n".join(out) + "\n"
+        out.append("STEP %d\n" % idx)
+        out.append(certificate_to_text(cert, tabs))
+    out.append("SUMMARY\n")
+    out.extend("%s: %d\n" % item for item in plan.summary().items())
+    out.append("END-PLAN\n")
+    return "".join(out)
 
 
 def parse_plan(text: str) -> tuple:

@@ -78,7 +78,8 @@ class VertexSet:
     def __post_init__(self):
         columns = set(range(1, self.n + 1))
         for tab in self.points:
-            if len(tab) != 3 or len(columns.intersection(tab)) != 3:
+            if (len(tab) != 3 or tab[0] == tab[1] or tab[1] == tab[2]
+                    or tab[0] == tab[2] or not columns.issuperset(tab)):
                 raise BadIndex("%r is not a tableau on %d columns"
                                % (tab, self.n))
 

@@ -56,8 +56,8 @@ class RegionAssignment:
     colors: dict
 
     def group(self, *regions) -> frozenset:
-        wanted = set(regions)
-        return frozenset(k for k, r in self.colors.items() if r in wanted)
+        # a tuple, not a set: an Enum member hashes in Python code
+        return frozenset(k for k, r in self.colors.items() if r in regions)
 
 
 def _case(bi, bj) -> Case:

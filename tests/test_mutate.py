@@ -309,8 +309,9 @@ def test_offset_interval_is_exact_acceptance_set(rows):
         M0 = M.with_entry(2, i, m2i)
         xs = list(A.xs)
         xs[i - 1] = A.xs[j - 1]
-        hi = Fraction(mutate._offset_interval(xs, A.ys, i, expected, gap_int),
-                      A.D)
+        hi = Fraction(mutate._offset_interval(
+            xs, A.ys, i, expected, gap_int, mutate._triples_through(i, M.n)),
+            A.D)
         lo = lower_bound_walk(M0, i, expected)
         assert lo is None or lo <= 0
         assert hi <= gap
@@ -369,7 +370,8 @@ def test_recheck_through_i_equals_full_induce(case):
         full = induce(M2) == expected
     except TieError:
         full = False
-    assert mutate._recheck(apexes(M2), i, expected) == full
+    assert mutate._recheck(apexes(M2), i, expected,
+                           mutate._triples_through(i, M.n)) == full
 
 
 def test_swap_recheck_catches_wrong_interval(monkeypatch):
@@ -378,7 +380,7 @@ def test_swap_recheck_catches_wrong_interval(monkeypatch):
     # there the triple {1, 3, 5} is tied, and the re-check, which reads
     # the landed matrix's own apexes, refuses the matrix.
     monkeypatch.setattr(mutate, "_offset_interval",
-                        lambda xs, ys, i, expected, gap: gap)
+                        lambda xs, ys, i, expected, gap, through: gap)
     with pytest.raises(AssertionError, match="re-check"):
         swap(closer_threshold_matrix(), 3, 4)
 

@@ -2,17 +2,21 @@
 
 import dataclasses
 import os
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 import tropmf
-from conftest import (blue_obstruction_matrix, golden_texts, pair_matrix,
+from conftest import (blue_obstruction_matrix, five_line_matrix,
+                      golden_texts, pair_matrix, random_generic_matrix,
                       tied_start_matrix)
 from tropmf import (MatchingField, MutationCertificate, Plan, PlanError,
-                    TieError, WeightMatrix, apexes, block_diagonal,
-                    block_diagonal_weights, certify, diagonal, induce,
+                    TiedX, TieError, VertexSet, WeightMatrix, apexes,
+                    block_diagonal, block_diagonal_weights,
+                    certificate_to_text, certify, diagonal, induce,
                     plan_block_to_diagonal, plan_to_order, x_order)
 from tropmf import planner
 from tropmf.cli import cli_main
@@ -180,6 +184,61 @@ def test_plan_derives_each_verdict_once(monkeypatch):
     assert counts == {"k2": 8, "verdict": 8, "reason": 8}
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.steps[0].diff = []
+
+
+def test_plan_builds_one_vertex_set_per_field(monkeypatch):
+    """Each step hands the field its re-check proved, with that field's
+    vertex set, to the next step, and a NOOP step proves the field before
+    it again, so the 8-step (6, 2) plan builds and validates one vertex
+    set per distinct field it visits: 7, the start's and one per step
+    with red lines (a vertex set per field and step would be 16)."""
+    built = []
+    post_init = VertexSet.__post_init__
+
+    def counted(V):
+        built.append(V.points)
+        post_init(V)
+    monkeypatch.setattr(VertexSet, "__post_init__", counted)
+    plan = plan_block_to_diagonal(6, 2)
+    fields = {frozenset(induce(M).assignment.values()) for M in
+              [plan.initial] + [step.matrix_after for step in plan.steps]}
+    assert [step.kind for step in plan.steps].count("NOOP") == 2
+    assert len(built) == len(set(built)) == len(fields) == 7
+
+
+def plans_with_partial_ones():
+    """Block plans for n = 4..8, and plans to the diagonal order from
+    seeded random matrices and the five-line fixture, each as the plan or
+    as the partial plan its PlanError carries."""
+    for n in range(4, 9):
+        for ell in range(1, n):
+            yield plan_block_to_diagonal(n, ell)
+    rng = random.Random(31)
+    starts = [random_generic_matrix(rng, rng.randint(4, 7)) for _ in range(30)]
+    for M in starts + [five_line_matrix()]:
+        try:
+            yield plan_to_order(M, tuple(range(M.n, 0, -1)))
+        except PlanError as e:
+            yield e.partial
+        except TiedX:
+            pass
+
+
+def test_plan_step_blocks_equal_standalone_certificates():
+    """plan_to_text shares one tableau table across its steps; each STEP
+    block must still be what certificate_to_text writes for that step on
+    its own.  The pool holds plans that stop, the five-line one after its
+    first step."""
+    stopped = 0
+    for plan in plans_with_partial_ones():
+        text = plan_to_text(plan)
+        body = text[text.index("steps: %d\n" % len(plan.steps)):
+                    text.rindex("SUMMARY\n")]
+        blocks = re.split(r"^STEP \d+\n", body, flags=re.M)[1:]
+        assert blocks == [certificate_to_text(step) for step in plan.steps]
+        stopped += bool(plan.steps) and (plan.steps[-1].order_after
+                                         != plan.target)
+    assert stopped >= 2
 
 
 def test_plan_text_roundtrip_and_stability():
