@@ -14,9 +14,11 @@ polygon cut out by vertical, horizontal and slope-1 lines through the
 apexes, so _cell tests the six orderings by a few int comparisons and
 finds an exact interior point as ints on the scale 4D; induce_geometric
 reads only the ordering, and cell111 adds the Fraction point and the
-Covector.  An Arrangement stores the apexes only as ints, times D, the
-lcm of the source's denominators: a positive scale keeps every
-comparison, and apex, line and lines hand out the Fraction points.
+Covector.  A weight matrix is its own arrangement: every function here
+takes the WeightMatrix and decides on its apex ints, the apexes times
+D, the lcm of its denominators (a positive scale keeps every
+comparison), and on its x order; WeightMatrix.apex hands out line p's
+Fraction apex.
 """
 
 from __future__ import annotations
@@ -49,32 +51,6 @@ class TropicalLine:
 
 
 @dataclass(frozen=True)
-class Arrangement:
-    """The tropical lines of source, the matrix as given (not
-    normalized): line p's apex is (xs[p - 1], ys[p - 1]) / D, stored
-    only as these ints, with D the lcm of the source's denominators."""
-
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-    D: int
-    source: WeightMatrix
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
-    def apex(self, p: int) -> Point:
-        return Fraction(self.xs[p - 1], self.D), Fraction(self.ys[p - 1], self.D)
-
-    def line(self, p: int) -> TropicalLine:
-        return TropicalLine(p, self.apex(p))
-
-    @property
-    def lines(self) -> tuple[TropicalLine, ...]:
-        return tuple(self.line(p) for p in range(1, self.n + 1))
-
-
-@dataclass(frozen=True)
 class Covector:
     """Which lines take sector type 1, 2, 3 at a point."""
 
@@ -88,12 +64,6 @@ class Covector:
     def singletons(self) -> tuple[int, int, int]:
         (c1,), (c2,), (c3,) = self.s1, self.s2, self.s3
         return (c1, c2, c3)
-
-
-def apexes(M: WeightMatrix) -> Arrangement:
-    """Arrangement with line p at (m2p - m1p, m3p - m1p), held as M's
-    apex ints, the ones induce decides on."""
-    return Arrangement(*M.apex_ints, M)
 
 
 def _sector(u, v, index: int) -> int:
@@ -117,11 +87,11 @@ def type_at(line: TropicalLine, q: Point) -> int:
     return _sector(a - Fraction(q[0]), b - Fraction(q[1]), line.index)
 
 
-def covector_at(A: Arrangement, q: Point, subset) -> Covector:
-    """Covector of the queried lines at q (OnBoundary propagates)."""
+def covector_at(M: WeightMatrix, q: Point, subset) -> Covector:
+    """Covector of the queried lines of M at q (OnBoundary propagates)."""
     buckets = {1: set(), 2: set(), 3: set()}
     for p in sorted(subset):
-        buckets[type_at(A.line(p), q)].add(p)
+        buckets[type_at(TropicalLine(p, M.apex(p)), q)].add(p)
     return Covector(frozenset(buckets[1]), frozenset(buckets[2]),
                     frozenset(buckets[3]))
 
@@ -153,7 +123,7 @@ def _cell(xs, ys, D: int, T: Triple) -> tuple:
     raise NotFound("no cell with distinct types for triple %r" % (T,))
 
 
-def cell111(A: Arrangement, T: Triple):
+def cell111(M: WeightMatrix, T: Triple):
     """Sample point and covector of the cell where the triple's three
     lines take pairwise distinct sector types.
 
@@ -166,33 +136,28 @@ def cell111(A: Arrangement, T: Triple):
     other five.  So at most one ordering of the triple qualifies, and
     none does on a tied triple; then NotFound is raised.  The sample
     point takes s midway in its range and x midway in the x-interval at
-    that s.  _cell makes every decision by int comparisons on A's apexes
-    and on the point times 4D: X = max(2 a2, 2 b3 - s2) + min(2 a1,
+    that s.  _cell makes every decision by int comparisons on M's apex
+    ints and on the point times 4D: X = max(2 a2, 2 b3 - s2) + min(2 a1,
     2 b1 - s2) and Y = X + 2 s2 with s2 = lo + hi.  It re-checks the
     point's sector types with _sector, which keeps this route independent
     of the argmin in mfcore.  The point is returned as (X/4D, Y/4D).
     """
-    T = check_triple(T, A.n)
-    c, X, Y = _cell(A.xs, A.ys, A.D, T)
-    return ((Fraction(X, 4 * A.D), Fraction(Y, 4 * A.D)),
+    xs, ys, D = M.apex_ints
+    c, X, Y = _cell(xs, ys, D, check_triple(T, M.n))
+    return ((Fraction(X, 4 * D), Fraction(Y, 4 * D)),
             Covector(*(frozenset((p,)) for p in c)))
 
 
-def induce_geometric(A: Arrangement) -> MatchingField:
-    """Matching field read off the arrangement, triple by triple: the
+def induce_geometric(M: WeightMatrix) -> MatchingField:
+    """Matching field read off M's arrangement, triple by triple: the
     orderings of _cell, without cell111's Fractions and Covector."""
-    xs, ys, D = A.xs, A.ys, A.D
-    return MatchingField(A.n, {T: _cell(xs, ys, D, T)[0]
-                               for T in triples(A.n)})
+    xs, ys, D = M.apex_ints
+    return MatchingField(M.n, {T: _cell(xs, ys, D, T)[0]
+                               for T in triples(M.n)})
 
 
-def x_order(A: Arrangement) -> tuple:
-    """Line indices sorted by apex x, left to right: A.source.x_order."""
-    return A.source.x_order
-
-
-def adjacent(A: Arrangement, i: int, j: int) -> bool:
-    """True iff i and j are consecutive in the x order."""
-    order = x_order(A)
+def adjacent(M: WeightMatrix, i: int, j: int) -> bool:
+    """True iff i and j are consecutive in M's x order."""
+    order = M.x_order
     pi, pj = order.index(i), order.index(j)
     return abs(pi - pj) == 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mfcore, planner
-from .arrange import Arrangement, apexes, induce_geometric
+from .arrange import induce_geometric
 from .mfcore import TieError, WeightMatrix
 from .mutate import (NotSwappable, PatternMismatch, _landing_gap, build_wf,
                      certificate_to_text, certify, swap)
@@ -70,29 +70,29 @@ def _area2(polygon) -> Fraction:
     return total
 
 
-def render(A: Arrangement, opts: RenderOptions) -> str:
-    """Deterministic SVG 1.1 picture of the arrangement.
+def render(M: WeightMatrix, opts: RenderOptions) -> str:
+    """Deterministic SVG 1.1 picture of M's arrangement.
 
     One group per line with three ray segments clipped to the frame and
     an index label under the downward ray; for a highlighted adjacent
     pair, a dashed copy of line i at its landing spot just right of j and
     optionally the six region fills.  Raises ValueError on a pair that
-    is not two distinct lines of A or on a scale that is not positive.
+    is not two distinct lines of M or on a scale that is not positive.
     """
     if opts.xscale <= 0 or opts.yscale <= 0:
         raise ValueError("scales must be > 0, got %s and %s"
                          % (opts.xscale, opts.yscale))
-    pts = [line.apex for line in A.lines]
+    pts = [M.apex(p) for p in range(1, M.n + 1)]
     target_apex = None
     if opts.pair is not None:
-        _check_pair(A.n, *opts.pair, ValueError)
-        i, j = _left_first(A, *opts.pair)
+        _check_pair(M.n, *opts.pair, ValueError)
+        i, j = _left_first(M, *opts.pair)
         try:
-            _, eps = swap(A.source, i, j)
+            _, eps = swap(M, i, j)
         except (NotSwappable, PatternMismatch, TieError, NotAdjacent,
                 Boundary):
-            eps = Fraction(_landing_gap(A, j), 2 * A.D)
-        target_apex = (A.apex(j)[0] + eps, A.apex(i)[1])
+            eps = Fraction(_landing_gap(M, j), 2 * M.apex_ints[2])
+        target_apex = (pts[j - 1][0] + eps, pts[i - 1][1])
         pts.append(target_apex)
     else:
         i = j = None
@@ -121,7 +121,7 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
            '<rect x="0" y="0" width="%s" height="%s" fill="white"/>' % (width, height)]
     if opts.pair is not None and opts.draw_regions:
         frame = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        halfplanes = region_halfplanes(A, i, j)
+        halfplanes = region_halfplanes(M, i, j)
         out.append('<g id="regions">')
         for region in Region:
             poly = frame
@@ -144,15 +144,14 @@ def render(A: Arrangement, opts: RenderOptions) -> str:
                 % (px(p1), py(q1), px(p2), py(q2), style)
                 for p1, q1, p2, q2 in segs]
 
-    for line in A.lines:
-        a, b = line.apex
-        emphasis = (opts.pair is not None and line.index in (i, j))
+    for p, (a, b) in enumerate(pts[:M.n], 1):
+        emphasis = (opts.pair is not None and p in (i, j))
         stroke = ' stroke="black" stroke-width="%s"' % ("2" if emphasis else "1")
-        out.append('<g class="tropline" id="line-%d">' % line.index)
+        out.append('<g class="tropline" id="line-%d">' % p)
         out.extend(ray_lines(a, b, stroke))
         out.append('<circle cx="%s" cy="%s" r="2.5" fill="black"/>' % (px(a), py(b)))
         out.append('<text x="%s" y="%s" font-size="12" text-anchor="middle">%d</text>'
-                   % (px(a), _dec(height_frac + 14), line.index))
+                   % (px(a), _dec(height_frac + 14), p))
         out.append('</g>')
     if target_apex is not None:
         a, b = target_apex
@@ -207,9 +206,8 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_check_covectors(args) -> int:
     M = _load_matrix(args.matrix)
-    A = apexes(M)
     algebraic = mfcore.induce(M)
-    geometric = induce_geometric(A)
+    geometric = induce_geometric(M)
     total = agree = 0
     lines = []
     for T, tab in algebraic.items():
@@ -226,11 +224,10 @@ def _cmd_check_covectors(args) -> int:
 
 def _cmd_star(args) -> int:
     M = _load_matrix(args.matrix)
-    A = apexes(M)
     _check_pair(M.n, args.i, args.j, ValueError)
-    i, j = _left_first(A, args.i, args.j)
-    R = classify(A, i, j)
-    S = build_wf(A, i, j, R)
+    i, j = _left_first(M, args.i, args.j)
+    R = classify(M, i, j)
+    S = build_wf(M, i, j, R)
     lines = ["pair: %d %d" % (i, j), "case: %s" % R.case.value]
     for region in Region:
         members = sorted(k for k, r in R.colors.items() if r is region)
@@ -283,12 +280,11 @@ def _parse_pair(text: str):
 
 def _cmd_render(args) -> int:
     M = _load_matrix(args.matrix)
-    A = apexes(M)
     opts = RenderOptions(pair=_parse_pair(args.pair) if args.pair else None,
                          draw_regions=args.regions,
                          xscale=mfcore._rational(args.xscale),
                          yscale=mfcore._rational(args.yscale))
-    _emit(render(A, opts), args.output)
+    _emit(render(M, opts), args.output)
     return 0
 
 

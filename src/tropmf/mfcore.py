@@ -103,6 +103,12 @@ class WeightMatrix:
             raise BadSize("rows must have equal length >= 2")
         return cls(converted)
 
+    def apex(self, p: int) -> tuple:
+        """Line p's apex (m2p - m1p, m3p - m1p), two Fractions read off
+        the apex ints."""
+        xs, ys, D = self.apex_ints
+        return Fraction(xs[p - 1], D), Fraction(ys[p - 1], D)
+
     def entry(self, r: int, c: int) -> Fraction:
         """Entry in row r, column c (both 1-based)."""
         return self.rows[r - 1][c - 1]
@@ -276,11 +282,6 @@ def mf_diff(A: MatchingField, B: MatchingField) -> list:
 
 # ---------------------------------------------------------------------------
 # file formats
-
-def weight_matrix_to_text(M: WeightMatrix) -> str:
-    """Serialize: a "3 n" header line, then the three rows of rationals."""
-    return M.text
-
 
 def _rational(token: str) -> Fraction:
     """Parse one rational token ("p", "p/q" or a plain decimal).

@@ -27,14 +27,14 @@ offset is the largest gap/2^k inside it.  The accepted matrix differs
 from M only in column i, so every triple without i keeps its tableau,
 and the re-check recomputes the triples through i from scratch, plus
 the x order; that equals a full induce of the accepted matrix.  A
-matrix computes its apex ints and x order once: the landed matrix's
-serve the re-check, epsilon and the next plan step.  certify works in
-one pass: one induce per matrix (none when the caller hands it the
-field), one classification (regions and their groups), the swap search
-on that state, and one f-value split, of the vertex set before it.  In
-a plan, the steps share one _Carry, which hands each landed field and
-its vertex set to the next step and keeps the triples through each
-moved line, so a plan builds each of these once.
+matrix is its own arrangement and computes its apex ints and x order
+once: the landed matrix's serve the re-check, epsilon and the next plan
+step.  certify works in one pass: one induce per matrix (none when the
+caller's carry holds the field), one classification (regions and their
+groups), the swap search on that state, and one f-value split, of the
+vertex set before it.  In a plan, the steps share one _Carry, which
+hands each landed field and its vertex set to the next step, so a plan
+builds each of these once.
 
 The k2 images and k3/k4 batteries are decided on tableaux.  A vertex
 with f-value -1 is the only sheared one, and its image is (i, j, t3)
@@ -80,7 +80,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .arrange import Arrangement, apexes, x_order
 from .mfcore import (MatchingField, Tableau, TiedX, TieError, WeightMatrix,
                      _induce, _minima, induce, weight_matrix_from_text)
 from .mfcore import genericity  # noqa: F401  unused; perfbench traces this name
@@ -273,16 +272,16 @@ class MutationCertificate:
         return None
 
 
-def build_wf(A: Arrangement, i: int, j: int, R: RegionAssignment) -> MutationData:
+def build_wf(M: WeightMatrix, i: int, j: int, R: RegionAssignment) -> MutationData:
     """Mutation data from a finished region classification."""
-    return MutationData(n=A.n, i=i, j=j, group_red=R.group(Region.RED),
+    return MutationData(n=M.n, i=i, j=j, group_red=R.group(Region.RED),
                         group_two=R.group(Region.GREEN, Region.YELLOW),
                         group_three=R.group(Region.PURPLE))
 
 
-def star(A: Arrangement, i: int, j: int) -> MutationData:
+def star(M: WeightMatrix, i: int, j: int) -> MutationData:
     """The mutation data of the pair (i, j), with its star lists and flags."""
-    return build_wf(A, i, j, classify(A, i, j))
+    return build_wf(M, i, j, classify(M, i, j))
 
 
 def tropical_map(q: LatticePoint, D: MutationData) -> LatticePoint:
@@ -306,12 +305,13 @@ def expected_flip(L: MatchingField, i: int, j: int, R: RegionAssignment) -> Matc
     return MatchingField(L.n, assignment)
 
 
-def _landing_gap(A: Arrangement, j: int) -> int:
-    """Room right of line j's apex for line i to land in, on A's int scale:
+def _landing_gap(M: WeightMatrix, j: int) -> int:
+    """Room right of line j's apex for line i to land in, on M's int scale:
     the x distance to the next apex in x order, or D when j is rightmost."""
-    order = x_order(A)
+    xs, _, D = M.apex_ints
+    order = M.x_order
     pos = order.index(j) + 1
-    return A.xs[order[pos] - 1] - A.xs[j - 1] if pos < A.n else A.D
+    return xs[order[pos] - 1] - xs[j - 1] if pos < M.n else D
 
 
 def _triples_through(i: int, n: int) -> list:
@@ -337,7 +337,7 @@ def _offset_interval(xs, ys, i: int, expected: MatchingField, gap: int,
     tableau e must beat the other placement of its own kind at eps = 0,
     and, when it has i in row 2, stay below the other four: eps < d.
 
-    No bound lies above 0 when xs is A.xs with line i moved right onto
+    No bound lies above 0 when xs is M's with line i moved right onto
     line j's x (by a_j - a_i > 0) and expected is expected_flip, as in
     _swap_core.  A lower bound -d comes only from a placement t with i
     in row 2 whose expected tableau e lacks it.  Off the red flips e is
@@ -366,16 +366,17 @@ def _offset_interval(xs, ys, i: int, expected: MatchingField, gap: int,
     return hi
 
 
-def _recheck(A2: Arrangement, i: int, expected: MatchingField,
+def _recheck(M2: WeightMatrix, i: int, expected: MatchingField,
              through: list) -> bool:
     """Whether every triple through i has its expected tableau as the
-    unique minimum on the apex ints of A2.  When A2's source differs
-    from M only in column i and expected equals induce(M) on the triples
-    without i, this is exactly induce(A2.source) == expected: those
-    triples keep all six weights.  through is as in _offset_interval."""
+    unique minimum on the apex ints of M2.  When M2 differs from M only
+    in column i and expected equals induce(M) on the triples without i,
+    this is exactly induce(M2) == expected: those triples keep all six
+    weights.  through is as in _offset_interval."""
+    xs, ys, _ = M2.apex_ints
     tableaux = expected.assignment
     return all(tab == tableaux[T] for T, _, tab in
-               _minima(A2.xs, A2.ys, (T for T, _, _ in through)))
+               _minima(xs, ys, (T for T, _, _ in through)))
 
 
 def _transposed(order: tuple, i: int, j: int) -> tuple:
@@ -392,22 +393,15 @@ def _epsilon(M2: WeightMatrix, i: int, j: int) -> Fraction:
 
 class _Carry:
     """What a plan hands from one certify to the next, and drops when it
-    ends: the field the last landed swap's re-check proved (induce of
-    the matrix after it), with its vertex set, and the triples through
-    each moved line, built once per line (a plan's matrices share n).
-    A certify called on its own gets a new one."""
+    ends: the field of the next step's matrix (induce of the start, then
+    what the last landed swap's re-check proved) and, once a step has
+    built it, that field's vertex set.  A certify called on its own
+    makes one from induce(M)."""
 
-    __slots__ = ("field", "vertex_set", "_through")
+    __slots__ = ("field", "vertex_set")
 
-    def __init__(self):
-        self.field = self.vertex_set = None
-        self._through = {}
-
-    def triples_through(self, i: int, n: int) -> list:
-        """_triples_through(i, n), built on the first call for line i."""
-        if i not in self._through:
-            self._through[i] = _triples_through(i, n)
-        return self._through[i]
+    def __init__(self, field: MatchingField):
+        self.field, self.vertex_set = field, None
 
 
 def swap(M: WeightMatrix, i: int, j: int):
@@ -423,49 +417,47 @@ def swap(M: WeightMatrix, i: int, j: int):
     transposed.  A fixed landing spot can silently flip extra triples by
     crossing other lines' rays; the field check makes the hypothesis
     executable, and the accepted matrix is checked once more: the
-    triples through i from scratch, and x_order.  Returns (M2, eps);
-    certify runs the same search on the field, apexes and regions it
-    already holds.  A pair that is not two distinct lines of M raises
+    triples through i from scratch, and its x order.  Returns (M2, eps);
+    certify runs the same search on the field and regions it already
+    holds.  A pair that is not two distinct lines of M raises
     NotAdjacent, as in classify.
     """
-    A = apexes(M)
-    _check_pair(A.n, i, j)
+    _check_pair(M.n, i, j)
     L = induce(M)
-    x_order(A)   # TiedX before the left-right check
-    if not A.xs[i - 1] < A.xs[j - 1]:
+    order = M.x_order   # TiedX before the left-right check
+    if order.index(i) > order.index(j):
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
-    M2 = _swap_core(L, A, classify(A, i, j), _triples_through(i, A.n))[0]
+    M2 = _swap_core(L, M, classify(M, i, j), _triples_through(i, M.n))[0]
     return M2, _epsilon(M2, i, j)
 
 
-def _swap_core(L: MatchingField, A: Arrangement, R: RegionAssignment,
+def _swap_core(L: MatchingField, M: WeightMatrix, R: RegionAssignment,
                through: list):
-    """swap's search on the caller's state: L = induce(M), the apexes A
-    of M = A.source, the regions R of the pair (i left of j) and the
-    table through = _triples_through(i, n).  Returns (M2, L2); the field
-    L2 (the red-flip prediction) and M2's x order, M's with i and j
-    transposed, are re-checked, the field by _recheck.  gap and hi are
-    ints on A's scale D, and the largest gap/2^k below hi has k = bit
-    length of gap // hi (k >= 1: hi <= gap).  M2's entry (2, i), line
-    i's new apex x over row 1, is built as one Fraction:
-    m1i + (xs[j] * 2^k + gap) / (D * 2^k)."""
-    M, i, j = A.source, R.i, R.j
+    """swap's search on the caller's state: L = induce(M), the regions R
+    of the pair (i left of j) and the table through =
+    _triples_through(i, n).  Returns (M2, L2); the field L2 (the red-flip
+    prediction) and M2's x order, M's with i and j transposed, are
+    re-checked, the field by _recheck.  gap and hi are ints on M's scale
+    D, and the largest gap/2^k below hi has k = bit length of gap // hi
+    (k >= 1: hi <= gap).  M2's entry (2, i), line i's new apex x over
+    row 1, is built as one Fraction: m1i + (xs[j] * 2^k + gap) / (D * 2^k)."""
+    i, j = R.i, R.j
+    xs, ys, D = M.apex_ints
     expected = expected_flip(L, i, j, R)
-    gap = _landing_gap(A, j)
-    xs = A.xs[:i - 1] + (A.xs[j - 1],) + A.xs[i:]   # line i onto j's x
-    hi = _offset_interval(xs, A.ys, i, expected, gap, through)
+    gap = _landing_gap(M, j)
+    moved_xs = xs[:i - 1] + (xs[j - 1],) + xs[i:]   # line i onto j's x
+    hi = _offset_interval(moved_xs, ys, i, expected, gap, through)
     if hi <= 0:
         raise NotSwappable("no landing offset in (0, %s) realizes the swap of "
-                           "lines %d and %d" % (Fraction(gap, A.D), i, j))
+                           "lines %d and %d" % (Fraction(gap, D), i, j))
     k = (gap // hi).bit_length()
-    E, m1i, row2 = A.D << k, M.rows[0][i - 1], M.rows[1]
+    E, m1i, row2 = D << k, M.rows[0][i - 1], M.rows[1]
     p, q = m1i.numerator, m1i.denominator
-    moved = Fraction(p * E + ((A.xs[j - 1] << k) + gap) * q, q * E)
+    moved = Fraction(p * E + ((xs[j - 1] << k) + gap) * q, q * E)
     M2 = WeightMatrix((M.rows[0], row2[:i - 1] + (moved,) + row2[i:],
                        M.rows[2]))
-    A2 = apexes(M2)
-    if not (_recheck(A2, i, expected, through)
-            and x_order(A2) == _transposed(x_order(A), i, j)):
+    if not (_recheck(M2, i, expected, through)
+            and M2.x_order == _transposed(M.x_order, i, j)):
         raise AssertionError("offset %s for lines %d and %d fails "
                              "the field re-check" % (Fraction(gap, E), i, j))
     return M2, expected
@@ -633,10 +625,11 @@ def _vertex_facts(D: MutationData, L: MatchingField, L2: MatchingField | None,
     fields (for certify and the reader).  V2 shares V's f = 0 and +1
     lists, so k4 takes the afters as u's: any other u is in V too.  A
     swap without red lines proves L again, and V is L2's vertex set too.
-    L's vertex set is taken from the carry when it holds L, and L2's is
-    left there beside L2, for the next step of a plan."""
-    carry = _Carry() if carry is None else carry
-    V = carry.vertex_set if carry.field is L else vertices(L)
+    The carry holds L; its vertex set is built unless the carry has it,
+    and L2 and its vertex set are left there, for the next step of a
+    plan."""
+    carry = _Carry(L) if carry is None else carry
+    V = vertices(L) if carry.vertex_set is None else carry.vertex_set
     neg, zero, pos = _f_split(V, D.f)
     witnesses = list(_witnesses(neg, zero, pos, D))
     if L2 is None:
@@ -654,7 +647,6 @@ def matrix_digest(M: WeightMatrix) -> str:
 
 
 def certify(M: WeightMatrix, i: int, j: int, *,
-            field: MatchingField | None = None,
             carry: _Carry | None = None) -> MutationCertificate:
     """Run the whole pipeline for one adjacent pair and record everything.
 
@@ -664,28 +656,27 @@ def certify(M: WeightMatrix, i: int, j: int, *,
     Each fact is derived once: induce and the x order per matrix (a
     TieError is the genericity verdict), one classification, for the
     regions and their groups, and, after the swap attempt, one f-value
-    split in _vertex_facts.  A caller that holds induce(M) passes it as
-    field, and certify makes no induce.  plan_to_order also passes one
-    _Carry to all its steps: certify takes from it the vertex set of
-    field, when it holds that field, and the triples through line i,
-    and leaves there the field its own re-check proves with that field's
-    vertex set, which the plan passes to the next step; so a plan builds
-    each field's vertex set once.  Each stop is raised only by its
-    stage: the landing offset lies in a tie-free open interval.
+    split in _vertex_facts.  plan_to_order passes one _Carry, seeded
+    with induce of its start, to all its steps: certify reads M's field
+    from it, and its vertex set when a step before built it, and leaves
+    there the field its own re-check proves with that field's vertex
+    set, for the next step; so a plan makes no induce here and builds
+    each field's vertex set once.  Without a carry certify makes one
+    from induce(M).  Each stop is raised only by its stage: the landing
+    offset lies in a tie-free open interval.
     """
     _check_pair(M.n, i, j, ValueError)
-    carry = _Carry() if carry is None else carry
     stop = case = D = M2 = L2 = None
     order = ()
     try:
-        L = induce(M) if field is None else field
-        A = apexes(M)
-        order = x_order(A)
-        i, j = _left_first(A, i, j)
-        R = classify(A, i, j)
+        carry = _Carry(induce(M)) if carry is None else carry
+        L = carry.field
+        order = M.x_order
+        i, j = _left_first(M, i, j)
+        R = classify(M, i, j)
         case = R.case.value
-        D = build_wf(A, i, j, R)
-        M2, L2 = _swap_core(L, A, R, carry.triples_through(i, A.n))
+        D = build_wf(M, i, j, R)
+        M2, L2 = _swap_core(L, M, R, _triples_through(i, M.n))
     except TieError as e:
         stop = "not generic: %s" % e
     except (TiedX, NotAdjacent, Boundary, NotSwappable, PatternMismatch) as e:
@@ -916,24 +907,24 @@ def _landed_fields(cert: MutationCertificate) -> tuple:
     its case ONE when j's apex is higher than i's, else TWO (a swap keeps
     the heights), and L2 holds every after.  The groups are then present,
     as _read_certificate reads them beside every case."""
-    i, j = cert.i, cert.j
-    A = apexes(cert.matrix_after)
-    if A.n != cert.n or x_order(A) != cert.order_after:
+    i, j, M2 = cert.i, cert.j, cert.matrix_after
+    if M2.n != cert.n or M2.x_order != cert.order_after:
         raise ValueError("matrix-after's x order is not order-before on 1..%d"
                          " with lines %d and %d transposed" % (cert.n, i, j))
-    yi, yj = A.ys[i - 1], A.ys[j - 1]
+    xs, ys, _ = M2.apex_ints
+    yi, yj = ys[i - 1], ys[j - 1]
     if yi == yj or cert.case != _case(yi, yj).value:
         raise ValueError("case %s is not that of the apex heights of lines "
                          "%d and %d in matrix-after" % (_opt(cert.case), i, j))
     # not induce: perfbench traces it, and fails if reading moves a count
-    L2 = _induce(A.xs, A.ys, A.n)
+    L2 = _induce(xs, ys, M2.n)
     unflipped = dict(L2.assignment)
     for T, before, after in cert.diff:
         if L2[T] != after:
             raise ValueError("matrix-after does not place %d over %d on "
                              "red triple %d %d %d" % (i, j, *T))
         unflipped[T] = before
-    return MatchingField(A.n, unflipped), L2
+    return MatchingField(M2.n, unflipped), L2
 
 
 def _check_written(text: str, written: str) -> None:

@@ -12,8 +12,9 @@ always stops it, with the partial plan attached.
 A plan holds its steps as the certificates themselves: each carries
 the swapped pair, the matrix after the swap and the x order after it.
 The final field and the SUMMARY counts are derived from them.  While it
-runs, the plan loop hands each step, in a mutate._Carry, the field the
-step before it proved and that field's vertex set; while it writes,
+runs, the plan loop hands each step, in a mutate._Carry, the field of
+its matrix (induced at the start, then the one the step before proved)
+and that field's vertex set; while it writes,
 plan_to_text hands every step's certificate_to_text one
 mutate._TableauText, so each tableau is formatted once per plan.  Both
 live only as long as the call; neither is kept in Plan.steps.  A plan
@@ -81,30 +82,31 @@ def plan_to_order(M: WeightMatrix, target, strict: bool = False) -> Plan:
     """Swap the leftmost inverted adjacent pair until the x order matches
     the target permutation.  A start M with tied apex x coordinates or
     tied placements raises TiedX or TieError before any certify call.
-    The start's field is induced once; each step's certify gets, in a
-    carry the plan drops when it ends, the field the step before it
-    proved (the one before, with the red flips applied) and that field's
-    vertex set, so a plan makes no other induce and builds each field's
-    vertex set once; each matrix sorts its x order once, the start here
-    and a landed one in its step's re-check."""
+    The start's field is induced once, to seed the carry the plan drops
+    when it ends; each step's certify reads from it its matrix's field
+    (the one before, with the red flips applied) and that field's vertex
+    set, so a plan makes no other induce and builds each field's vertex
+    set once; each matrix sorts its x order once, the start here and a
+    landed one in its step's re-check."""
     target = tuple(target)
     if sorted(target) != list(range(1, M.n + 1)):
         raise ValueError("target must be a permutation of 1..%d" % M.n)
     order = M.x_order
-    L = induce(M)   # a non-generic start raises TieError here, before any step
+    # a non-generic start raises TieError here, before any step
+    carry = _Carry(induce(M))
     plan = Plan(initial=M, target=target, steps=[])
-    current, carry = M, _Carry()
+    current = M
     while True:
         t = _leftmost_inversion(order, target)
         if t is None:
             break
         i, j = order[t], order[t + 1]
-        cert = certify(current, i, j, field=L, carry=carry)
+        cert = certify(current, i, j, carry=carry)
         if cert.matrix_after is None:
             raise PlanError("step %d (%d, %d): %s"
                             % (len(plan.steps) + 1, i, j, cert.reason), plan)
         plan.steps.append(cert)
-        current, order, L = cert.matrix_after, cert.order_after, carry.field
+        current, order = cert.matrix_after, cert.order_after
         if strict and cert.verdict == "REFUTED":
             raise PlanError("step %d (%d, %d) refuted"
                             % (len(plan.steps), i, j), plan)

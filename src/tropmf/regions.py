@@ -6,9 +6,11 @@ yellow; which inequalities bound them depends on whether j's apex is
 higher than i's (case ONE) or lower (case TWO).  One ladder per side
 of the pair (_ladders) is the one definition of the regions: classify
 walks its rungs on the int apexes, and region_halfplanes builds from
-them the polygons that render fills.  The swap verifier reads three
-groups off the regions (red; green and yellow; purple), and
-mutate.MutationData derives the star condition from those groups.
+them the polygons that render fills.  Each function takes the weight
+matrix, the arrangement itself, and reads its apex ints.  The swap
+verifier reads three groups off the regions (red; green and yellow;
+purple), and mutate.MutationData derives the star condition from those
+groups.
 
 Apexes exactly on a bounding ray make the swap ill-defined, so
 classification refuses them instead of choosing a side.
@@ -19,7 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arrange import Arrangement, adjacent
+from .arrange import adjacent
+from .mfcore import WeightMatrix
 
 
 class Region(enum.Enum):
@@ -93,23 +96,24 @@ def _check_pair(n: int, i: int, j: int, error=NotAdjacent):
         raise error("bad pair (%d, %d) for %d columns" % (i, j, n))
 
 
-def _left_first(A: Arrangement, i: int, j: int) -> tuple:
+def _left_first(M: WeightMatrix, i: int, j: int) -> tuple:
     """The pair (i, j) ordered by apex x, the left line first."""
-    return (j, i) if A.xs[i - 1] > A.xs[j - 1] else (i, j)
+    xs = M.apex_ints[0]
+    return (j, i) if xs[i - 1] > xs[j - 1] else (i, j)
 
 
-def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
+def classify(M: WeightMatrix, i: int, j: int) -> RegionAssignment:
     """Region of every line other than i and j, read off the ladders of
-    _ladders on A's int apexes; an apex on a rung's line raises Boundary.
+    _ladders on M's apex ints; an apex on a rung's line raises Boundary.
 
     No other apex can share an x coordinate with i or j, or lie between
-    them: adjacent reads the source matrix's x order, which raises TiedX
-    on any equal x, and confirms that i and j are consecutive.
+    them: adjacent reads M's x order, which raises TiedX on any equal x,
+    and confirms that i and j are consecutive.
     """
-    _check_pair(A.n, i, j)
-    if not adjacent(A, i, j):
+    _check_pair(M.n, i, j)
+    if not adjacent(M, i, j):
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
-    xs, ys = A.xs, A.ys
+    xs, ys, _ = M.apex_ints
     ai, bi, aj, bj = xs[i - 1], ys[i - 1], xs[j - 1], ys[j - 1]
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
@@ -132,7 +136,7 @@ def classify(A: Arrangement, i: int, j: int) -> RegionAssignment:
     return RegionAssignment(i, j, case, colors)
 
 
-def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
+def region_halfplanes(M: WeightMatrix, i: int, j: int) -> dict:
     """Half-plane descriptions of the six regions, for rendering.
 
     Each region maps to a list of triples (p, q, c) meaning
@@ -140,8 +144,8 @@ def region_halfplanes(A: Arrangement, i: int, j: int) -> dict:
     the earlier rungs of its ladder negated and its own rung, so an apex
     that classify colours lies in exactly one region.
     """
-    _check_pair(A.n, i, j)
-    (ai, bi), (aj, bj) = A.apex(i), A.apex(j)
+    _check_pair(M.n, i, j)
+    (ai, bi), (aj, bj) = M.apex(i), M.apex(j)
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     planes = {}

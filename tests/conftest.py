@@ -101,7 +101,6 @@ def tied_start_matrix() -> WeightMatrix:
 
 
 def write_matrix(tmp_path, name: str, M: WeightMatrix) -> str:
-    from tropmf import weight_matrix_to_text
     path = tmp_path / name
-    path.write_text(weight_matrix_to_text(M), encoding="utf-8")
+    path.write_text(M.text, encoding="utf-8")
     return str(path)

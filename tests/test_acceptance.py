@@ -13,12 +13,12 @@ import pytest
 
 from conftest import (diag6_matrix, five_line_matrix, random_generic_matrix,
                       shear_matrix, three_line_matrix)
-from tropmf import (Boundary, VertexSet, apexes, block_diagonal,
-                    block_diagonal_weights, build_wf, cell111, certify,
-                    classify, covector_at, diagonal, induce, induce_geometric,
-                    is_hull_vertex, member, midpoint, mf_diff,
-                    plan_block_to_diagonal, plucker_weights, star, swap,
-                    tropical_map, triples, vertex_of, vertices, x_order)
+from tropmf import (Boundary, VertexSet, block_diagonal, block_diagonal_weights,
+                    build_wf, cell111, certify, classify, covector_at,
+                    diagonal, induce, induce_geometric, is_hull_vertex,
+                    member, midpoint, mf_diff, plan_block_to_diagonal,
+                    plucker_weights, star, swap, tropical_map, triples,
+                    vertex_of, vertices)
 from tropmf.cli import RenderOptions, render
 from tropmf.planner import plan_to_text
 from tropmf.polytope import pair as inner
@@ -60,14 +60,14 @@ def test_criterion_01_weights_and_diagonal_field():
 
 def test_criterion_02_three_line_covector():
     t0 = time.perf_counter()
-    A = apexes(three_line_matrix())
+    M = three_line_matrix()
     q = (Fraction(3, 2), Fraction(9, 5))
-    cov = covector_at(A, q, {1, 2, 3})
+    cov = covector_at(M, q, {1, 2, 3})
     rightmost, middle, leftmost = 3, 2, 1
     assert cov.s1 == {rightmost}
     assert cov.s2 == {middle}
     assert cov.s3 == {leftmost}
-    _, cell_cov = cell111(A, (1, 2, 3))
+    _, cell_cov = cell111(M, (1, 2, 3))
     assert cell_cov == cov
     report(2, "three-line cell covector", t0, 1)
 
@@ -76,17 +76,17 @@ def test_criterion_03_geometric_equals_algebraic():
     t0 = time.perf_counter()
     checked = 0
     for M in [diag6_matrix(), five_line_matrix()]:
-        assert induce_geometric(apexes(M)) == induce(M)
+        assert induce_geometric(M) == induce(M)
         checked += 1
     for n in range(3, 9):
         for ell in range(n + 1):
             M = block_diagonal_weights(n, ell)
-            assert induce_geometric(apexes(M)) == induce(M)
+            assert induce_geometric(M) == induce(M)
             checked += 1
     pool = random_pool()
     assert len(pool) >= 100
     for M in pool:
-        assert induce_geometric(apexes(M)) == induce(M)
+        assert induce_geometric(M) == induce(M)
         checked += 1
     assert checked >= 102
     report(3, "geometric/algebraic agreement x%d" % checked, t0, 60)
@@ -103,7 +103,7 @@ def test_criterion_04_block_diagonal_oracle():
 def test_criterion_05_five_line_swap_pipeline():
     t0 = time.perf_counter()
     M = five_line_matrix()
-    S = star(apexes(M), 3, 4)
+    S = star(M, 3, 4)
     assert (S.a, S.b, S.c, S.d) == (True, True, True, True)
     assert S.red == (1,)
     assert S.red_purple == (1, 2)
@@ -131,18 +131,17 @@ def test_criterion_06_slab_invariant():
                 three_line_matrix()] + random_pool()
     pairs_checked = 0
     for M in matrices:
-        A = apexes(M)
         try:
-            order = x_order(A)
+            order = M.x_order
         except TiedX:
             continue    # no left-right order, hence no adjacent pairs
         V = vertices(induce(M))
         for i, j in zip(order, order[1:]):
             try:
-                R = classify(A, i, j)
+                R = classify(M, i, j)
             except Boundary:
                 continue
-            D = build_wf(A, i, j, R)
+            D = build_wf(M, i, j, R)
             for t in V:
                 assert inner(D.f, vertex_of(t, M.n)) in (-1, 0, 1)
             pairs_checked += 1
@@ -202,8 +201,7 @@ def test_criterion_09_shear_fixture():
     cert = certify(M, 3, 4)
     assert cert.kind == "SHEAR"
     assert cert.verdict == "VERIFIED"
-    A = apexes(M)
-    D = build_wf(A, 3, 4, classify(A, 3, 4))
+    D = build_wf(M, 3, 4, classify(M, 3, 4))
     V = vertices(induce(M))
     images = set()
     for t in V:
@@ -224,15 +222,15 @@ def test_criterion_10_render():
     t0 = time.perf_counter()
     import xml.etree.ElementTree as ET
     ns = "{http://www.w3.org/2000/svg}"
-    svg = render(apexes(diag6_matrix()), RenderOptions())
+    svg = render(diag6_matrix(), RenderOptions())
     root = ET.fromstring(svg)
     groups = [g for g in root.iter(ns + "g") if g.get("class") == "tropline"]
     rays = [ln for g in groups for ln in g.findall(ns + "line")]
     assert len(groups) == 6
     assert len(rays) == 18
     opts = RenderOptions(pair=(3, 4), draw_regions=True)
-    svg_a = render(apexes(five_line_matrix()), opts)
-    svg_b = render(apexes(five_line_matrix()), opts)
+    svg_a = render(five_line_matrix(), opts)
+    svg_b = render(five_line_matrix(), opts)
     assert svg_a == svg_b
     root5 = ET.fromstring(svg_a)
     regions = [p for p in root5.iter(ns + "polygon")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from conftest import (diag6_matrix, five_line_matrix, pair_matrix,
                       random_generic_matrix, write_matrix)
-from tropmf import (WeightMatrix, apexes, block_diagonal_weights,
+from tropmf import (WeightMatrix, block_diagonal_weights,
                     certificate_to_text, certify, plan_block_to_diagonal)
 from tropmf.cli import cli_main
 from tropmf.planner import parse_plan, plan_to_text
@@ -137,8 +137,8 @@ def region_runs(M):
     """star on every ordered pair, and render --regions on every pair
     adjacent in the apexes' x order (ties broken by index) in both
     orders."""
-    A = apexes(M)
-    order = sorted(range(1, M.n + 1), key=lambda p: (A.xs[p - 1], p))
+    xs = M.apex_ints[0]
+    order = sorted(range(1, M.n + 1), key=lambda p: (xs[p - 1], p))
     pairs = [(i, j) for i in range(1, M.n + 1)
              for j in range(1, M.n + 1) if i != j]
     runs = [["star", "-i", str(i), "-j", str(j)] for i, j in pairs]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (blue_obstruction_matrix, diag6_matrix,
                       five_line_matrix, three_line_matrix, tied_start_matrix,
                       write_matrix)
-from tropmf import (WeightMatrix, apexes, induce, matching_field_from_text,
+from tropmf import (WeightMatrix, induce, matching_field_from_text,
                     parse_certificate)
 from tropmf.cli import RenderOptions, _area2, _clip, cli_main, render
 
@@ -249,7 +249,7 @@ def count_elements(svg_text):
 
 
 def test_render_structure_diag6():
-    svg = render(apexes(diag6_matrix()), RenderOptions())
+    svg = render(diag6_matrix(), RenderOptions())
     groups, rays, regions, targets = count_elements(svg)
     assert len(groups) == 6
     assert len(rays) == 18
@@ -257,7 +257,7 @@ def test_render_structure_diag6():
 
 
 def test_render_pair_regions_five():
-    svg = render(apexes(five_line_matrix()),
+    svg = render(five_line_matrix(),
                  RenderOptions(pair=(3, 4), draw_regions=True))
     groups, rays, regions, targets = count_elements(svg)
     assert len(groups) == 5 and len(rays) == 15
@@ -268,13 +268,13 @@ def test_render_pair_regions_five():
 
 def test_render_deterministic():
     opts = RenderOptions(pair=(3, 4), draw_regions=True)
-    a = render(apexes(five_line_matrix()), opts)
-    b = render(apexes(five_line_matrix()), opts)
+    a = render(five_line_matrix(), opts)
+    b = render(five_line_matrix(), opts)
     assert a == b
 
 
 def test_render_minimal_three_line_parses():
-    svg = render(apexes(three_line_matrix()), RenderOptions())
+    svg = render(three_line_matrix(), RenderOptions())
     root = ET.fromstring(svg)
     assert root.tag == SVG_NS + "svg"
     assert root.get("version") == "1.1"

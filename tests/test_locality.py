@@ -13,7 +13,7 @@ import itertools
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import five_line_matrix
-from tropmf import TiedX, WeightMatrix, apexes, certify, genericity, x_order
+from tropmf import TiedX, WeightMatrix, certify, genericity
 
 NO_LANDING = "no landing offset"
 
@@ -45,7 +45,7 @@ def adjacent_swaps(M: WeightMatrix):
     """certify on every adjacent pair of M, left line first."""
     assume(genericity(M).ok)
     try:
-        order = x_order(apexes(M))
+        order = M.x_order
     except TiedX:
         assume(False)
     return [certify(M, i, j) for i, j in zip(order, order[1:])]

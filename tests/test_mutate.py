@@ -15,11 +15,11 @@ from test_byte_pins import seeded_matrices
 from tropmf import (Boundary, Case, MatchingField, MutationData, NotAdjacent,
                     NotSwappable, PatternMismatch, Region, RegionAssignment,
                     SlabViolation, TieError, TiedX, VertexSet, WeightMatrix,
-                    apexes, build_wf, certificate_to_text, certify, classify,
+                    build_wf, certificate_to_text, certify, classify,
                     expected_flip, genericity, induce, member, mf_diff,
                     midpoint, parse_certificate, plan_block_to_diagonal,
                     star, swap, tableau_of, tropical_map, vertex_of,
-                    vertices, witness_table, x_order)
+                    vertices, witness_table)
 from tropmf import lp, mutate
 from tropmf.mutate import _landing_gap
 from tropmf.polytope import add, lattice_point, pair as inner, scale
@@ -27,9 +27,8 @@ from tropmf.polytope import add, lattice_point, pair as inner, scale
 
 def five_setup():
     M = five_line_matrix()
-    A = apexes(M)
-    R = classify(A, 3, 4)
-    return M, A, R, build_wf(A, 3, 4, R)
+    R = classify(M, 3, 4)
+    return M, R, build_wf(M, 3, 4, R)
 
 
 # --- build_wf ---------------------------------------------------------------
@@ -38,11 +37,10 @@ def test_build_wf_six_column_display():
     # Pair in columns 4 and 5 with one red column (1), two purple (2, 3)
     # and one yellow (6): f is supported on row 1 of column 6 and row 2
     # of columns 4, 5, 6.
-    A = apexes(diag6_matrix())
     R = RegionAssignment(i=4, j=5, case=Case.TWO,
                          colors={1: Region.RED, 2: Region.PURPLE,
                                  3: Region.PURPLE, 6: Region.YELLOW})
-    D = build_wf(A, 4, 5, R)
+    D = build_wf(diag6_matrix(), 4, 5, R)
     assert D.w == lattice_point([[0, 0, 0, 1, -1, 0],
                                  [0, 0, 0, -1, 1, 0],
                                  [0, 0, 0, 0, 0, 0]])
@@ -55,7 +53,7 @@ def test_build_wf_six_column_display():
 
 
 def test_build_wf_five_line():
-    _, _, _, D = five_setup()
+    _, _, D = five_setup()
     assert D.f == lattice_point([[0, 0, 0, 0, 1],
                                  [0, 0, -1, -1, -1],
                                  [0, 0, 0, 0, 0]])
@@ -66,22 +64,21 @@ def test_build_wf_five_line():
 
 def test_build_wf_empty_group_two():
     M = shear_matrix()
-    A = apexes(M)
-    D = build_wf(A, 3, 4, classify(A, 3, 4))
+    D = build_wf(M, 3, 4, classify(M, 3, 4))
     assert D.f == lattice_point([[0, 0, 0, 0],
                                  [0, 0, -1, -1],
                                  [0, 0, 0, 0]])
 
 
 def test_wf_orthogonality():
-    _, _, _, D = five_setup()
+    _, _, D = five_setup()
     assert inner(D.w, D.f) == 0
 
 
 # --- tropical map -----------------------------------------------------------
 
 def test_tropical_map_moves_only_negative_side():
-    _, _, _, D = five_setup()
+    _, _, D = five_setup()
     u = vertex_of((4, 3, 1), 5)
     assert tropical_map(u, D) == vertex_of((3, 4, 1), 5)
     v = vertex_of((5, 2, 4), 5)
@@ -92,7 +89,7 @@ def test_tropical_map_moves_only_negative_side():
 
 
 def test_tropical_map_preserves_pairing():
-    _, _, _, D = five_setup()
+    _, _, D = five_setup()
     for tab in [(4, 3, 1), (5, 2, 4), (3, 2, 1)]:
         p = vertex_of(tab, 5)
         assert inner(D.f, tropical_map(p, D)) == inner(D.f, p)
@@ -101,7 +98,7 @@ def test_tropical_map_preserves_pairing():
 # --- expected flip ----------------------------------------------------------
 
 def test_expected_flip_five():
-    M, A, R, _ = five_setup()
+    M, R, _ = five_setup()
     L = induce(M)
     flipped = expected_flip(L, 3, 4, R)
     assert mf_diff(L, flipped) == [((1, 3, 4), (4, 3, 1), (3, 4, 1))]
@@ -191,18 +188,17 @@ def _swap_by_halving(M: WeightMatrix, i: int, j: int):
     report = genericity(M)
     if not report.ok:
         raise TieError(report.offending[0])
-    A = apexes(M)
-    order = x_order(A)
-    ai, aj = A.apex(i)[0], A.apex(j)[0]
+    order = M.x_order
+    ai, aj = M.apex(i)[0], M.apex(j)[0]
     if not ai < aj:
         raise NotAdjacent("line %d is not left of line %d" % (i, j))
     pi, pj = order.index(i), order.index(j)
     if pj != pi + 1:
         raise NotAdjacent("lines %d and %d are not adjacent" % (i, j))
     L = induce(M)
-    R = classify(A, i, j)
+    R = classify(M, i, j)
     expected = expected_flip(L, i, j, R)
-    gap = (A.apex(order[pj + 1])[0] - aj if pj + 1 < len(order)
+    gap = (M.apex(order[pj + 1])[0] - aj if pj + 1 < len(order)
            else Fraction(1))
     target = list(order)
     target[pi], target[pj] = target[pj], target[pi]
@@ -215,7 +211,7 @@ def _swap_by_halving(M: WeightMatrix, i: int, j: int):
         if not genericity(M2).ok:
             continue
         try:
-            order2 = x_order(apexes(M2))
+            order2 = M2.x_order
         except TiedX:
             continue
         if order2 != target:
@@ -236,7 +232,7 @@ def _outcome(fn, M, i, j):
 def swap_pairs(M: WeightMatrix, extra):
     """Consecutive lines in x order (ties kept, so TiedX is reached),
     plus one more ordered pair."""
-    keyed = sorted((line.apex[0], line.index) for line in apexes(M).lines)
+    keyed = sorted(zip(M.apex_ints[0], range(1, M.n + 1)))
     pairs = [(a, b) for (_, a), (_, b) in zip(keyed, keyed[1:])]
     return pairs + [extra]
 
@@ -284,8 +280,8 @@ def lower_bound_walk(M0: WeightMatrix, i: int, expected: MatchingField):
              min_size=n, max_size=n), min_size=3, max_size=3)))
 def test_offset_interval_is_exact_acceptance_set(rows):
     # The moved apex ints and the expected field are built as _swap_core
-    # builds them: A's ints with line i moved onto line j's x, kept on A's
-    # scale (apexes(M0) may have a smaller lcm), for each adjacent pair
+    # builds them: M's ints with line i moved onto line j's x, kept on M's
+    # scale (M0 may have a smaller lcm), for each adjacent pair
     # (i left of j), and the red-flip prediction; M0 is that move as a
     # matrix, for the probes.  The offsets eps in (0, gap) that give the
     # prediction are then exactly (0, hi): probes just above 0, at hi/2,
@@ -294,24 +290,24 @@ def test_offset_interval_is_exact_acceptance_set(rows):
     M = WeightMatrix.from_rows(rows)
     try:
         L = induce(M)
-        A = apexes(M)
-        order = x_order(A)
+        order = M.x_order
     except (TieError, TiedX):
         assume(False)
     for i, j in zip(order, order[1:]):
         try:
-            expected = expected_flip(L, i, j, classify(A, i, j))
+            expected = expected_flip(L, i, j, classify(M, i, j))
         except (Boundary, PatternMismatch):
             continue
-        gap_int = _landing_gap(A, j)
-        gap = Fraction(gap_int, A.D)
-        m2i = M.entry(1, i) + A.apex(j)[0]
+        xs, ys, D = M.apex_ints
+        gap_int = _landing_gap(M, j)
+        gap = Fraction(gap_int, D)
+        m2i = M.entry(1, i) + M.apex(j)[0]
         M0 = M.with_entry(2, i, m2i)
-        xs = list(A.xs)
-        xs[i - 1] = A.xs[j - 1]
+        xs = list(xs)
+        xs[i - 1] = xs[j - 1]
         hi = Fraction(mutate._offset_interval(
-            xs, A.ys, i, expected, gap_int, mutate._triples_through(i, M.n)),
-            A.D)
+            xs, ys, i, expected, gap_int, mutate._triples_through(i, M.n)),
+            D)
         lo = lower_bound_walk(M0, i, expected)
         assert lo is None or lo <= 0
         assert hi <= gap
@@ -370,7 +366,7 @@ def test_recheck_through_i_equals_full_induce(case):
         full = induce(M2) == expected
     except TieError:
         full = False
-    assert mutate._recheck(apexes(M2), i, expected,
+    assert mutate._recheck(M2, i, expected,
                            mutate._triples_through(i, M.n)) == full
 
 
@@ -388,7 +384,7 @@ def test_swap_recheck_catches_wrong_interval(monkeypatch):
 # --- witness table ----------------------------------------------------------
 
 def test_witness_table_five():
-    M, A, R, D = five_setup()
+    M, _, D = five_setup()
     table = witness_table(vertices(induce(M)), D)
     by_pair = {(e.u, e.v): e for e in table}
     assert len(table) == 3
@@ -402,7 +398,7 @@ def test_witness_table_five():
 
 
 def test_witness_sums_and_pairings():
-    M, A, R, D = five_setup()
+    M, _, D = five_setup()
     V = vertices(induce(M))
     for e in witness_table(V, D):
         if e.kind == "none":
@@ -546,16 +542,14 @@ def test_certify_inapplicable_unswappable():
 def test_slab_invariant_on_fixtures():
     for M, i, j in [(five_line_matrix(), 3, 4), (diag6_matrix(), 4, 3),
                     (shear_matrix(), 3, 4)]:
-        A = apexes(M)
-        D = build_wf(A, i, j, classify(A, i, j))
+        D = build_wf(M, i, j, classify(M, i, j))
         for t in vertices(induce(M)):
             assert inner(D.f, vertex_of(t, M.n)) in (-1, 0, 1)
 
 
 def test_shear_is_linear_injective_invertible():
     M = shear_matrix()
-    A = apexes(M)
-    D = build_wf(A, 3, 4, classify(A, 3, 4))
+    D = build_wf(M, 3, 4, classify(M, 3, 4))
     V = vertices(induce(M))
     pts = [vertex_of(t, 4) for t in V]
     values = [inner(D.f, p) for p in pts]
@@ -580,7 +574,7 @@ def verified_mutations(count: int, seed: int):
     for k in range(count):
         M = random_generic_matrix(rng, 4 + k % 2, -9, 9)
         try:
-            order = x_order(apexes(M))
+            order = M.x_order
         except TiedX:
             continue
         for i, j in zip(order, order[1:]):
@@ -644,10 +638,10 @@ def test_certify_facts_equal_direct_recomputation(M, flip):
             continue
         if cert.matrix_after is not None:
             M2 = cert.matrix_after
-            assert cert.order_after == x_order(apexes(M2))
+            assert cert.order_after == M2.x_order
             assert cert.diff == mf_diff(induce(M), induce(M2))
         try:
-            expected = star(apexes(M), cert.i, cert.j)
+            expected = star(M, cert.i, cert.j)
         except (Boundary, NotAdjacent, TiedX):
             expected = None
         assert cert.star == expected
@@ -658,8 +652,9 @@ def test_certify_facts_equal_direct_recomputation(M, flip):
 @example(five_line_matrix(), False)
 @example(closer_threshold_matrix(), True)
 def test_certify_with_held_field_writes_the_same_text(M, flip):
-    # A plan hands each step the field its previous re-check proved;
-    # given induce(M), certify must write what it writes on its own.
+    # A plan hands each step, in a carry, the field its previous
+    # re-check proved; given a carry holding induce(M), certify must
+    # write what it writes on its own.
     try:
         L = induce(M)
     except TieError:
@@ -667,7 +662,7 @@ def test_certify_with_held_field_writes_the_same_text(M, flip):
     for i, j in swap_pairs(M, None)[:-1]:
         if flip:
             i, j = j, i
-        assert (certificate_to_text(certify(M, i, j, field=L))
+        assert (certificate_to_text(certify(M, i, j, carry=mutate._Carry(L)))
                 == certificate_to_text(certify(M, i, j)))
 
 
@@ -679,12 +674,12 @@ def test_f_split_groups_as_pair(M, data):
     # pairing with the 3 x n vertex does, for the f of every classified
     # adjacent pair and for one drawn f, and raise SlabViolation exactly
     # when some value leaves {-1, 0, 1}.
-    n, A = M.n, apexes(M)
+    n = M.n
     row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
     fs = [lattice_point([data.draw(row) for _ in range(3)])]
     for i, j in swap_pairs(M, None)[:-1]:
         try:
-            fs.append(build_wf(A, i, j, classify(A, i, j)).f)
+            fs.append(build_wf(M, i, j, classify(M, i, j)).f)
         except (Boundary, NotAdjacent, TiedX):
             pass
     S = VertexSet(n, frozenset(tuple(data.draw(st.permutations(T)))
@@ -708,7 +703,7 @@ def certify_facts(M: WeightMatrix, i: int, j: int) -> tuple:
     landing offset" reason need not scale with M."""
     c = certify(M, i, j)
     try:
-        colors = classify(apexes(M), i, j).colors
+        colors = classify(M, i, j).colors
     except ValueError as e:
         colors = str(e)
     reason = re.sub(r"\(0, \S+\)", "(0, gap)", c.reason or "")
@@ -1060,13 +1055,13 @@ def test_images_equal_tropical_map(M, flip):
 def test_images_equal_tropical_map_on_drawn_fields(M, data):
     # A drawn (not necessarily coherent) field also has f-value -1
     # vertices that do not place j over i; their image is no tableau.
-    n, A = M.n, apexes(M)
+    n = M.n
     S = VertexSet(n, frozenset(tuple(data.draw(st.permutations(T)))
                                for T in itertools.combinations(
                                    range(1, n + 1), 3)))
     for i, j in swap_pairs(M, None)[:-1]:
         try:
-            D = build_wf(A, i, j, classify(A, i, j))
+            D = build_wf(M, i, j, classify(M, i, j))
             neg, _, _ = mutate._f_split(S, D.f)
         except (Boundary, NotAdjacent, TiedX, SlabViolation):
             continue

@@ -14,10 +14,9 @@ from conftest import (blue_obstruction_matrix, five_line_matrix,
                       golden_texts, pair_matrix, random_generic_matrix,
                       tied_start_matrix)
 from tropmf import (MatchingField, MutationCertificate, Plan, PlanError,
-                    TiedX, TieError, VertexSet, WeightMatrix, apexes,
-                    block_diagonal, block_diagonal_weights,
-                    certificate_to_text, certify, diagonal, induce,
-                    plan_block_to_diagonal, plan_to_order, x_order)
+                    TiedX, TieError, VertexSet, WeightMatrix, block_diagonal,
+                    block_diagonal_weights, certificate_to_text, certify,
+                    diagonal, induce, plan_block_to_diagonal, plan_to_order)
 from tropmf import planner
 from tropmf.cli import cli_main
 from tropmf.planner import parse_plan, plan_to_text
@@ -40,7 +39,7 @@ def test_plan_already_in_order(diag6):
 
 def test_plan_single_transposition():
     M = block_diagonal_weights(6, 2)
-    assert x_order(apexes(M)) == (2, 1, 6, 5, 4, 3)
+    assert M.x_order == (2, 1, 6, 5, 4, 3)
     plan = plan_to_order(M, (2, 6, 1, 5, 4, 3))
     assert len(plan.steps) == 1
     assert (plan.steps[0].i, plan.steps[0].j) == (1, 6)
@@ -76,7 +75,7 @@ def test_block1_to_diagonal_step_count():
     # The construction puts the x order at (1, 6, 5, 4, 3, 2), which has
     # five inversions against (6, 5, 4, 3, 2, 1).
     M = block_diagonal_weights(6, 1)
-    assert x_order(apexes(M)) == (1, 6, 5, 4, 3, 2)
+    assert M.x_order == (1, 6, 5, 4, 3, 2)
     plan = plan_block_to_diagonal(6, 1)
     assert len(plan.steps) == 5
     assert plan.final_field == diagonal(6)
@@ -90,7 +89,7 @@ def test_block0_and_blockn_are_trivial():
 def test_step_count_equals_inversion_count():
     for n, ell in [(4, 1), (5, 2), (6, 3), (7, 2)]:
         M = block_diagonal_weights(n, ell)
-        order = x_order(apexes(M))
+        order = M.x_order
         target = tuple(range(n, 0, -1))
         pos = {line: t for t, line in enumerate(target)}
         inversions = sum(1 for a in range(n) for b in range(a + 1, n)
@@ -136,7 +135,7 @@ def test_strict_mode_aborts_on_refuted_step():
     # Arrangement whose (1, 2) swap is refuted; the order transposition
     # itself is fine, so the default mode completes and flags it.
     H = pair_matrix([(0, 0), (1, 2), (-1, -5), (2, 6), (-2, 1)])
-    assert x_order(apexes(H)) == (5, 3, 1, 2, 4)
+    assert H.x_order == (5, 3, 1, 2, 4)
     target = (5, 3, 2, 1, 4)
     plan = plan_to_order(H, target)
     assert len(plan.steps) == 1

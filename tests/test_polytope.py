@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import five_line_matrix
-from tropmf import (BadIndex, NotInSet, ShapeMismatch, VertexSet, apexes,
-                    build_wf, classify, diagonal, hull_equal, induce,
-                    is_hull_vertex, member, midpoint, pair, tableau_of,
-                    vertex_of, vertices)
+from tropmf import (BadIndex, NotInSet, ShapeMismatch, VertexSet, build_wf,
+                    classify, diagonal, hull_equal, induce, is_hull_vertex,
+                    member, midpoint, pair, tableau_of, vertex_of, vertices)
 from tropmf.polytope import lattice_point, scale
 
 
@@ -26,8 +25,7 @@ def swapped_five_vertices():
 
 def five_mutation_data():
     M = five_line_matrix()
-    A = apexes(M)
-    return build_wf(A, 3, 4, classify(A, 3, 4))
+    return build_wf(M, 3, 4, classify(M, 3, 4))
 
 
 def test_vertex_of_patterns():

@@ -8,16 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_matrix, random_generic_matrix
-from tropmf import (Boundary, Case, NotAdjacent, Region, TiedX,
-                    TropicalLine, WeightMatrix, apexes, classify, genericity,
-                    normalize, region_halfplanes, star, x_order)
+from tropmf import (Boundary, Case, NotAdjacent, Region, TiedX, WeightMatrix,
+                    classify, genericity, normalize, region_halfplanes, star)
 
 
 def classify_single(i_apex, j_apex, k_apex):
     """Classify one extra line against the pair at the given apexes."""
     M = pair_matrix([i_apex, j_apex, k_apex])
-    A = apexes(M)
-    R = classify(A, 1, 2)
+    R = classify(M, 1, 2)
     return R.case, R.colors[3]
 
 
@@ -54,14 +52,13 @@ def test_case_two_regions(k_apex, color):
 
 
 def test_five_line_classification(five):
-    A = apexes(five)
-    R = classify(A, 3, 4)
+    R = classify(five, 3, 4)
     assert R.case is Case.ONE
     assert R.colors == {1: Region.RED, 2: Region.PURPLE, 5: Region.YELLOW}
 
 
 def test_five_line_star(five):
-    S = star(apexes(five), 3, 4)
+    S = star(five, 3, 4)
     assert (S.a, S.b, S.c, S.d, S.overall) == (True, True, True, True, True)
     assert S.red == (1,)
     assert S.red_purple == (1, 2)
@@ -72,47 +69,45 @@ def test_collinear_slope2_pair(diag6):
     # On the slope-2 collinear arrangement every apex left of the pair
     # sits under the left line's anti-diagonal, so red is never empty
     # for an interior pair.
-    A = apexes(diag6)
-    R = classify(A, 4, 3)
+    R = classify(diag6, 4, 3)
     assert R.group(Region.RED) == {5, 6}
     assert R.group(Region.YELLOW) == {1, 2}
     assert R.group(Region.PURPLE) == frozenset()
-    S = star(A, 4, 3)
+    S = star(diag6, 4, 3)
     assert (S.a, S.b, S.c, S.d) == (True, True, True, True)
 
 
 def test_leftmost_pair_has_empty_red(diag6):
-    S = star(apexes(diag6), 6, 5)
+    S = star(diag6, 6, 5)
     assert not S.a
     assert S.red == ()
 
 
 def test_star_with_no_other_lines():
     M = pair_matrix([(0, 0), (1, 2)])
-    S = star(apexes(M), 1, 2)
+    S = star(M, 1, 2)
     assert (S.a, S.b, S.c, S.d) == (False, True, False, False)
     assert not S.overall
 
 
 def test_not_adjacent_and_misordered(five):
-    A = apexes(five)
     with pytest.raises(NotAdjacent):
-        classify(A, 2, 4)
+        classify(five, 2, 4)
     with pytest.raises(NotAdjacent):
-        classify(A, 4, 3)   # right line first
+        classify(five, 4, 3)   # right line first
     with pytest.raises(NotAdjacent):
-        classify(A, 3, 3)
+        classify(five, 3, 3)
     # Pairs outside 1..n, which apex() would read from the other end.
-    for i, j in ((4, 0), (1, A.n + 1)):
+    for i, j in ((4, 0), (1, five.n + 1)):
         for fn in (classify, region_halfplanes):
             with pytest.raises(NotAdjacent, match=r"bad pair \(%d, %d\)"
                                % (i, j)):
-                fn(A, i, j)
+                fn(five, i, j)
 
 
 def test_region_halfplanes_refuse_a_right_to_left_pair(five):
     with pytest.raises(NotAdjacent, match="line 4 is not left of line 3"):
-        region_halfplanes(apexes(five), 4, 3)
+        region_halfplanes(five, 4, 3)
 
 
 def test_boundary_refusal():
@@ -156,29 +151,26 @@ def test_classification_satisfies_defining_inequalities():
     done = 0
     while done < 20:
         M = random_generic_matrix(rng, 5, -30, 30)
-        A = apexes(M)
         try:
-            order = x_order(A)
+            order = M.x_order
             i, j = order[2], order[3]
-            R = classify(A, i, j)
+            R = classify(M, i, j)
         except (Boundary, TiedX):
             continue
         done += 1
         for k, color in R.colors.items():
-            checks = _region_inequalities(R.case, A.apex(i), A.apex(j),
-                                          A.apex(k), color)
+            checks = _region_inequalities(R.case, M.apex(i), M.apex(j),
+                                          M.apex(k), color)
             assert all(checks), (k, color)
 
 
 def test_classify_invariant_under_translation_and_scaling(five):
-    A = apexes(five)
-    base = classify(A, 3, 4).colors
-    shifted = pair_matrix([(a + 3, b - Fraction(1, 2)) for a, b in
-                           (line.apex for line in A.lines)])
-    scaled = pair_matrix([(a * 5, b * 5) for a, b in
-                          (line.apex for line in A.lines)])
-    assert classify(apexes(shifted), 3, 4).colors == base
-    assert classify(apexes(scaled), 3, 4).colors == base
+    base = classify(five, 3, 4).colors
+    pts = [five.apex(p) for p in range(1, five.n + 1)]
+    shifted = pair_matrix([(a + 3, b - Fraction(1, 2)) for a, b in pts])
+    scaled = pair_matrix([(a * 5, b * 5) for a, b in pts])
+    assert classify(shifted, 3, 4).colors == base
+    assert classify(scaled, 3, 4).colors == base
 
 
 def test_region_halfplanes_hold_classified_apexes():
@@ -190,27 +182,26 @@ def test_region_halfplanes_hold_classified_apexes():
     done = 0
     while done < 20:
         M = random_generic_matrix(rng, 6, -30, 30)
-        A = apexes(M)
         try:
-            order = x_order(A)
+            order = M.x_order
             i, j = order[2], order[3]
-            R = classify(A, i, j)
+            R = classify(M, i, j)
         except (Boundary, TiedX):
             continue
         done += 1
-        planes = region_halfplanes(A, i, j)
+        planes = region_halfplanes(M, i, j)
         for k, color in R.colors.items():
-            x, y = A.apex(k)
+            x, y = M.apex(k)
             assert all(p * x + q * y < c for p, q, c in planes[color]), (k, color)
 
 
 def test_region_halfplanes_draw_equal_heights_as_case_two():
     # classify refuses a pair at equal heights; the picture still draws
     # it, with the case TWO bounds (split 1 - 0, top 1, low 1, diagonal 1).
-    A = apexes(pair_matrix([(0, 1), (2, 1), (3, 5)]))
+    M = pair_matrix([(0, 1), (2, 1), (3, 5)])
     with pytest.raises(Boundary):
-        classify(A, 1, 2)
-    planes = region_halfplanes(A, 1, 2)
+        classify(M, 1, 2)
+    planes = region_halfplanes(M, 1, 2)
     assert planes[Region.RED] == [(1, 0, 0), (-1, 1, 1)]
     assert planes[Region.OLIVE] == [(1, 0, 0), (1, -1, -1), (0, -1, -1)]
     assert planes[Region.BLUE] == [(-1, 0, -2), (0, 1, 1)]
@@ -306,26 +297,26 @@ MATRICES = st.integers(3, 6).flatmap(lambda n: st.lists(
 @settings(max_examples=300, deadline=None)
 @given(MATRICES)
 def test_int_arrangement_equals_fraction_reference(M):
-    # The arrangement stores its apexes only as ints on the lcm scale D;
+    # The matrix keeps its apexes only as ints on the lcm scale D, once;
     # every point it returns and every decision it takes must be the
     # Fraction one.
-    A = apexes(M)
     pts = reference_apexes(M)
-    assert [A.apex(p) for p in range(1, M.n + 1)] == pts
-    assert all(type(x) is Fraction for p in range(1, M.n + 1) for x in A.apex(p))
-    assert A.lines == tuple(TropicalLine(p, pt) for p, pt in enumerate(pts, 1))
-    assert A.source is M
-    assert outcome(x_order, A) == outcome(reference_x_order, pts)
+    xs, ys, D = M.apex_ints
+    assert [(Fraction(x, D), Fraction(y, D)) for x, y in zip(xs, ys)] == pts
+    assert [M.apex(p) for p in range(1, M.n + 1)] == pts
+    assert all(type(x) is Fraction for p in range(1, M.n + 1) for x in M.apex(p))
+    assert M.apex_ints is M.apex_ints
+    assert outcome(lambda: M.x_order) == outcome(reference_x_order, pts)
     for i in range(1, M.n + 1):
         for j in range(1, M.n + 1):
             if i == j:
                 continue
-            got = outcome(classify, A, i, j)
+            got = outcome(classify, M, i, j)
             if not isinstance(got, tuple):
                 got = (got.case, got.colors)
             assert got == outcome(reference_classify, pts, i, j)
             if pts[i - 1][0] < pts[j - 1][0]:
-                assert (region_halfplanes(A, i, j)
+                assert (region_halfplanes(M, i, j)
                         == reference_halfplanes(pts, i, j))
 
 
@@ -345,17 +336,16 @@ def test_star_lists_equal_the_region_colors(M):
     # data; they must equal the lists read off the six colors, and the
     # flags the conditions (a)-(d) on those lists.
     assume(genericity(M).ok)
-    A = apexes(M)
     try:
-        order = x_order(A)
+        order = M.x_order
     except TiedX:
         assume(False)
     for i, j in zip(order, order[1:]):
         try:
-            R = classify(A, i, j)
+            R = classify(M, i, j)
         except Boundary:
             continue
-        S = star(A, i, j)
+        S = star(M, i, j)
         red, blue_olive, yellow_green, red_purple = reference_star_lists(R)
         assert (S.red, S.blue_olive, S.yellow_green, S.red_purple) == (
             red, blue_olive, yellow_green, red_purple)
@@ -375,19 +365,18 @@ def test_classified_apexes_lie_in_their_own_region_only(M):
     # rendered regions do not overlap at an apex.  In the example (case
     # ONE with D_j < D_i), apex 2 of the pair (1, 6) is blue and lies
     # below yellow's lower bound, the blue/green line b = low.
-    A = apexes(M)
     try:
-        order = x_order(A)
+        order = M.x_order
     except TiedX:
         assume(False)
     for i, j in zip(order, order[1:]):
         try:
-            R = classify(A, i, j)
+            R = classify(M, i, j)
         except Boundary:
             continue
-        planes = region_halfplanes(A, i, j)
+        planes = region_halfplanes(M, i, j)
         for k, color in R.colors.items():
-            x, y = A.apex(k)
+            x, y = M.apex(k)
             assert all(p * x + q * y < c for p, q, c in planes[color])
             assert not any(all(p * x + q * y <= c for p, q, c in planes[r])
                            for r in planes if r != color), (i, j, k, color)

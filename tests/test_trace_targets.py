@@ -8,8 +8,7 @@ from pathlib import Path
 
 from conftest import GOLDEN, five_line_matrix
 from test_byte_pins import seeded_matrices
-from tropmf import (certificate_to_text, certify, parse_certificate,
-                    weight_matrix_to_text)
+from tropmf import certificate_to_text, certify, parse_certificate
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -94,7 +93,7 @@ def test_traced_mutate_proves_each_failure_without_lp(tmp_path):
     certify never reaches the LP: the five-line (3, 4) certificate lists
     one k3 and one k4 failure and makes no LP or member call."""
     path = tmp_path / "five.txt"
-    path.write_text(weight_matrix_to_text(five_line_matrix()))
+    path.write_text(five_line_matrix().text)
     out = tmp_path / "cert.txt"
     code, spans = traced_cli(["mutate", "-m", str(path), "-i", "3", "-j", "4",
                               "-o", str(out)])
@@ -116,7 +115,7 @@ def test_traced_certify_counts_its_classification(tmp_path):
     and 1 on the five-line mutate.  Its induce counts stay 2 and 1."""
     out = tmp_path / "out.txt"
     matrix = tmp_path / "five.txt"
-    matrix.write_text(weight_matrix_to_text(five_line_matrix()))
+    matrix.write_text(five_line_matrix().text)
     for argv, calls, induces in (
             (["plan", "--block", "5", "2"], 6, 2),
             (["mutate", "-m", str(matrix), "-i", "3", "-j", "4"], 1, 1)):
